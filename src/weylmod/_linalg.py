@@ -1,9 +1,22 @@
 """
-Exact linear algebra over any field with Python arithmetic operators.
+Sparse rows: the shared term accumulator and exact echelon form.
 
-Rows are sparse dicts from hashable column keys to field elements; works
-identically for Fraction and for rational functions.
+Rows, elements and vectors are sparse dicts from hashable keys to
+nonzero scalars; everything here works identically for Fraction and for
+rational functions.
 """
+
+
+def add_terms(out, items):
+    """Add (key, coeff) pairs into the sparse dict out, dropping zeros."""
+    for k, c in items:
+        s = out.get(k)
+        s = c if s is None else s + c
+        if s:
+            out[k] = s
+        elif k in out:
+            del out[k]
+    return out
 
 
 class Echelon:
@@ -27,14 +40,8 @@ class Echelon:
                 return row
             key = max(hit)
             piv = self.pivots[key]
-            c = row[key]
-            for k, v in piv.items():
-                s = row.get(k)
-                s = -v * c if s is None else s - v * c
-                if s:
-                    row[k] = s
-                elif k in row:
-                    del row[k]
+            c = -row[key]
+            add_terms(row, ((k, v * c) for k, v in piv.items()))
         return row
 
     def add(self, row):

@@ -17,8 +17,9 @@ truncation oracle used to cross-check the window computation.
 """
 
 from fractions import Fraction
+from math import gcd
 
-from ._linalg import Echelon, dense_rank, rank_of_rows
+from ._linalg import Echelon, add_terms, dense_rank, rank_of_rows
 from .errors import (
     NonIntegral,
     NotAComplex,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .groebner import FreeVec, buchberger, vres_order
 from .lattice import make_lattice, reduce_mod_z
-from .modules import LEFT, PresentedModule, is_minimal_dimension
+from .modules import LEFT, is_minimal_dimension
 from .scalars import QPoly, RatFunc
 from .weyl import H1, QQ, WeylAlgebra, fourier_inverse
 
@@ -275,7 +276,7 @@ def _integer_roots(poly):
     if p.degree() >= 1:
         den = 1
         for c in p.coeffs:
-            den = den * c.denominator // _gcd(den, c.denominator)
+            den = den * c.denominator // gcd(den, c.denominator)
         ints = [int(c * den) for c in p.coeffs]
         const = abs(ints[0])
         cand = set()
@@ -288,12 +289,6 @@ def _integer_roots(poly):
             if p(Fraction(r)) == 0:
                 roots.append(r)
     return sorted(set(roots))
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 class BFunction:
@@ -369,7 +364,7 @@ def _truncated_nf(expr, lifts, stairs, min_weight):
     expr = dict(expr)
     while True:
         expr = {m: c for m, c in expr.items()
-                if c and _weight(m[1], m[2]) >= min_weight}
+                if _weight(m[1], m[2]) >= min_weight}
         target = None
         tkey = None
         for m in expr:
@@ -385,14 +380,9 @@ def _truncated_nf(expr, lifts, stairs, min_weight):
         j, a, b = target
         _, sa, sb = lf.stair
         coeff = expr[target] / lf.lead_coeff
-        piece = lf.lift.mul_monomial((a - sa,), (b - sb,), 0, coeff)
-        for (comp, pa, pb, pe), c in piece.terms.items():
-            key = (comp, pa[0], pb[0])
-            s = expr.get(key, Fraction(0)) - c
-            if s:
-                expr[key] = s
-            elif key in expr:
-                del expr[key]
+        piece = lf.lift.mul_monomial((a - sa,), (b - sb,), 0, -coeff)
+        add_terms(expr, (((comp, pa[0], pb[0]), c)
+                         for (comp, pa, pb, _pe), c in piece.terms.items()))
 
 
 class CohomologyReport:
@@ -433,11 +423,9 @@ def h_dr_n1(module):
         terms = {}
         for (comp, a, b, e), c in row.terms.items():
             u = fourier_inverse(W.monomial(a, b, coeff=c))
-            for (ua, ub, ue), uc in u.terms.items():
-                key = (comp, ua, ub, 0)
-                terms[key] = terms.get(key, Fraction(0)) + uc
-        twisted.append(FreeVec(1, QQ, module.rank,
-                               {k: c for k, c in terms.items() if c}))
+            add_terms(terms, (((comp, ua, ub, 0), uc)
+                              for (ua, ub, _ue), uc in u.terms.items()))
+        twisted.append(FreeVec(1, QQ, module.rank, terms))
 
     rank = module.rank
     lifts, b = _b_data(twisted, rank)
@@ -476,9 +464,7 @@ def chi_via_reduction(pres):
     family; only chi transfers, so dims are reported on the reduction
     alone and the headline carries chi.
     """
-    if not pres.saturated:
-        pres = make_lattice(pres)
-    report = reduce_mod_z(pres)
+    report = reduce_mod_z(make_lattice(pres))
     if report.is_zero:
         fiber = CohomologyReport((0, 0), 0, "ViaReduction")
         return CohomologyReport((0, 0), 0, "Transfer", details=fiber)

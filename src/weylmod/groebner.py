@@ -16,10 +16,10 @@ engine asserts homogeneity there.
 
 from fractions import Fraction
 
+from ._linalg import add_terms
 from .errors import RankMismatch
-from .scalars import RatFunc
-from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _add_idx,
-                   _one, _reorder_terms, _sub_idx, _zero_index)
+from .weyl import (H1, QQ, ZP, WeylAlgebra, WeylElement, _one,
+                   _product_items, _sub_idx, _zero_index)
 
 
 class FreeVec:
@@ -91,15 +91,8 @@ class FreeVec:
     def __add__(self, other):
         if self.rank != other.rank:
             raise RankMismatch("rank %d vs %d" % (self.rank, other.rank))
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return FreeVec(self.n, self.ring, self.rank, out)
+        return FreeVec(self.n, self.ring, self.rank,
+                       add_terms(dict(self.terms), other.terms.items()))
 
     def __neg__(self):
         return FreeVec(self.n, self.ring, self.rank,
@@ -116,24 +109,8 @@ class FreeVec:
 
     def mul_left(self, w):
         """Product w . self for w a WeylElement of the same algebra."""
-        homog = self.ring == H1
-        out = {}
-        for (a1, b1, e1), c1 in w.terms.items():
-            for (comp, a2, b2, e2), c2 in self.terms.items():
-                c12 = c1 * c2
-                for nu, m in _reorder_terms(b1, a2):
-                    key = (comp,
-                           _add_idx(_sub_idx(a2, nu), a1),
-                           _add_idx(_sub_idx(b1, nu), b2),
-                           e1 + e2 + (2 * sum(nu) if homog else 0))
-                    c = c12 * m
-                    s = out.get(key)
-                    s = c if s is None else s + c
-                    if s:
-                        out[key] = s
-                    elif key in out:
-                        del out[key]
-        return FreeVec(self.n, self.ring, self.rank, out)
+        return FreeVec(self.n, self.ring, self.rank,
+                       add_terms({}, _product_items(w, self.terms)))
 
     def mul_monomial(self, a, b, e, coeff):
         """Left multiply by a single monomial coeff * z^e x^a d^b."""
@@ -274,13 +251,7 @@ def left_normal_form(v, basis, order, track=False):
         qc = c / glc
         p = p - basis[hit].mul_monomial(qa, qb, qe, qc)
         if track:
-            qkey = (hit, qa, qb, qe)
-            s = quot.get(qkey)
-            s = qc if s is None else s + qc
-            if s:
-                quot[qkey] = s
-            elif qkey in quot:
-                del quot[qkey]
+            add_terms(quot, [((hit, qa, qb, qe), qc)])
     r = FreeVec(n, ring, v.rank, rem)
     if track:
         return r, FreeVec(n, ring, len(basis), quot)
@@ -644,8 +615,11 @@ def saturate_z(gens, rank):
     current = [g for g in gens if g.terms]
     if not current:
         return []
+    order = bernstein_order(current[0].n)
     while True:
         nxt = colon_z(current, rank)
-        if submodule_equal(current, nxt, rank):
+        # N lies in (N : z) always, so one containment decides the fixed point
+        gb = buchberger(current, order)
+        if all(gb.contains(g) for g in nxt):
             return nxt
         current = nxt

@@ -18,7 +18,7 @@ from .errors import NonIntegral, NotMinimalDimension, NotSameModule, \
 from .scalars import QPoly, RatFunc
 from .groebner import (FreeVec, bernstein_order, buchberger,
                        left_normal_form, preimage_rows, saturate_z,
-                       colon_z)
+                       colon_z, submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
                       is_minimal_dimension)
 from .weyl import (QQ, QZ, ZP, WeylAlgebra, convert_ring,
@@ -65,10 +65,6 @@ class IntegralPresentation:
                 [convert_ring(w, ZP) for w in cleared], rank=rank))
         return IntegralPresentation(n, side, rank, rows)
 
-    @staticmethod
-    def from_zp_rows(n, rows, rank, side=LEFT, saturated=False):
-        return IntegralPresentation(n, side, rank, rows, saturated)
-
     def module(self):
         return PresentedModule(self.n, ZP, self.side, self.rank, self.rows)
 
@@ -85,6 +81,8 @@ class IntegralPresentation:
 
 def make_lattice(P):
     """Saturate the relations so the cokernel is z-torsion-free."""
+    if P.saturated:
+        return P
     rows = saturate_z(P.rows, P.rank)
     return IntegralPresentation(P.n, P.side, P.rank, rows, saturated=True)
 
@@ -152,10 +150,10 @@ def good_lattice(P):
     again yields a presentation whose reduction is checked to be of
     minimal dimension.
     """
-    if not minimal_dimension_via_reduction(P):
+    base = make_lattice(P)
+    if not minimal_dimension_via_reduction(base):
         raise NotMinimalDimension(
             "good lattice construction needs a minimal-dimension module")
-    base = make_lattice(P)
     M = base.module()
     n = P.n
     E1 = ext(n, M)
@@ -183,9 +181,7 @@ class Lattice:
     __slots__ = ("avatar", "gens")
 
     def __init__(self, avatar, gens=None):
-        if not avatar.saturated:
-            avatar = make_lattice(avatar)
-        self.avatar = avatar
+        self.avatar = make_lattice(avatar)
         self.gens = list(gens) if gens is not None else None
 
     def generator_rows(self):
@@ -255,9 +251,7 @@ def compare_lattices(first, second, zpower=8):
     A, B = first.avatar, second.avatar
     if A.n != B.n or A.rank != B.rank or A.side != B.side:
         raise NotSameModule("avatars live in different ambients")
-    n = A.n
-    order = bernstein_order(n)
-    if not _same_span(A.rows, B.rows, A.rank, order):
+    if not submodule_equal(A.rows, B.rows, A.rank):
         raise NotSameModule("avatar relation modules differ")
     span_a = first.generator_rows() + A.rows
     span_b = second.generator_rows() + B.rows
@@ -275,19 +269,6 @@ def compare_lattices(first, second, zpower=8):
                          rep_a.minimal_dimension_verdict,
                          rep_b.minimal_dimension_verdict,
                          False)
-
-
-def _same_span(rows_a, rows_b, rank, order):
-    rows_a = [r for r in rows_a if r.terms]
-    rows_b = [r for r in rows_b if r.terms]
-    if not rows_a and not rows_b:
-        return True
-    if not rows_a or not rows_b:
-        return False
-    gb_a = buchberger(rows_a, order)
-    gb_b = buchberger(rows_b, order)
-    return all(gb_a.contains(r) for r in rows_b) and \
-        all(gb_b.contains(r) for r in rows_a)
 
 
 class KunnethReport:

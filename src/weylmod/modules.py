@@ -14,6 +14,7 @@ monomial ideals.
 
 from itertools import combinations
 
+from ._linalg import add_terms
 from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
                      UnsupportedAmbient, ZeroModule)
 from .scalars import INF
@@ -31,7 +32,7 @@ def homological_bound(n, ring):
 
 
 class PresentedModule:
-    __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res")
+    __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext")
 
     def __init__(self, n, ring, side, rank, rows):
         rows = [r for r in rows if r.terms]
@@ -45,6 +46,7 @@ class PresentedModule:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "_gb", None)
         object.__setattr__(self, "_res", None)
+        object.__setattr__(self, "_ext", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedModule is immutable")
@@ -116,10 +118,7 @@ class CharCycle:
         raise AttributeError("CharCycle is immutable")
 
     def __add__(self, other):
-        out = dict(self.parts)
-        for k, m in other.parts.items():
-            out[k] = out.get(k, 0) + m
-        return CharCycle(out)
+        return CharCycle(add_terms(dict(self.parts), other.parts.items()))
 
     def __eq__(self, other):
         if not isinstance(other, CharCycle):
@@ -275,11 +274,18 @@ def ext(i, M):
     Computed as cohomology of the transposed dual of a free resolution:
     at position i the outgoing map is v -> v . C_i with C_i the
     tau-transpose of stage i, the incoming image is spanned by the rows
-    of the tau-transpose of stage i-1.
+    of the tau-transpose of stage i-1.  Each Ext^i is computed once per
+    module and kept beside its basis and resolution.
     """
     bound = homological_bound(M.n, M.ring)
     if i < 0 or i > bound:
         raise IndexOutOfRange("ext index %d outside 0..%d" % (i, bound))
+    if i not in M._ext:
+        M._ext[i] = _ext_of_resolution(i, M)
+    return M._ext[i]
+
+
+def _ext_of_resolution(i, M):
     res = M.resolution()
     ranks = res.ranks
     if i > len(res.matrices):

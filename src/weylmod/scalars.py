@@ -14,10 +14,7 @@ from .errors import DivisionByZero, NonIntegral
 
 INF = math.inf
 
-Rational = Fraction
-
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
 
 def _as_fraction(c):
@@ -158,18 +155,6 @@ class QPoly:
                 return i
         raise AssertionError("unnormalized QPoly")
 
-    def shift_down(self, k):
-        """Exact division by z^k."""
-        if k == 0:
-            return self
-        assert all(c == 0 for c in self.coeffs[:k])
-        return QPoly(self.coeffs[k:])
-
-    def shift_up(self, k):
-        if not self.coeffs:
-            return self
-        return QPoly((_F0,) * k + self.coeffs)
-
     def eval0(self):
         if not self.coeffs:
             return _F0
@@ -180,9 +165,6 @@ class QPoly:
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def derivative(self):
-        return QPoly(tuple(c * i for i, c in enumerate(self.coeffs) if i > 0))
 
     def to_str(self, var="z"):
         if not self.coeffs:
@@ -328,18 +310,3 @@ class RatFunc:
 
     def __repr__(self):
         return "RatFunc(%s)" % self.to_str()
-
-
-def valuation(a):
-    """z-adic valuation; accepts rational functions and plain rationals."""
-    if isinstance(a, RatFunc):
-        return a.valuation()
-    a = _as_fraction(a)
-    return INF if a == 0 else 0
-
-
-def reduce_residue(a):
-    """Residue at z = 0 of an integral element, as a Rational."""
-    if isinstance(a, RatFunc):
-        return a.residue0()
-    return _as_fraction(a)

@@ -19,7 +19,9 @@ termwise instead of iterating single commutators.
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import comb, factorial
+from operator import add, sub
 
+from ._linalg import add_terms
 from .errors import MixedAmbient, UnsupportedAmbient, ZeroElement
 from .scalars import QPoly, RatFunc
 
@@ -54,11 +56,11 @@ def _zero_index(n):
 
 
 def _add_idx(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _sub_idx(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _reorder_terms(beta, gamma):
@@ -70,6 +72,24 @@ def _reorder_terms(beta, gamma):
             if v:
                 m *= comb(b, v) * comb(g, v) * factorial(v)
         yield nu, m
+
+
+def _product_items(u, terms):
+    """The terms of u times each term of terms, as (key, coeff) pairs.
+
+    The only product loop.  Keys of terms end in (alpha, beta, e); what
+    comes before (the component of a free-module term) is carried over.
+    """
+    homog = u.ring == H1
+    for (a1, b1, e1), c1 in u.terms.items():
+        for key, c2 in terms.items():
+            head, (a2, b2, e2) = key[:-3], key[-3:]
+            c12 = c1 * c2
+            for nu, m in _reorder_terms(b1, a2):
+                yield (head + (_add_idx(_sub_idx(a2, nu), a1),
+                               _add_idx(_sub_idx(b1, nu), b2),
+                               e1 + e2 + (2 * sum(nu) if homog else 0)),
+                       c12 * m)
 
 
 class WeylElement:
@@ -120,15 +140,8 @@ class WeylElement:
         if isinstance(other, (int, Fraction)):
             other = WeylAlgebra(self.n, self.ring).scalar(other)
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return WeylElement(self.n, self.ring, out)
+        return WeylElement(self.n, self.ring,
+                           add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -191,27 +204,9 @@ class WeylElement:
 
 
 def normal_product(u, v):
-    """Product in normal order; the only place commutators are expanded."""
+    """Product in normal order, summed from the shared loop _product_items."""
     u._check(v)
-    n, ring = u.n, u.ring
-    homog = ring == H1
-    out = {}
-    for (a1, b1, e1), c1 in u.terms.items():
-        for (a2, b2, e2), c2 in v.terms.items():
-            c12 = c1 * c2
-            for nu, m in _reorder_terms(b1, a2):
-                alpha = _add_idx(_sub_idx(a2, nu), a1)
-                beta = _add_idx(_sub_idx(b1, nu), b2)
-                e = e1 + e2 + (2 * sum(nu) if homog else 0)
-                key = (alpha, beta, e)
-                c = c12 * m
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-    return WeylElement(n, ring, out)
+    return WeylElement(u.n, u.ring, add_terms({}, _product_items(u, v.terms)))
 
 
 class WeylAlgebra:
@@ -312,30 +307,15 @@ class SymbolPolynomial:
         return hash((self.n, self.ring, frozenset(self.terms.items())))
 
     def __mul__(self, other):
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = (_add_idx(k1[0], k2[0]), _add_idx(k1[1], k2[1]),
-                       k1[2] + k2[2])
-                c = c1 * c2
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return SymbolPolynomial(self.n, self.ring, out)
+        items = (((_add_idx(a1, a2), _add_idx(b1, b2), e1 + e2), c1 * c2)
+                 for (a1, b1, e1), c1 in self.terms.items()
+                 for (a2, b2, e2), c2 in other.terms.items())
+        return SymbolPolynomial(self.n, self.ring, add_terms({}, items))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return SymbolPolynomial(self.n, self.ring, out)
+        return SymbolPolynomial(self.n, self.ring,
+                                add_terms(dict(self.terms),
+                                          other.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -414,10 +394,10 @@ class XPoly:
     __slots__ = ("n", "ring", "terms")
 
     def __init__(self, n, ring, terms=()):
-        data = dict(terms) if not isinstance(terms, dict) else dict(terms)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {k: c for k, c in data.items() if c})
+        object.__setattr__(self, "terms",
+                           {k: c for k, c in dict(terms).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("XPoly is immutable")
@@ -439,15 +419,8 @@ class XPoly:
         return hash((self.n, self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return XPoly(self.n, self.ring, out)
+        return XPoly(self.n, self.ring,
+                     add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
         return self + other.scale(-1)

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from weylmod import (QQ, QZ, IntegralPresentation, QPoly, RatFunc,
+from weylmod import (H1, QQ, QZ, ZP, IntegralPresentation, QPoly, RatFunc,
                      WeylAlgebra)
 
 
@@ -30,13 +30,16 @@ def rand_ratfunc(rng, deg=2):
 
 
 def rand_scalar(rng, ring):
-    if ring == QQ:
-        return rand_nonzero_fraction(rng)
-    return rand_ratfunc(rng)
+    if ring == QZ:
+        return rand_ratfunc(rng)
+    return rand_nonzero_fraction(rng)
 
 
 def rand_element(rng, W, deg=4, terms=4):
-    """Random nonzero element of W with Bernstein degree <= deg."""
+    """Random nonzero element of W with Bernstein degree <= deg.
+
+    Over ZP and H1 each term also gets a random power of z (or h).
+    """
     n = W.n
     u = W.zero()
     for _ in range(rng.randint(1, terms)):
@@ -49,7 +52,8 @@ def rand_element(rng, W, deg=4, terms=4):
                 alpha[slot] += 1
             else:
                 beta[slot - n] += 1
-        u = u + W.monomial(tuple(alpha), tuple(beta),
+        e = rng.randint(0, 2) if W.ring in (ZP, H1) else 0
+        u = u + W.monomial(tuple(alpha), tuple(beta), e,
                            coeff=rand_scalar(rng, W.ring))
     if u.is_zero():
         u = W.scalar(rand_scalar(rng, W.ring))

@@ -39,6 +39,7 @@ def test_from_qz_matrix_rejects_poles_at_zero():
 def test_make_lattice_idempotent():
     P = make_lattice(pres(A.z() * A.d(1) - A.z()))
     Q = make_lattice(P)
+    assert Q is P
     order = bernstein_order(1)
     ga = buchberger(P.rows, order)
     for r in Q.rows:

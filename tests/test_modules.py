@@ -6,7 +6,7 @@ import pytest
 
 from weylmod import (INF, LEFT, QQ, QZ, RIGHT, CharCycle, NotMinimalDimension,
                      PresentedModule, UnsupportedAmbient, WeylAlgebra,
-                     ZeroModule, char_cycle, dual_star, ext, grade,
+                     ZeroModule, char_cycle, dual_star, ext, grade, groebner,
                      hilbert_dimension, is_minimal_dimension,
                      quotient_presentation, submodule_presentation)
 
@@ -131,8 +131,14 @@ def test_n2_product_module():
     M = PresentedModule.from_matrix(2, QQ, [[W2.d(1)], [W2.d(2)]])
     assert hilbert_dimension(M) == 2
     assert is_minimal_dimension(M)
+    # the holonomicity test already built every Ext^i up to the grade
+    calls = groebner.COUNTERS["buchberger_calls"]
     E = ext(2, M)
+    assert ext(2, M) is E
+    assert grade(M) == 2
+    assert dual_star(M) is E
     assert not E.is_zero()
+    assert groebner.COUNTERS["buchberger_calls"] == calls
 
 
 def test_ext_out_of_range_rejected():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (H1, QQ, QZ, ZP, MixedAmbient, WeylAlgebra, XPoly,
+from weylmod import (H1, QQ, QZ, ZP, FreeVec, MixedAmbient, WeylAlgebra, XPoly,
                      apply_to_polynomial, bernstein_degree, convert_ring,
                      fourier, fourier_inverse, principal_symbol,
                      reduce_element_mod_z, to_str, transpose)
@@ -36,13 +36,17 @@ def test_normal_order_example():
 
 
 def test_associativity_random():
+    # H1 is the only ring whose products run the homogenized branch
     rng = random.Random(11)
-    for ring in (QQ, QZ):
-        W = WeylAlgebra(2, ring)
+    for n, ring in ((2, QQ), (2, QZ), (2, ZP), (1, H1)):
+        W = WeylAlgebra(n, ring)
         for _ in range(25):
             u, v, w = (rand_element(rng, W, deg=3, terms=3)
                        for _ in range(3))
             assert (u * v) * w == u * (v * w)
+            # the rank-2 product acts entrywise
+            assert FreeVec.from_entries([v, w]).mul_left(u) == \
+                FreeVec.from_entries([u * v, u * w])
 
 
 def test_faithful_action():
