@@ -9,8 +9,8 @@ rationals (QQ), rational functions of z (QZ), polynomials in z carried
 as an exponent slot (ZP), and the homogenized one variable algebra (H1).
 """
 
-from .errors import (DivisionByZero, IndexOutOfRange, MixedAmbient,
-                     NonIntegral, NotAComplex, NotHolonomic,
+from .errors import (DivisionByZero, IndexOutOfRange, InternalInvariant,
+                     MixedAmbient, NonIntegral, NotAComplex, NotHolonomic,
                      NotMinimalDimension, NotSameModule, NotSaturated,
                      ParseError, RankMismatch, RightModule, RingMismatch,
                      UndeclaredName, UnsupportedAmbient, UnsupportedTarget,

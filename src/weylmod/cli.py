@@ -82,26 +82,32 @@ def _require_qz(sess):
         raise UnsupportedAmbient("lattice subcommands need the QZ ring")
 
 
-def _lattice(sess, name):
-    """A module name is its standard lattice; a lattice name is itself."""
+def _lattice(sess, name, avatars):
+    """A module name is its standard lattice; a lattice name is itself.
+
+    avatars maps a base module name to its saturated avatar, so lattices of
+    one module share one saturation.
+    """
     _require_qz(sess)
     if name in sess.lattices:
         base, gens = sess.lattices[name]
-        avatar = make_lattice(IntegralPresentation.from_qz_matrix(
-            sess.n, sess.modules[base]))
-        rows = None
-        if gens is not None:
-            rows = IntegralPresentation.from_qz_matrix(
-                sess.n, gens, rank=avatar.rank).rows
-        return Lattice(avatar, rows)
-    if name in sess.modules:
-        return Lattice(make_lattice(IntegralPresentation.from_qz_matrix(
-            sess.n, sess.modules[name])))
-    raise UnsupportedTarget("%r is not a module or a lattice" % name)
+    elif name in sess.modules:
+        base, gens = name, None
+    else:
+        raise UnsupportedTarget("%r is not a module or a lattice" % name)
+    avatar = avatars.get(base)
+    if avatar is None:
+        avatar = avatars[base] = make_lattice(
+            IntegralPresentation.from_qz_matrix(sess.n, sess.modules[base]))
+    rows = None
+    if gens is not None:
+        rows = IntegralPresentation.from_qz_matrix(
+            sess.n, gens, rank=avatar.rank).rows
+    return Lattice(avatar, rows)
 
 
 def _presentation(sess, name):
-    return _lattice(sess, name).presentation()
+    return _lattice(sess, name, {}).presentation()
 
 
 def _complex(sess, name):
@@ -196,7 +202,9 @@ def _cmd_compare_lattices(sess, target, args, flags):
     if not args or not isinstance(args[0], str):
         raise UnsupportedTarget(
             "compare-lattices needs a second lattice name")
-    rep = compare_lattices(_lattice(sess, target), _lattice(sess, args[0]),
+    avatars = {}
+    rep = compare_lattices(_lattice(sess, target, avatars),
+                           _lattice(sess, args[0], avatars),
                            zpower=flags["zpower"])
     return {"equal": rep.equal, "zero_both": rep.zero_both,
             "cycle_first": _cycle(rep.cycle_first),

@@ -70,6 +70,12 @@ class UnsupportedTarget(WeylmodError):
     code = "UnsupportedTarget"
 
 
+class InternalInvariant(WeylmodError):
+    """An engine invariant failed: a bug, or input outside a documented
+    precondition of a library call."""
+    code = "InternalInvariant"
+
+
 class ParseError(WeylmodError):
     code = "ParseError"
 

@@ -9,15 +9,27 @@ criterion keeps every S-pair available for the Schreyer syzygy
 construction.  All basis elements are kept monic, so over the ZP tag every
 computed object stays z-integral (leading coefficients are rational).
 
+Each basis element's leading term is computed once, when it joins the
+basis, and travels with it as GBasis.leads.  Pending pairs wait in a heap
+keyed by the order key of their lcm, with the sequence number of the pair
+as tiebreak; basis elements never change once pushed, so the heap pops
+pairs in exactly the order of a stable sort by lcm, and the transform,
+lifts and syzygies do not depend on how the queue is kept.  Normal forms
+reduce one mutable sparse dict.
+
 Termination note: the V-order used for restriction is not a well-order on
 all monomials, only on the h-homogeneous elements the caller feeds it; the
-engine asserts homogeneity there.
+engine checks homogeneity of each basis element as its lead is cached, and
+of the input to left_normal_form, and raises InternalInvariant otherwise.
 """
 
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
+from operator import le
 
 from ._linalg import add_terms
-from .errors import RankMismatch
+from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
 from .weyl import (H1, QQ, ZP, WeylAlgebra, WeylElement, _one,
                    _product_items, _sub_idx, _zero_index)
 
@@ -200,105 +212,149 @@ def _divides(m1, m2):
     """Does monomial m1 divide m2 (same component, smaller exponents)."""
     c1, a1, b1, e1 = m1
     c2, a2, b2, e2 = m2
-    if c1 != c2 or e1 > e2:
-        return False
-    return all(x <= y for x, y in zip(a1, a2)) and \
-        all(x <= y for x, y in zip(b1, b2))
+    return c1 == c2 and e1 <= e2 and all(map(le, a1, a2)) and \
+        all(map(le, b1, b2))
 
 
-def _is_homogeneous(v):
-    degs = {sum(a) + sum(b) + e for (_c, a, b, e) in v.terms}
-    return len(degs) <= 1
+def _require_homogeneous(vecs):
+    """The V-order is a well-order only on h-homogeneous input."""
+    for v in vecs:
+        if len({sum(a) + sum(b) + e for (_c, a, b, e) in v.terms}) > 1:
+            raise InternalInvariant("H1 Groebner input must be "
+                                    "h-homogeneous")
+
+
+def _monomial_items(q, c, v):
+    """Terms of c * z^e x^a d^b times the FreeVec v, for q = (a, b, e)."""
+    return _product_items(WeylElement(v.n, v.ring, {q: c}), v.terms)
+
+
+def _spoly(vi, qi, vj, qj):
+    """qi * vi - qj * vj for monomials qi, qj given as (a, b, e)."""
+    one = _one(vi.ring)
+    terms = add_terms({}, _monomial_items(qi, one, vi))
+    return FreeVec(vi.n, vi.ring, vi.rank,
+                   add_terms(terms, _monomial_items(qj, -one, vj)))
+
+
+def _minus_quotients(v, quot, rows):
+    """v - sum_k quot_k rows[k], for quot a FreeVec over W^len(rows)."""
+    terms = dict(v.terms)
+    for (k, a, b, e), c in quot.terms.items():
+        add_terms(terms, _monomial_items((a, b, e), -c, rows[k]))
+    return FreeVec(v.n, v.ring, v.rank, terms)
+
+
+def _lcm_multipliers(mi, mj):
+    """The lcm of two lead monomials and the (a, b, e) lifting each to it.
+
+    None when the leads sit in different components: such a pair has no
+    S-polynomial.
+    """
+    ci, ai, bi, ei = mi
+    cj, aj, bj, ej = mj
+    if ci != cj:
+        return None
+    A = tuple(map(max, ai, aj))
+    B = tuple(map(max, bi, bj))
+    E = max(ei, ej)
+    return (ci, A, B, E), (_sub_idx(A, ai), _sub_idx(B, bi), E - ei), \
+        (_sub_idx(A, aj), _sub_idx(B, bj), E - ej)
+
+
+def _reduce(v, basis, leads, order, track=False):
+    """left_normal_form with leads[k] = leading_term(basis[k], order) given.
+
+    The running remainder is one mutable dict; order keys are memoized for
+    the length of the call.  Each step divides by the first basis element
+    whose lead divides the current leading monomial.
+    """
+    keys = {}
+
+    def key(m):
+        k = keys.get(m)
+        if k is None:
+            k = keys[m] = order.key(m)
+        return k
+
+    p = dict(v.terms)
+    rem = {}
+    quot = {} if track else None
+    while p:
+        mono = max(p, key=key)
+        for hit, lt in enumerate(leads):
+            if lt is not None and _divides(lt[0], mono):
+                break
+        else:
+            rem[mono] = p.pop(mono)
+            continue
+        (_gc, ga, gb, ge), glc = lt
+        q = (_sub_idx(mono[1], ga), _sub_idx(mono[2], gb), mono[3] - ge)
+        qc = p[mono] / glc
+        add_terms(p, _monomial_items(q, -qc, basis[hit]))
+        if track:
+            add_terms(quot, [((hit,) + q, qc)])
+    r = FreeVec(v.n, v.ring, v.rank, rem)
+    if track:
+        return r, FreeVec(v.n, v.ring, len(basis), quot)
+    return r
 
 
 def left_normal_form(v, basis, order, track=False):
     """Remainder of left division of v by the monic elements of basis.
 
-    With track=True also returns the quotients as a FreeVec over
-    W^len(basis), so that v = sum_k q_k basis[k] + remainder.
+    basis is a list of FreeVec or a GBasis; a GBasis computed under order
+    lends its cached leads.  With track=True also returns the quotients as
+    a FreeVec over W^len(basis), so that v = sum_k q_k basis[k] + remainder.
     """
+    leads = None
     if isinstance(basis, GBasis):
+        if order is basis.order:
+            leads = basis.leads
         basis = basis.elements
     for g in basis:
         if g and g.rank != v.rank:
             raise RankMismatch("vector rank %d vs basis rank %d"
                                % (v.rank, g.rank))
-    n, ring = v.n, v.ring
-    if ring == H1:
-        assert _is_homogeneous(v) and all(_is_homogeneous(g) for g in basis)
-    leads = [leading_term(g, order) if g else None for g in basis]
-    rem = {}
-    quot = {} if track else None
-    p = v
-    while p.terms:
-        mono = max(p.terms, key=order.key)
-        c = p.terms[mono]
-        hit = None
-        for k, lt in enumerate(leads):
-            if lt is not None and _divides(lt[0], mono):
-                hit = k
-                break
-        if hit is None:
-            rem[mono] = c
-            t = dict(p.terms)
-            del t[mono]
-            p = FreeVec(n, ring, v.rank, t)
-            continue
-        (gc, ga, gb, ge), glc = leads[hit]
-        qa = _sub_idx(mono[1], ga)
-        qb = _sub_idx(mono[2], gb)
-        qe = mono[3] - ge
-        qc = c / glc
-        p = p - basis[hit].mul_monomial(qa, qb, qe, qc)
-        if track:
-            add_terms(quot, [((hit, qa, qb, qe), qc)])
-    r = FreeVec(n, ring, v.rank, rem)
-    if track:
-        return r, FreeVec(n, ring, len(basis), quot)
-    return r
+    if v.ring == H1:
+        _require_homogeneous([v] if leads is not None else [v] + basis)
+    if leads is None:
+        leads = [leading_term(g, order) if g else None for g in basis]
+    return _reduce(v, basis, leads, order, track)
 
 
 class GBasis:
     """A monic, inter-reduced left Groebner basis with optional transform.
 
     transform[i] expresses elements[i] over the original generator list;
-    lifts[j] expresses original generator j over elements.  stats carries
-    engine counters for reporting.
+    lifts[j] expresses original generator j over elements.  leads[i] is
+    leading_term(elements[i], order), computed once (here when not
+    given).  stats carries engine counters for reporting.
     """
 
-    __slots__ = ("n", "ring", "rank", "order", "elements", "transform",
-                 "lifts", "stats")
+    __slots__ = ("n", "ring", "rank", "order", "elements", "leads",
+                 "transform", "lifts", "stats")
 
     def __init__(self, n, ring, rank, order, elements, transform=None,
-                 lifts=None, stats=None):
+                 lifts=None, stats=None, leads=None):
         self.n = n
         self.ring = ring
         self.rank = rank
         self.order = order
         self.elements = elements
+        self.leads = [leading_term(g, order) for g in elements] \
+            if leads is None else leads
         self.transform = transform
         self.lifts = lifts
         self.stats = stats or {}
 
     def contains(self, v):
-        return left_normal_form(v, self.elements, self.order).is_zero()
+        return left_normal_form(v, self, self.order).is_zero()
 
     def is_full_module(self):
         return all(self.contains(FreeVec.unit(self.n, self.ring,
                                               self.rank, j))
                    for j in range(self.rank))
-
-
-def _spair_data(gi, gj, order):
-    (ci, ai, bi, ei), _ = leading_term(gi, order)
-    (cj, aj, bj, ej), _ = leading_term(gj, order)
-    if ci != cj:
-        return None
-    A = tuple(max(x, y) for x, y in zip(ai, aj))
-    B = tuple(max(x, y) for x, y in zip(bi, bj))
-    E = max(ei, ej)
-    return (ci, A, B, E), (_sub_idx(A, ai), _sub_idx(B, bi), E - ei), \
-        (_sub_idx(A, aj), _sub_idx(B, bj), E - ej)
 
 
 COUNTERS = {"buchberger_calls": 0, "spairs": 0, "basis_elements": 0}
@@ -329,14 +385,28 @@ def buchberger(gens, order, track=False):
     ring = nonzero[0][1].ring
     rank = nonzero[0][1].rank
     src = len(gens)
+    one = _one(ring)
 
     basis = []
+    leads = []
     trans = [] if track else None
+    pairs = []
+    seq = count()
 
     def push(v, rep):
-        _, lc = leading_term(v, order)
-        inv = _one(ring) / lc
-        basis.append(v.scale(inv))
+        if ring == H1:
+            _require_homogeneous([v])
+        mono, lc = leading_term(v, order)
+        new = len(basis)
+        for k, (m, _c) in enumerate(leads):
+            data = _lcm_multipliers(m, mono)
+            if data is not None:
+                heappush(pairs, (order.key(data[0]), next(seq), k, new,
+                                 data[1], data[2]))
+        inv = one / lc
+        g = v.scale(inv)
+        basis.append(g)
+        leads.append((mono, g.terms[mono]))
         if track:
             trans.append(rep.scale(inv))
 
@@ -344,52 +414,34 @@ def buchberger(gens, order, track=False):
         push(g, FreeVec.unit(n, ring, src, i) if track else None)
 
     stats = {"spairs": 0, "reductions_to_zero": 0}
-    pairs = [(i, j) for j in range(len(basis)) for i in range(j)]
-
-    def pair_key(ij):
-        data = _spair_data(basis[ij[0]], basis[ij[1]], order)
-        if data is None:
-            return (0,)
-        return (1,) + tuple(order.key(data[0]))
-
     while pairs:
-        pairs.sort(key=pair_key)
-        i, j = pairs.pop(0)
-        data = _spair_data(basis[i], basis[j], order)
-        if data is None:
-            continue
-        _, (qa_i, qb_i, qe_i), (qa_j, qb_j, qe_j) = data
-        one = _one(ring)
-        sp = basis[i].mul_monomial(qa_i, qb_i, qe_i, one) \
-            - basis[j].mul_monomial(qa_j, qb_j, qe_j, one)
+        _key, _seq, i, j, qi, qj = heappop(pairs)
+        sp = _spoly(basis[i], qi, basis[j], qj)
         stats["spairs"] += 1
         if track:
-            rem, q = left_normal_form(sp, basis, order, track=True)
+            rem, q = _reduce(sp, basis, leads, order, track=True)
         else:
-            rem = left_normal_form(sp, basis, order)
-            q = None
+            rem = _reduce(sp, basis, leads, order)
         if rem.is_zero():
             stats["reductions_to_zero"] += 1
             continue
         rep = None
         if track:
-            rep = trans[i].mul_monomial(qa_i, qb_i, qe_i, one) \
-                - trans[j].mul_monomial(qa_j, qb_j, qe_j, one)
-            for (k, a, b, e), c in q.terms.items():
-                rep = rep - trans[k].mul_monomial(a, b, e, c)
+            rep = _minus_quotients(_spoly(trans[i], qi, trans[j], qj), q,
+                                   trans)
         push(rem, rep)
-        new = len(basis) - 1
-        pairs.extend((k, new) for k in range(new))
 
-    basis, trans = _interreduce(basis, trans, order, n, ring, rank)
+    basis, leads, trans = _interreduce(basis, leads, trans, order)
 
     lifts = None
     if track:
         lifts = []
         for g in gens:
             if g and g.terms:
-                rem, q = left_normal_form(g, basis, order, track=True)
-                assert rem.is_zero()
+                rem, q = _reduce(g, basis, leads, order, track=True)
+                if rem.terms:
+                    raise InternalInvariant("a generator left a remainder "
+                                            "on its own Groebner basis")
                 lifts.append(q)
             else:
                 lifts.append(FreeVec.zero(n, ring, len(basis)))
@@ -397,73 +449,68 @@ def buchberger(gens, order, track=False):
     COUNTERS["spairs"] += stats["spairs"]
     COUNTERS["basis_elements"] += len(basis)
     return GBasis(n, ring, rank, order, basis, transform=trans,
-                  lifts=lifts, stats=stats)
+                  lifts=lifts, stats=stats, leads=leads)
 
 
-def _interreduce(basis, trans, order, n, ring, rank):
-    """Keep minimal leads, then tail-reduce each element against the rest."""
-    keep = []
-    for i, g in enumerate(basis):
-        lt_i = leading_term(g, order)[0]
-        redundant = False
-        for j, h in enumerate(basis):
-            if i == j:
-                continue
-            lt_j = leading_term(h, order)[0]
-            if _divides(lt_j, lt_i) and (lt_i != lt_j or j < i):
-                redundant = True
-                break
-        if not redundant:
-            keep.append(i)
-    basis2 = [basis[i] for i in keep]
-    trans2 = [trans[i] for i in keep] if trans is not None else None
+def _interreduce(basis, leads, trans, order):
+    """Keep minimal leads, then tail-reduce each element against the rest.
+
+    No other kept lead divides a kept lead, so tail reduction leaves every
+    lead in place and the cached leads stay valid.
+    """
+    monos = [m for m, _c in leads]
+    keep = [i for i, mi in enumerate(monos)
+            if not any(j != i and _divides(mj, mi) and (mi != mj or j < i)
+                       for j, mj in enumerate(monos))]
+    basis = [basis[i] for i in keep]
+    leads = [leads[i] for i in keep]
+    if trans is not None:
+        trans = [trans[i] for i in keep]
     changed = True
     while changed:
         changed = False
-        for i in range(len(basis2)):
-            others = basis2[:i] + basis2[i + 1:]
-            if trans2 is not None:
-                rem, q = left_normal_form(basis2[i], others, order,
-                                          track=True)
+        for i, g in enumerate(basis):
+            others = basis[:i] + basis[i + 1:]
+            others_leads = leads[:i] + leads[i + 1:]
+            if trans is not None:
+                rem, q = _reduce(g, others, others_leads, order, track=True)
             else:
-                rem = left_normal_form(basis2[i], others, order)
-                q = None
-            if rem != basis2[i]:
-                changed = True
-                assert rem.terms, "interreduction killed a minimal lead"
-                _, lc = leading_term(rem, order)
-                inv = _one(ring) / lc
-                if trans2 is not None:
-                    rep = trans2[i]
-                    for (k, a, b, e), c in q.terms.items():
-                        kk = k if k < i else k + 1
-                        rep = rep - trans2[kk].mul_monomial(a, b, e, c)
-                    trans2[i] = rep.scale(inv)
-                basis2[i] = rem.scale(inv)
-    return basis2, trans2
+                rem = _reduce(g, others, others_leads, order)
+            if rem == g:
+                continue
+            changed = True
+            mono = leads[i][0]
+            lc = rem.terms.get(mono)
+            if lc is None:
+                raise InternalInvariant("interreduction killed a minimal "
+                                        "lead")
+            inv = _one(g.ring) / lc
+            if trans is not None:
+                trans[i] = _minus_quotients(
+                    trans[i], q, trans[:i] + trans[i + 1:]).scale(inv)
+            basis[i] = rem.scale(inv)
+            leads[i] = (mono, basis[i].terms[mono])
+    return basis, leads, trans
 
 
 def syzygy_module(gb):
     """Schreyer generators of the left syzygies of gb.elements."""
-    basis = gb.elements
+    basis, leads = gb.elements, gb.leads
     m = len(basis)
-    order = gb.order
     out = []
-    one = _one(gb.ring)
     for j in range(m):
         for i in range(j):
-            data = _spair_data(basis[i], basis[j], order)
+            data = _lcm_multipliers(leads[i][0], leads[j][0])
             if data is None:
                 continue
-            _, (qa_i, qb_i, qe_i), (qa_j, qb_j, qe_j) = data
-            sp = basis[i].mul_monomial(qa_i, qb_i, qe_i, one) \
-                - basis[j].mul_monomial(qa_j, qb_j, qe_j, one)
-            rem, q = left_normal_form(sp, basis, order, track=True)
-            assert rem.is_zero(), "input to syzygy_module was not a basis"
-            syz = FreeVec.unit(gb.n, gb.ring, m, i) \
-                .mul_monomial(qa_i, qb_i, qe_i, one) \
-                - FreeVec.unit(gb.n, gb.ring, m, j) \
-                .mul_monomial(qa_j, qb_j, qe_j, one) - q
+            _, qi, qj = data
+            rem, q = _reduce(_spoly(basis[i], qi, basis[j], qj), basis,
+                             leads, gb.order, track=True)
+            if rem.terms:
+                raise InternalInvariant("input to syzygy_module was not a "
+                                        "Groebner basis")
+            syz = _spoly(FreeVec.unit(gb.n, gb.ring, m, i), qi,
+                         FreeVec.unit(gb.n, gb.ring, m, j), qj) - q
             if syz.terms:
                 out.append(syz)
     return out
@@ -575,7 +622,8 @@ def colon_z(gens, rank):
     if not gens:
         return []
     n, ring = gens[0].n, gens[0].ring
-    assert ring == ZP
+    if ring != ZP:
+        raise UnsupportedAmbient("colon by z runs over ZP")
     doubled = [g.embed(2 * rank, 0) + g.embed(2 * rank, rank) for g in gens]
     z0 = _zero_index(n)
     for j in range(rank):
@@ -588,7 +636,9 @@ def colon_z(gens, rank):
         if g.support_comps() <= set(range(rank)):
             shifted = {}
             for (comp, a, b, e), c in g.terms.items():
-                assert e >= 1, "element of z F with a z-free term"
+                if e < 1:
+                    raise InternalInvariant("element of z F with a z-free "
+                                            "term")
                 shifted[(comp, a, b, e - 1)] = c
             out.append(FreeVec(n, ring, rank, shifted))
     return out

@@ -251,7 +251,7 @@ def compare_lattices(first, second, zpower=8):
     A, B = first.avatar, second.avatar
     if A.n != B.n or A.rank != B.rank or A.side != B.side:
         raise NotSameModule("avatars live in different ambients")
-    if not submodule_equal(A.rows, B.rows, A.rank):
+    if A is not B and not submodule_equal(A.rows, B.rows, A.rank):
         raise NotSameModule("avatar relation modules differ")
     span_a = first.generator_rows() + A.rows
     span_b = second.generator_rows() + B.rows

@@ -160,12 +160,8 @@ class CharCycle:
 
 
 def _leading_monomials_by_comp(M):
-    gb = M.gb()
     by_comp = {j: [] for j in range(M.rank)}
-    order = gb.order
-    for g in gb.elements:
-        key = max(g.terms, key=order.key)
-        comp, a, b, _e = key
+    for (comp, a, b, _e), _c in M.gb().leads:
         by_comp[comp].append((a, b))
     return by_comp
 

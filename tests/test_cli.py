@@ -1,6 +1,7 @@
 """Front end: golden reports for every subcommand, fuzzing, exit codes."""
 
 import json
+import os
 import pathlib
 import random
 import string
@@ -9,9 +10,14 @@ import sys
 
 import pytest
 
+import weylmod
 from weylmod.cli import _jsonable, main, run
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+# child interpreters import the same weylmod as this process
+SRC = str(pathlib.Path(weylmod.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, [SRC, os.environ.get("PYTHONPATH")])))
 DEFAULTS = {"max-degree": 40, "zpower": 8, "stats": False}
 
 
@@ -47,6 +53,41 @@ def test_stats_flag_adds_counters():
                                  "basis_elements"}
 
 
+def test_compare_lattices_saturates_once(monkeypatch):
+    from weylmod import lattice
+    calls = []
+    real = lattice.saturate_z
+
+    def counted(gens, rank):
+        calls.append(rank)
+        return real(gens, rank)
+
+    monkeypatch.setattr(lattice, "saturate_z", counted)
+    source = (GOLDEN / "compare-lattices.in").read_text()
+    want = json.loads((GOLDEN / "compare-lattices.json").read_text())
+    rep, code = run_stripped(source)
+    assert (code, rep) == (want["exit"], want["report"])
+    assert len(calls) == 1
+
+
+def test_internal_invariant_exits_1(monkeypatch):
+    from weylmod import ZP, FreeVec, groebner
+    real = groebner.buchberger
+
+    def faulty(gens, order, track=False):
+        # a colon basis element below the block boundary without a z
+        gb = real(gens, order, track)
+        if order.name.startswith("pot-block"):
+            gb.elements.append(FreeVec.unit(gb.n, ZP, gb.rank, 0))
+        return gb
+
+    monkeypatch.setattr(groebner, "buchberger", faulty)
+    rep, code = run_stripped("ring W(1) over QZ; module M = coker "
+                             "[[x1*d1 - 1/2 - z]]; check M holonomic-hat")
+    assert code == 1
+    assert rep["error"]["code"] == "InternalInvariant"
+
+
 def test_declaration_only_session():
     rep, code = run_stripped("ring W(1) over QQ; module M = coker [[d1]];")
     assert code == 0
@@ -59,7 +100,7 @@ def test_cli_entry_point(tmp_path):
     f.write_text("ring W(1) over QQ;\nmodule M = coker [[d1]];\n"
                  "check M holonomic\n")
     proc = subprocess.run([sys.executable, "-m", "weylmod.cli", str(f)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     rep = json.loads(proc.stdout)
     assert rep["result"]["holonomic"] is True
@@ -69,7 +110,7 @@ def test_cli_entry_point(tmp_path):
 def test_cli_stdin_and_exit_codes(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "weylmod.cli"],
                           input="ring W(1) over QQ; check M gb",
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 2
     rep = json.loads(proc.stdout)
     assert rep["error"]["code"] == "UndeclaredName"

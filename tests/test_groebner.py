@@ -1,13 +1,18 @@
 """Left Groebner bases: soundness against brute force, syzygies, orders."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from weylmod import (QQ, ZP, FreeVec, RankMismatch, WeylAlgebra,
+from weylmod import (H1, QQ, ZP, FreeVec, GBasis, InternalInvariant,
+                     RankMismatch, UnsupportedAmbient, WeylAlgebra,
                      bernstein_order, buchberger, free_resolution,
                      leading_term, left_normal_form, pot_block_order,
-                     preimage_rows, syz_of_list)
+                     preimage_rows, syz_of_list, vres_order)
+from weylmod import groebner
+from weylmod.groebner import colon_z, syzygy_module
 
 from helpers import rand_element
 from oracles import brute_member
@@ -159,3 +164,90 @@ def test_zp_coefficient_gb():
     # z*d - 1 generates: multiplying by d stays inside
     v = FreeVec.from_entries([d * (z * d - A.one())], rank=1)
     assert gb.contains(v)
+
+
+def _gkz13():
+    A = WeylAlgebra(2, QQ)
+    x1, x2, d1, d2 = A.x(1), A.x(2), A.d(1), A.d(2)
+    rows = [d1 ** 3 - d2, x1 * d1 + 3 * x2 * d2 - A.scalar(Fraction(1, 2))]
+    return [vec(r) for r in rows], bernstein_order(2)
+
+
+def _gkz3():
+    A = WeylAlgebra(3, QQ)
+    x1, x2, x3, d1, d2, d3 = A.x(1), A.x(2), A.x(3), A.d(1), A.d(2), A.d(3)
+    rows = [d1 * d3 - d2 ** 2,
+            x1 * d1 + x2 * d2 + x3 * d3 - A.scalar(Fraction(1, 2)),
+            x2 * d2 + 2 * x3 * d3 - A.scalar(Fraction(1, 3))]
+    return [vec(r) for r in rows], bernstein_order(3)
+
+
+def _colon_block():
+    """The doubled input colon_z builds for (z-deformed GKZ [1 2] : z)."""
+    A = WeylAlgebra(2, ZP)
+    x1, x2, d1, d2, z = A.x(1), A.x(2), A.d(1), A.d(2), A.z()
+    rows = [d1 ** 2 - z * d2, x1 * d1 + 2 * x2 * d2 - A.scalar(Fraction(1, 2))]
+    doubled = [FreeVec.from_entries([r, r]) for r in rows]
+    doubled.append(FreeVec.from_entries([A.zero(), z]))
+    return doubled, pot_block_order(2, 1)
+
+
+# stats and sha256 of repr((elements, transform, lifts)), recorded with the
+# sort-based pair list this engine replaced: the heap must pop S-pairs in
+# the same order, so the tracked outputs repeat exactly.
+SELECTION_PINS = [
+    (_gkz13, {"spairs": 10, "reductions_to_zero": 7, "basis_size": 5},
+     "a3683f9366eb46c60d580f0d47a9c12c6bd8380535a3324d8dc07f25ee4955ec"),
+    (_gkz3, {"spairs": 15, "reductions_to_zero": 12, "basis_size": 6},
+     "bff2bbaf98201069060225fe13b7a578e6221ff0543bbe87da16c72afd635c57"),
+    (_colon_block, {"spairs": 16, "reductions_to_zero": 10, "basis_size": 9},
+     "69f36a885ae07caaa87dff7572e5946fee9bcd7a14c94b2d20918e449a70f4d9"),
+]
+
+
+@pytest.mark.parametrize("make,stats,digest", SELECTION_PINS,
+                         ids=["gkz13", "gkz3", "colon"])
+def test_selection_order_pinned(make, stats, digest):
+    gens, order = make()
+    gb = buchberger(gens, order, track=True)
+    assert gb.stats == stats
+    got = repr((gb.elements, gb.transform, gb.lifts)).encode()
+    assert hashlib.sha256(got).hexdigest() == digest
+
+
+def test_leads_computed_once(monkeypatch):
+    calls = []
+    real = groebner.leading_term
+
+    def counted(v, order):
+        calls.append(1)
+        return real(v, order)
+
+    monkeypatch.setattr(groebner, "leading_term", counted)
+    gens, order = _gkz3()
+    gb = buchberger(gens, order, track=True)
+    pushed = len(gens) + gb.stats["spairs"] - gb.stats["reductions_to_zero"]
+    assert len(calls) <= 2 * pushed
+    assert gb.leads == [real(g, order) for g in gb.elements]
+
+
+def test_h1_input_must_be_homogeneous():
+    h = FreeVec(1, H1, 1, {(0, (1,), (1,), 0): Fraction(1),
+                           (0, (0,), (0,), 0): Fraction(1)})
+    with pytest.raises(InternalInvariant):
+        buchberger([h], vres_order(1))
+    with pytest.raises(InternalInvariant):
+        left_normal_form(h, [], vres_order(1))
+
+
+def test_syzygy_module_rejects_a_non_basis():
+    x, d = W.x(1), W.d(1)
+    # d*x - x*d = 1 does not reduce to zero on {x, d}
+    fake = GBasis(1, QQ, 1, bernstein_order(1), ideal_rows(x, d))
+    with pytest.raises(InternalInvariant):
+        syzygy_module(fake)
+
+
+def test_colon_z_needs_zp():
+    with pytest.raises(UnsupportedAmbient):
+        colon_z(ideal_rows(W.x(1)), 1)
