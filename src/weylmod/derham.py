@@ -12,15 +12,19 @@ polynomial.
 
 Also here: the algebraic de Rham complex in any number of variables
 (for the sign bookkeeping), an Euler characteristic comparison for
-perfect complexes over the power series coordinate, and a slow
-truncation oracle used to cross-check the window computation.
+perfect complexes over the power series coordinate, and a truncation
+oracle used to cross-check the window computation.  The oracle shares
+no code with the window: it cuts the module at growing total degree and
+grows two echelon forms, keyed degree first, one degree at a time.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from ._linalg import Echelon, add_terms, dense_rank, rank_of_rows
 from .errors import (
+    InternalInvariant,
     NonIntegral,
     NotAComplex,
     NotHolonomic,
@@ -44,41 +48,8 @@ def _wedge(i, subset):
     """dx_i wedge dx_subset: (sign, new subset), or None when i in subset."""
     if i in subset:
         return None
-    sign = 1
-    out = []
-    placed = False
-    for j in subset:
-        if j < i:
-            out.append(j)
-        else:
-            if not placed:
-                out.append(i)
-                placed = True
-            out.append(j)
-    if not placed:
-        out.append(i)
     before = sum(1 for j in subset if j < i)
-    if before % 2:
-        sign = -1
-    return sign, tuple(out)
-
-
-def _subsets(n, s):
-    if s == 0:
-        return [()]
-    out = []
-
-    def rec(start, chosen):
-        if len(chosen) == s:
-            out.append(tuple(chosen))
-            return
-        for i in range(start, n + 1):
-            chosen.append(i)
-            rec(i + 1, chosen)
-            chosen.pop()
-
-    rec(1, [])
-    return out
+    return (-1 if before % 2 else 1), tuple(sorted((*subset, i)))
 
 
 class DeRhamComplex:
@@ -91,7 +62,8 @@ class DeRhamComplex:
             raise RightModule("de Rham complex is formed on left modules")
         self.module = module
         self.n = module.n
-        self.index_sets = [_subsets(self.n, s) for s in range(self.n + 1)]
+        self.index_sets = [list(combinations(range(1, self.n + 1), s))
+                           for s in range(self.n + 1)]
 
     def rank_at(self, s):
         return len(self.index_sets[s])
@@ -162,34 +134,31 @@ def _dehomogenize_row(row, rank):
 
 
 class _VLift:
-    """One reducer for the weight filtration: full lift plus initial data."""
+    """One reducer for the weight filtration: full lift plus initial data.
 
-    __slots__ = ("lift", "initial", "weight", "stair", "lead_coeff")
+    lead is the V-order lead of the homogenized basis element.  The
+    element is homogeneous, so dehomogenizing merges no term into the
+    lead, and it is monic, so the lift's coefficient at stair is 1.
+    """
 
-    def __init__(self, lift, rank):
+    __slots__ = ("lift", "initial", "weight", "stair")
+
+    def __init__(self, lift, lead, rank):
+        comp, a, b, _e = lead
         self.lift = lift
-        w = max(_weight(a[0], b[0]) for (comp, a, b, e) in lift.terms)
-        self.weight = w
-        init = {k: c for k, c in lift.terms.items()
-                if _weight(k[1][0], k[2][0]) == w}
-        self.initial = FreeVec(1, QQ, rank, init)
-        best = None
-        for (comp, a, b, e) in init:
-            key = (a[0] + b[0], -comp)
-            if best is None or key > best[0]:
-                best = (key, (comp, a[0], b[0]))
-        self.stair = best[1]
-        self.lead_coeff = init[(best[1][0], (best[1][1],), (best[1][2],), 0)]
+        self.stair = (comp, a[0], b[0])
+        self.weight = w = _weight(a[0], b[0])
+        self.initial = FreeVec(1, QQ, rank,
+                               {k: c for k, c in lift.terms.items()
+                                if _weight(k[1][0], k[2][0]) == w})
 
 
 def _v_lifts(rows, rank):
     """Groebner data of the weight filtration for a relation module."""
     hom = [_homogenize_row(r, rank) for r in rows if r.terms]
     gb = buchberger(hom, vres_order(1))
-    lifts = []
-    for g in gb.elements:
-        lifts.append(_VLift(_dehomogenize_row(g, rank), rank))
-    return lifts
+    return [_VLift(_dehomogenize_row(g, rank), mono, rank)
+            for g, (mono, _c) in zip(gb.elements, gb.leads)]
 
 
 def _falling_factorial(a):
@@ -203,14 +172,15 @@ def _weight_zero_to_theta(vec, rank):
     """Convert a weight zero vector to polynomials in theta = x d."""
     out = [QPoly.const(Fraction(0)) for _ in range(rank)]
     for (comp, a, b, e), c in vec.terms.items():
-        assert a[0] == b[0]
+        if a[0] != b[0]:
+            raise InternalInvariant("a weight zero row has a term x^%d d^%d"
+                                    % (a[0], b[0]))
         out[comp] = out[comp] + _falling_factorial(a[0]) * c
     return out
 
 
 def _indicial_polynomial(lifts, rank):
     """Monic annihilator of the weight zero slice, or None if not finite."""
-    W = WeylAlgebra(1, QQ)
     rows = []
     for lf in lifts:
         vec = lf.initial
@@ -249,16 +219,16 @@ def _indicial_polynomial(lifts, rank):
     # least common multiple of the denominators solving b e_j in the span
     acc = QPoly.const(Fraction(1))
     for j in range(rank):
-        target = [RatFunc(QPoly.const(Fraction(1)))
-                  if t == j else RatFunc(QPoly.const(Fraction(0)))
-                  for t in range(rank)]
+        target = [RatFunc(1 if t == j else 0) for t in range(rank)]
         for col in range(rank):
             c = target[col] / RatFunc(pivots[col][col])
             if not c.is_zero():
                 for t in range(col, rank):
                     target[t] = target[t] - c * RatFunc(pivots[col][t])
                 acc = acc.lcm(c.den)
-        assert all(t.is_zero() for t in target)
+        if not all(t.is_zero() for t in target):
+            raise InternalInvariant("back substitution left a remainder in "
+                                    "the triangular theta system")
     return acc.monic()
 
 
@@ -355,7 +325,7 @@ def _find_reducer(lifts, mono):
     return None
 
 
-def _truncated_nf(expr, lifts, stairs, min_weight):
+def _truncated_nf(expr, lifts, min_weight):
     """Reduce to standard monomials, discarding weights below min_weight.
 
     expr maps (comp, a, b) to Fraction.  Every subtraction uses the full
@@ -365,22 +335,19 @@ def _truncated_nf(expr, lifts, stairs, min_weight):
     while True:
         expr = {m: c for m, c in expr.items()
                 if _weight(m[1], m[2]) >= min_weight}
-        target = None
-        tkey = None
+        target = lf = tkey = None
         for m in expr:
-            if _find_reducer(lifts, m) is None:
+            reducer = _find_reducer(lifts, m)
+            if reducer is None:
                 continue
             key = (_weight(m[1], m[2]), m[1] + m[2], -m[0])
             if tkey is None or key > tkey:
-                target = m
-                tkey = key
+                target, lf, tkey = m, reducer, key
         if target is None:
             return expr
-        lf = _find_reducer(lifts, target)
         j, a, b = target
         _, sa, sb = lf.stair
-        coeff = expr[target] / lf.lead_coeff
-        piece = lf.lift.mul_monomial((a - sa,), (b - sb,), 0, -coeff)
+        piece = lf.lift.mul_monomial((a - sa,), (b - sb,), 0, -expr[target])
         add_terms(expr, (((comp, pa[0], pb[0]), c)
                          for (comp, pa, pb, _pe), c in piece.terms.items()))
 
@@ -446,7 +413,7 @@ def h_dr_n1(module):
 
     rows = []
     for (j, a, bb) in dom:
-        nf = _truncated_nf({(j, a + 1, bb): Fraction(1)}, lifts, stairs, k0)
+        nf = _truncated_nf({(j, a + 1, bb): Fraction(1)}, lifts, k0)
         row = {}
         for m, c in nf.items():
             row[cod_index[m]] = c
@@ -482,79 +449,76 @@ def chi_via_reduction(pres):
 def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     """Kernel and cokernel of the derivative by brute force truncation.
 
-    Filtration pieces are cut at total operator degree d; the reported
-    dimensions are accepted once they sit still for `window` consecutive
-    degrees.  Independent of the window algorithm above: membership in
-    the relation module is decided by linear algebra over the span of
-    monomial multiples of its Groebner basis.
+    F_d is spanned by the monomials x^a d^b e_j with a + b <= d, and N_d
+    by the monomial multiples x^i d^j g of the Groebner basis of total
+    degree <= d.  At degree d the kernel count is
 
-    The kernel count at degree d is exact from below.  The cokernel
-    count looks `pad` degrees above d so that classes killed only from
-    higher degree are already seen; it converges from above in pad and
-    from below in d, and the window requires both to sit still.
+        dim F_d - dim N_d - (dim(N_(d+1) + d1 F_d) - dim N_(d+1)),
+
+    exact from below, and the cokernel count is dim F_d - dim(S cap F_d)
+    with S = N_(d+pad+1) + d1 F_(d+pad): it looks `pad` degrees above d
+    so that classes killed only from higher degree are already seen, and
+    converges from above in pad and from below in d.  The dimensions are
+    accepted once both sit still for `window` consecutive degrees.
+    Independent of the window algorithm above: membership in the relation
+    module is decided by linear algebra over those monomial multiples.
+
+    Every one of these spans grows with d, so each row is built once, at
+    its own degree, and two echelon forms only grow: `rel` spans N and
+    `span` spans N + d1 F, which at degree t is the image span of degree
+    t and the cokernel span S of degree t - pad.  Rows are keyed
+    (degree, comp, a) and Echelon pivots on the largest key, so a vector
+    of the span lies in F_d exactly when the pivot rows it combines all
+    have degree <= d: dim(S cap F_d) is the number of pivots of degree
+    at most d.
     """
     if module.n != 1 or module.ring != QQ:
         raise UnsupportedAmbient("oracle requires W(1) over QQ")
     if pad is None:
         pad = window
-    gb = module.gb().elements
+    if pad < 0:
+        raise ValueError("pad must be >= 0")
     rank = module.rank
+    gb = [(max(a[0] + b[0] for (_c, a, b, _e) in g.terms), g)
+          for g in module.gb().elements]
     W = WeylAlgebra(1, QQ)
 
-    def nspan_rows(d):
-        rows = []
-        for g in gb:
-            gdeg = max(a[0] + b[0] for (comp, a, b, e) in g.terms)
-            for ma in range(0, d - gdeg + 1):
-                for mb in range(0, d - gdeg - ma + 1):
-                    v = g.mul_monomial((ma,), (mb,), 0, Fraction(1))
-                    rows.append({(comp, a[0], b[0]): c
-                                 for (comp, a, b, e), c in v.terms.items()})
-        return rows
+    def relations(deg):
+        """The rows x^i d^j g with deg(g) + i + j = deg."""
+        return [{(a[0] + b[0], comp, a[0]): c for (comp, a, b, _e), c
+                 in g.mul_monomial((i,), (deg - gdeg - i,), 0,
+                                   Fraction(1)).terms.items()}
+                for gdeg, g in gb for i in range(deg - gdeg + 1)]
 
     def dx_row(j, a, b):
         u = W.d(1) * W.monomial((a,), (b,))
-        return {(j, ua[0], ub[0]): c for (ua, ub, ue), c in u.terms.items()}
+        return {(ua[0] + ub[0], j, ua[0]): c
+                for (ua, ub, _ue), c in u.terms.items()}
 
-    def monomials(d):
-        return [(j, a, b) for j in range(rank)
-                for a in range(d + 1) for b in range(d + 1 - a)]
-
+    rel, span = Echelon(), Echelon()
+    rows = []        # rows[t]: relation rows of degree t
+    rel_rank = []    # rel_rank[t] = dim N_t
+    span_rank = []   # span_rank[t] = dim(N_(t+1) + d1 F_t)
     history = []
-    for d in range(0, max_degree + 1):
-        basis_d = monomials(d)
-
-        # kernel: v of degree <= d with dv inside the relation span
-        n_low = Echelon()
-        low_rank = 0
-        for row in nspan_rows(d):
-            if n_low.add(row):
-                low_rank += 1
-        n_high = Echelon()
-        for row in nspan_rows(d + 1):
-            n_high.add(row)
-        img = Echelon()
-        for (j, a, b) in basis_d:
-            img.add(n_high.reduce(dx_row(j, a, b)))
-        ker_dim = len(basis_d) - img.rank() - low_rank
-
-        # cokernel: cut the span of derivatives and relations taken pad
-        # degrees higher back down to degree d
-        big = nspan_rows(d + pad + 1)
-        for (j, a, b) in monomials(d + pad):
-            big.append(dx_row(j, a, b))
-        whole = Echelon()
-        dim_s = 0
-        proj = Echelon()
-        proj_rank = 0
-        for row in big:
-            if whole.add(row):
-                dim_s += 1
-            high = {k: v for k, v in row.items() if k[1] + k[2] > d}
-            if proj.add(high):
-                proj_rank += 1
-        cok_dim = len(basis_d) - (dim_s - proj_rank)
-
+    for t in range(max_degree + pad + 1):
+        while len(rows) <= t + 1:
+            rows.append(relations(len(rows)))
+            for row in rows[-1]:
+                span.add(row)
+        for j in range(rank):
+            for a in range(t + 1):
+                span.add(dx_row(j, a, t - a))
+        span_rank.append(span.rank())
+        d = t - pad
+        if d < 0:
+            continue
+        while len(rel_rank) <= d + 1:
+            for row in rows[len(rel_rank)]:
+                rel.add(row)
+            rel_rank.append(rel.rank())
+        size = rank * (d + 1) * (d + 2) // 2
+        ker_dim = size - rel_rank[d] - (span_rank[d] - rel_rank[d + 1])
+        cok_dim = size - sum(1 for key in span.pivots if key[0] <= d)
         history.append((ker_dim, cok_dim))
         if len(history) >= window and len(set(history[-window:])) == 1:
             return {"dims": history[-1], "stabilized": True, "degree": d}
@@ -602,15 +566,11 @@ class PerfectComplexOverDVR:
 
 
 def _as_ratfunc(v):
-    if isinstance(v, RatFunc):
-        return v
-    if isinstance(v, QPoly):
-        return RatFunc(v)
-    return RatFunc(QPoly.const(Fraction(v)))
+    return v if isinstance(v, RatFunc) else RatFunc(v)
 
 
 def _matmul(a, b):
-    zero = RatFunc(QPoly.const(Fraction(0)))
+    zero = RatFunc(0)
     out = []
     for row in a:
         orow = []

@@ -542,7 +542,7 @@ def syz_of_list(gens, order=None):
     gens = list(gens)
     if not gens:
         return []
-    n, ring, rank = gens[0].n, gens[0].ring, gens[0].rank
+    n, ring = gens[0].n, gens[0].ring
     if order is None:
         order = bernstein_order(n)
     gb = buchberger(gens, order, track=True)
@@ -604,7 +604,6 @@ def preimage_rows(arows, brows, rank):
     brows = list(brows)
     if not arows:
         return []
-    n, ring = arows[0].n, arows[0].ring
     stacked = arows + brows
     out = []
     seen = set()

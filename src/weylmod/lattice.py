@@ -13,8 +13,8 @@ as a diagnostic, since an operator like z*d1 - 1 becomes invertible after
 completion while staying nonzero over Q(z).
 """
 
-from .errors import NonIntegral, NotMinimalDimension, NotSameModule, \
-    NotSaturated, UnsupportedAmbient
+from .errors import InternalInvariant, NonIntegral, NotMinimalDimension, \
+    NotSameModule, NotSaturated, UnsupportedAmbient
 from .scalars import QPoly, RatFunc
 from .groebner import (FreeVec, bernstein_order, buchberger,
                        left_normal_form, preimage_rows, saturate_z,
@@ -157,15 +157,18 @@ def good_lattice(P):
     M = base.module()
     n = P.n
     E1 = ext(n, M)
-    assert not E1.is_zero(), "integral dual of a holonomic avatar vanished"
+    if E1.is_zero():
+        raise InternalInvariant("integral dual of a holonomic avatar vanished")
     rows1 = saturate_z(E1.rows, E1.rank)
     V = PresentedModule(n, ZP, E1.side, E1.rank, rows1)
     E2 = ext(n, V)
-    assert not E2.is_zero(), "integral double dual vanished"
+    if E2.is_zero():
+        raise InternalInvariant("integral double dual vanished")
     rows2 = saturate_z(E2.rows, E2.rank)
     out = IntegralPresentation(n, P.side, E2.rank, rows2, saturated=True)
-    assert minimal_dimension_via_reduction(out), \
-        "good lattice reduction lost minimal dimension"
+    if not minimal_dimension_via_reduction(out):
+        raise InternalInvariant("good lattice reduction lost minimal "
+                                "dimension")
     return out
 
 

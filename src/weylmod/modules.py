@@ -15,8 +15,8 @@ monomial ideals.
 from itertools import combinations
 
 from ._linalg import add_terms
-from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
-                     UnsupportedAmbient, ZeroModule)
+from .errors import (IndexOutOfRange, InternalInvariant, NotMinimalDimension,
+                     RankMismatch, UnsupportedAmbient, ZeroModule)
 from .scalars import INF
 from .groebner import (FreeVec, bernstein_order, buchberger,
                        free_resolution, preimage_rows, syz_of_list)
@@ -313,7 +313,8 @@ def grade(M):
     for i in range(bound + 1):
         if not ext(i, M).is_zero():
             return i
-    raise AssertionError("nonzero module with no Ext in homological range")
+    raise InternalInvariant("nonzero module with no Ext in homological "
+                            "range")
 
 
 def is_minimal_dimension(M):

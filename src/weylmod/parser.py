@@ -383,7 +383,7 @@ class _Parser:
                 elif not _is_scalar(w):
                     self.fail("complex entries must be scalars", tok)
                 else:
-                    orow.append(_scalar_of(self.algebra, w))
+                    orow.append(_scalar_of(w))
             out.append(orow)
         return out
 
@@ -418,7 +418,7 @@ class _Parser:
                     self.fail("division by zero", tok)
                 if not _is_scalar(v):
                     self.fail("division only by scalar subexpressions", tok)
-                c = _scalar_of(self.algebra, v)
+                c = _scalar_of(v)
                 u = u.scale(1 / c if isinstance(c, Fraction) else c.inv())
             else:
                 return u
@@ -472,7 +472,7 @@ def _is_scalar(w):
     return set(w.terms) == {_zero_key(w)}
 
 
-def _scalar_of(W, w):
+def _scalar_of(w):
     return w.terms[_zero_key(w)]
 
 

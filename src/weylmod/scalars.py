@@ -10,7 +10,7 @@ vanish at 0; the residue map evaluates at z = 0.
 import math
 from fractions import Fraction
 
-from .errors import DivisionByZero, NonIntegral
+from .errors import DivisionByZero, InternalInvariant, NonIntegral
 
 INF = math.inf
 
@@ -153,7 +153,7 @@ class QPoly:
         for i, c in enumerate(self.coeffs):
             if c != 0:
                 return i
-        raise AssertionError("unnormalized QPoly")
+        raise InternalInvariant("unnormalized QPoly")
 
     def eval0(self):
         if not self.coeffs:

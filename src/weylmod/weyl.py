@@ -349,43 +349,35 @@ def principal_symbol(u):
     return SymbolPolynomial(u.n, u.ring, terms)
 
 
+def _reordered(u, image):
+    """Sum of sign * c * z^e d^p x^q over the terms c z^e x^a d^b of u.
+
+    image maps (a, b) to (p, q, sign); the Fourier pair and the transpose
+    differ only in it.
+    """
+    z0 = _zero_index(u.n)
+    one = _one(u.ring)
+    out = {}
+    for (a, b, e), c in u.terms.items():
+        p, q, sign = image(a, b)
+        head = WeylElement(u.n, u.ring, {(z0, p, e): c * sign})
+        add_terms(out, _product_items(head, {(q, z0, 0): one}))
+    return WeylElement(u.n, u.ring, out)
+
+
 def fourier(u):
     """The automorphism x_i -> d_i, d_i -> -x_i, renormalized; order four."""
-    A = WeylAlgebra(u.n, u.ring)
-    out = A.zero()
-    z0 = _zero_index(u.n)
-    for (a, b, e), c in u.terms.items():
-        w = A.monomial(z0, a, e, c)
-        if sum(b):
-            w = w * A.monomial(b, z0, 0, (-1) ** sum(b))
-        out = out + w
-    return out
+    return _reordered(u, lambda a, b: (a, b, (-1) ** sum(b)))
 
 
 def fourier_inverse(u):
     """The inverse automorphism x_i -> -d_i, d_i -> x_i."""
-    A = WeylAlgebra(u.n, u.ring)
-    out = A.zero()
-    z0 = _zero_index(u.n)
-    for (a, b, e), c in u.terms.items():
-        w = A.monomial(z0, a, e, c * (-1) ** sum(a))
-        if sum(b):
-            w = w * A.monomial(b, z0, 0, 1)
-        out = out + w
-    return out
+    return _reordered(u, lambda a, b: (a, b, (-1) ** sum(a)))
 
 
 def transpose(u):
     """The anti-automorphism x -> x, d -> -d; transpose(uv) = transpose(v)transpose(u)."""
-    A = WeylAlgebra(u.n, u.ring)
-    out = A.zero()
-    z0 = _zero_index(u.n)
-    for (a, b, e), c in u.terms.items():
-        w = A.monomial(z0, b, e, c * (-1) ** sum(b))
-        if sum(a):
-            w = w * A.monomial(a, z0, 0, 1)
-        out = out + w
-    return out
+    return _reordered(u, lambda a, b: (b, a, (-1) ** sum(b)))
 
 
 class XPoly:

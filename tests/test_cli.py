@@ -1,5 +1,7 @@
 """Front end: golden reports for every subcommand, fuzzing, exit codes."""
 
+import importlib
+import itertools
 import json
 import os
 import pathlib
@@ -86,6 +88,57 @@ def test_internal_invariant_exits_1(monkeypatch):
                              "[[x1*d1 - 1/2 - z]]; check M holonomic-hat")
     assert code == 1
     assert rep["error"]["code"] == "InternalInvariant"
+
+
+def _zero_ext(i, M):
+    return weylmod.PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
+
+
+def _on_call(k, fake):
+    """Patch factory: the real function, except fake on the k-th call."""
+    def factory(real):
+        calls = itertools.count(1)
+        return lambda *args: (fake if next(calls) == k else real)(*args)
+    return factory
+
+
+def _shifted_weight(real):
+    def lifts(rows, rank):
+        out = real(rows, rank)
+        out[0].weight += 1
+        return out
+    return lifts
+
+
+GOOD_LATTICE = (GOLDEN / "good-lattice.in").read_text()
+
+# one injected fault per reachable InternalInvariant site outside groebner:
+# (module, patched name, patch factory, session, message fragment)
+FAULTS = {
+    "derham-weight-zero": ("derham", "_v_lifts", _shifted_weight,
+                           (GOLDEN / "derham.in").read_text(), "weight zero"),
+    "good-lattice-dual": ("lattice", "ext", _on_call(1, _zero_ext),
+                          GOOD_LATTICE, "integral dual"),
+    "good-lattice-double-dual": ("lattice", "ext", _on_call(2, _zero_ext),
+                                 GOOD_LATTICE, "double dual"),
+    "good-lattice-reduction": ("lattice", "minimal_dimension_via_reduction",
+                               _on_call(2, lambda P: False), GOOD_LATTICE,
+                               "lost minimal dimension"),
+    "grade": ("modules", "ext", lambda real: _zero_ext,
+              "ring W(1) over QQ; module M = coker [[d1]]; check M grade",
+              "no Ext"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_invariant_sites_exit_1(monkeypatch, fault):
+    name, attr, factory, source, message = FAULTS[fault]
+    module = importlib.import_module("weylmod." + name)
+    monkeypatch.setattr(module, attr, factory(getattr(module, attr)))
+    rep, code = run_stripped(source)
+    assert code == 1
+    assert rep["error"]["code"] == "InternalInvariant"
+    assert message in rep["error"]["message"]
 
 
 def test_declaration_only_session():

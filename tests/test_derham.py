@@ -62,6 +62,43 @@ def test_truncation_oracle_agrees(name, gens, dims):
     assert tuple(oracle["dims"]) == dims
 
 
+def theta_product(*roots):
+    out = W.one()
+    for r in roots:
+        out = out * (X * D - W.scalar(r))
+    return out
+
+
+# (name, relation matrix, oracle options, (dims, stabilized, degree), agrees
+# with h_dr_n1), recorded before the oracle grew its spans incrementally.
+# The first three are the known defect: the window-5 oracle settles early
+# on an answer other than the window algorithm's (1, 1).
+ORACLE_PINS = [
+    ("defect-5-6", [[theta_product(5, -6)]], {}, ((0, 0), True, 4), False),
+    ("defect-6-7", [[theta_product(6, -7)]], {}, ((0, 0), True, 4), False),
+    ("defect-1-2-3", [[theta_product(1, 2, -3)]], {}, ((0, 1), True, 6),
+     False),
+    ("unstable", [[theta_product(2, -1, -5)]], {"max_degree": 12},
+     ((2, 2), False, 12), False),
+    ("rank-two", [[theta_product(1, -2), X], [W.zero(), theta_product(3, -4)]],
+     {}, ((2, 2), True, 10), True),
+    ("window-3", [[theta_product(4, -1, -5)]], {"window": 3},
+     ((0, 3), True, 4), False),
+]
+
+
+@pytest.mark.parametrize("name,rows,opts,pinned,agrees", ORACLE_PINS,
+                         ids=[p[0] for p in ORACLE_PINS])
+def test_oracle_pinned(name, rows, opts, pinned, agrees):
+    M = PresentedModule.from_matrix(1, QQ, rows)
+    oracle = stabilization_oracle(M, **opts)
+    assert (tuple(oracle["dims"]), oracle["stabilized"],
+            oracle["degree"]) == pinned
+    window = h_dr_n1(M).dims
+    assert (oracle["stabilized"] and tuple(oracle["dims"]) == window) \
+        == agrees
+
+
 def test_b_function_conventions():
     b = b_function_along_x(module(D))
     assert b.poly.to_str("s") == "s"
