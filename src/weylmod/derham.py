@@ -24,6 +24,7 @@ from math import gcd
 
 from ._linalg import Echelon, add_terms, dense_rank, rank_of_rows
 from .errors import (
+    IndexOutOfRange,
     InternalInvariant,
     NonIntegral,
     NotAComplex,
@@ -126,11 +127,8 @@ def _homogenize_row(row, rank):
 
 
 def _dehomogenize_row(row, rank):
-    terms = {}
-    for (comp, a, b, e), c in row.terms.items():
-        key = (comp, a, b, 0)
-        terms[key] = terms.get(key, 0) + c
-    return FreeVec(1, QQ, rank, {k: c for k, c in terms.items() if c})
+    return FreeVec(1, QQ, rank, add_terms({}, (
+        ((comp, a, b, 0), c) for (comp, a, b, _e), c in row.terms.items())))
 
 
 class _VLift:
@@ -478,6 +476,8 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
         pad = window
     if pad < 0:
         raise ValueError("pad must be >= 0")
+    if max_degree < 0:
+        raise IndexOutOfRange("oracle max_degree %d is negative" % max_degree)
     rank = module.rank
     gb = [(max(a[0] + b[0] for (_c, a, b, _e) in g.terms), g)
           for g in module.gb().elements]

@@ -516,23 +516,7 @@ def syzygy_module(gb):
     return out
 
 
-def apply_row(u, rows, rank):
-    """u . rows for u over W^len(rows): the combination sum u_k rows[k]."""
-    first = None
-    for r in rows:
-        if r is not None:
-            first = r
-            break
-    if first is None:
-        return FreeVec.zero(u.n, u.ring, rank)
-    acc = FreeVec.zero(u.n, u.ring, rank)
-    for k, w in enumerate(u.entries()):
-        if w.terms and rows[k].terms:
-            acc = acc + rows[k].mul_left(w)
-    return acc
-
-
-def syz_of_list(gens, order=None):
+def syz_of_list(gens):
     """Syzygies of an arbitrary generator list, via a tracked basis.
 
     Rows are {sigma . T} for sigma in Syz(basis) together with the rows of
@@ -543,58 +527,51 @@ def syz_of_list(gens, order=None):
     if not gens:
         return []
     n, ring = gens[0].n, gens[0].ring
-    if order is None:
-        order = bernstein_order(n)
-    gb = buchberger(gens, order, track=True)
+    gb = buchberger(gens, bernstein_order(n), track=True)
     s = len(gens)
-    out = []
-    for sig in syzygy_module(gb):
-        row = apply_row(sig, gb.transform, s)
-        if row.terms:
-            out.append(row)
-    for i, g in enumerate(gens):
-        row = FreeVec.unit(n, ring, s, i) - apply_row(gb.lifts[i],
-                                                      gb.transform, s)
-        if row.terms:
-            out.append(row)
-    return out
+    zero = FreeVec.zero(n, ring, s)
+    rows = [_minus_quotients(zero, -sig, gb.transform)
+            for sig in syzygy_module(gb)]
+    rows += [_minus_quotients(FreeVec.unit(n, ring, s, i), lift,
+                              gb.transform)
+             for i, lift in enumerate(gb.lifts)]
+    return [row for row in rows if row.terms]
 
 
 class FreeResolution:
     """matrices[k]: rows presenting the kernel of the previous stage.
 
     ranks[k] is the rank of the k-th free module; matrices[k] has rows of
-    rank ranks[k] and there are ranks[k+1] of them.
+    rank ranks[k] and there are ranks[k+1] of them.  complete is True once
+    the last stage has a zero kernel, so that no later stage exists.
     """
 
-    __slots__ = ("matrices", "ranks")
+    __slots__ = ("matrices", "ranks", "complete")
 
-    def __init__(self, matrices, ranks):
+    def __init__(self, matrices, ranks, complete):
         self.matrices = matrices
         self.ranks = ranks
-
-    def length(self):
-        return len(self.matrices)
+        self.complete = complete
 
 
 def free_resolution(rows, rank, max_length):
-    """Iterated syzygies of a presentation, stopping at the zero kernel."""
+    """Iterated syzygies of a presentation, through stage max_length.
+
+    Stops early at the zero kernel, and then marks the resolution complete.
+    """
     matrices = [list(rows)]
     ranks = [rank, len(rows)]
-    current = list(rows)
-    while len(matrices) < max_length + 1:
-        if not current or all(not r.terms for r in current):
-            break
-        syz = syz_of_list(current)
+    while len(matrices) <= max_length:
+        current = matrices[-1]
+        syz = syz_of_list(current) if any(r.terms for r in current) else []
         if not syz:
-            break
+            return FreeResolution(matrices, ranks, True)
         matrices.append(syz)
         ranks.append(len(syz))
-        current = syz
-    return FreeResolution(matrices, ranks)
+    return FreeResolution(matrices, ranks, False)
 
 
-def preimage_rows(arows, brows, rank):
+def preimage_rows(arows, brows):
     """Generators of {u : u . arows lies in the row span of brows}.
 
     Computed from syzygies of the stacked list: a relation

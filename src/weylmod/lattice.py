@@ -196,7 +196,7 @@ class Lattice:
     def presentation(self):
         A = self.avatar
         gens = self.generator_rows()
-        rels = preimage_rows(gens, A.rows, A.rank)
+        rels = preimage_rows(gens, A.rows)
         return IntegralPresentation(A.n, A.side, len(gens), rels,
                                     saturated=True)
 
@@ -334,7 +334,7 @@ def kunneth_check(P, i):
         if not torsion_gens:
             term_c = PresentedModule(n, QQ, Enext.side, 0, [])
         else:
-            rels = preimage_rows(torsion_gens, Enext.rows, Enext.rank)
+            rels = preimage_rows(torsion_gens, Enext.rows)
             term_c = PresentedModule(n, QQ, Enext.side, len(torsion_gens),
                                      reduce_rows_mod_z(rels))
     return KunnethReport(i, term_a, term_b, term_c)

@@ -69,10 +69,8 @@ class PresentedModule:
 
     def gb(self):
         if self._gb is None:
-            order = bernstein_order(self.n)
             object.__setattr__(self, "_gb",
-                               buchberger(self.rows, order)
-                               if self.rows else buchberger([], order))
+                               buchberger(self.rows, bernstein_order(self.n)))
         return self._gb
 
     def is_zero(self):
@@ -84,12 +82,22 @@ class PresentedModule:
         return all(gb.contains(FreeVec.unit(self.n, self.ring, self.rank, j))
                    for j in range(self.rank))
 
-    def resolution(self):
-        if self._res is None:
-            bound = homological_bound(self.n, self.ring)
-            object.__setattr__(self, "_res",
-                               free_resolution(self.rows, self.rank,
-                                               bound + 1))
+    def resolution(self, stage):
+        """The free resolution through `stage`, or to its zero kernel.
+
+        Computed on demand: a later call resolves only the stages past the
+        last one known, starting from that stage's rows.
+        """
+        res = self._res
+        if res is None:
+            object.__setattr__(self, "_res", free_resolution(
+                self.rows, self.rank, stage))
+        elif not res.complete and len(res.matrices) <= stage:
+            tail = free_resolution(res.matrices[-1], res.ranks[-2],
+                                   stage + 1 - len(res.matrices))
+            res.matrices += tail.matrices[1:]
+            res.ranks += tail.ranks[2:]
+            res.complete = tail.complete
         return self._res
 
     def opposite_side(self):
@@ -271,7 +279,8 @@ def ext(i, M):
     at position i the outgoing map is v -> v . C_i with C_i the
     tau-transpose of stage i, the incoming image is spanned by the rows
     of the tau-transpose of stage i-1.  Each Ext^i is computed once per
-    module and kept beside its basis and resolution.
+    module and kept beside its basis and resolution, which is resolved
+    only through stage i.
     """
     bound = homological_bound(M.n, M.ring)
     if i < 0 or i > bound:
@@ -282,7 +291,7 @@ def ext(i, M):
 
 
 def _ext_of_resolution(i, M):
-    res = M.resolution()
+    res = M.resolution(i)
     ranks = res.ranks
     if i > len(res.matrices):
         return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
@@ -300,7 +309,7 @@ def _ext_of_resolution(i, M):
         kernel = [FreeVec.unit(M.n, M.ring, s_i, j) for j in range(s_i)]
     if not kernel:
         return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
-    relations = preimage_rows(kernel, image_rows, s_i)
+    relations = preimage_rows(kernel, image_rows)
     return PresentedModule(M.n, M.ring, M.opposite_side(),
                            len(kernel), relations)
 
@@ -338,7 +347,7 @@ def submodule_presentation(M, extra_rows):
     extra = [r for r in extra_rows if r.terms]
     if not extra:
         return PresentedModule(M.n, M.ring, M.side, 0, [])
-    relations = preimage_rows(extra, M.rows, M.rank)
+    relations = preimage_rows(extra, M.rows)
     return PresentedModule(M.n, M.ring, M.side, len(extra), relations)
 
 

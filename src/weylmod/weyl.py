@@ -426,13 +426,10 @@ class XPoly:
 
     def diff(self, i):
         """Partial derivative along x_i, 1-based."""
-        out = {}
-        for a, c in self.terms.items():
-            if a[i - 1] == 0:
-                continue
-            b = tuple(v - 1 if j == i - 1 else v for j, v in enumerate(a))
-            out[b] = out.get(b, 0) + c * a[i - 1]
-        return XPoly(self.n, self.ring, out)
+        return XPoly(self.n, self.ring, add_terms({}, (
+            (tuple(v - 1 if j == i - 1 else v for j, v in enumerate(a)),
+             c * a[i - 1])
+            for a, c in self.terms.items() if a[i - 1])))
 
     def mul_x(self, alpha):
         return XPoly(self.n, self.ring,
@@ -467,7 +464,7 @@ def apply_to_polynomial(u, f):
         raise UnsupportedAmbient("polynomial action needs field coefficients")
     if u.n != f.n or u.ring != f.ring:
         raise MixedAmbient("element and polynomial ambients differ")
-    out = XPoly(u.n, u.ring, {})
+    out = {}
     for (a, b, _e), c in u.terms.items():
         g = f
         for i in range(u.n):
@@ -477,8 +474,9 @@ def apply_to_polynomial(u, f):
                 break
         if g.is_zero():
             continue
-        out = out + g.mul_x(a).scale(c)
-    return out
+        c = _coerce(u.ring, c)
+        add_terms(out, ((_add_idx(k, a), v * c) for k, v in g.terms.items()))
+    return XPoly(u.n, u.ring, out)
 
 
 def _coeff_str(c, need_parens):
@@ -534,51 +532,47 @@ def convert_ring(u, target):
     """
     if u.ring == target:
         return u
-    A = WeylAlgebra(u.n, target)
-    out = A.zero()
+    WeylAlgebra(u.n, target)  # raises for a tag W_n cannot carry
+    out = {}
     for (a, b, e), c in u.terms.items():
         if u.ring == ZP and target == QZ:
             zc = RatFunc(QPoly((0,) * e + (1,))) * RatFunc(c)
-            out = out + WeylElement(u.n, QZ, {(a, b, 0): zc})
+            add_terms(out, [((a, b, 0), zc)])
         elif u.ring == QZ and target == ZP:
             if c.den.degree() != 0:
                 raise UnsupportedAmbient(
                     "coefficient %s is not polynomial in z" % (c,))
             poly = c.num * (1 / c.den.lead()) if c.den.lead() != 1 else c.num
-            for i, ci in enumerate(poly.coeffs):
-                if ci:
-                    out = out + WeylElement(u.n, ZP, {(a, b, e + i): ci})
+            add_terms(out, (((a, b, e + i), ci)
+                            for i, ci in enumerate(poly.coeffs) if ci))
         elif u.ring == QQ and target == QZ:
-            out = out + WeylElement(u.n, QZ, {(a, b, e): RatFunc(c)})
+            add_terms(out, [((a, b, e), RatFunc(c))])
         elif u.ring == QQ and target == ZP:
-            out = out + WeylElement(u.n, ZP, {(a, b, e): c})
+            add_terms(out, [((a, b, e), c)])
         elif u.ring == ZP and target == QQ:
             if e:
                 raise UnsupportedAmbient("element involves z, not in W_n(Q)")
-            out = out + WeylElement(u.n, QQ, {(a, b, 0): c})
+            add_terms(out, [((a, b, 0), c)])
         elif u.ring == QZ and target == QQ:
             if c.den.degree() != 0 or c.num.degree() > 0:
                 raise UnsupportedAmbient("element involves z, not in W_n(Q)")
-            out = out + WeylElement(u.n, QQ, {(a, b, e): c.residue0()})
+            add_terms(out, [((a, b, e), c.residue0())])
         else:
             raise UnsupportedAmbient("no conversion %s -> %s" % (u.ring, target))
-    return out
+    return WeylElement(u.n, target, out)
 
 
 def reduce_element_mod_z(u):
     """Residue of an integral element: ZP drops z-divisible terms, QZ evaluates."""
-    A = WeylAlgebra(u.n, QQ)
-    out = A.zero()
+    out = {}
     for (a, b, e), c in u.terms.items():
         if u.ring == ZP:
             if e == 0:
-                out = out + WeylElement(u.n, QQ, {(a, b, 0): c})
+                add_terms(out, [((a, b, 0), c)])
         elif u.ring == QZ:
-            r = c.residue0()
-            if r:
-                out = out + WeylElement(u.n, QQ, {(a, b, 0): r})
+            add_terms(out, [((a, b, 0), c.residue0())])
         elif u.ring == QQ:
-            out = out + WeylElement(u.n, QQ, {(a, b, e): c})
+            add_terms(out, [((a, b, e), c)])
         else:
             raise UnsupportedAmbient("reduction undefined for %s" % u.ring)
-    return out
+    return WeylElement(u.n, QQ, out)

@@ -180,6 +180,15 @@ def test_max_degree_flag_reaches_oracle():
     assert rep["result"]["oracle_agrees"] is None
 
 
+def test_negative_max_degree_is_a_coded_error(tmp_path, capsys):
+    f = tmp_path / "session.wm"
+    f.write_text("ring W(1) over QQ;\nmodule M = coker [[d1]];\n"
+                 "check M derham\n")
+    assert main([str(f), "--max-degree", "-1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"]["code"] == "IndexOutOfRange"
+
+
 FUZZ_VOCAB = (
     list("[](){};,^*/+-=") +
     ["ring", "W", "over", "QQ", "QZ", "module", "lattice", "complex",

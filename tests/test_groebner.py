@@ -124,7 +124,7 @@ def test_preimage_rows():
     x, d = W.x(1), W.d(1)
     target = ideal_rows(d * d - x)
     gens = ideal_rows(x * (d * d - x), d * (d * d - x) + (d * d - x))
-    rel = preimage_rows(gens, target, 1)
+    rel = preimage_rows(gens, target)
     # the two generators are x*g and (d+1)*g, so d*e1 - (x*d - x + ?) ...
     # only verify the defining property: each relation kills the gens
     for s in rel:

@@ -1,14 +1,18 @@
 """Dimension, grade, Ext, duals and characteristic cycles."""
 
+import hashlib
 import random
+from fractions import Fraction
 
 import pytest
 
-from weylmod import (INF, LEFT, QQ, QZ, RIGHT, CharCycle, NotMinimalDimension,
+from weylmod import (INF, LEFT, QQ, QZ, RIGHT, ZP, CharCycle,
+                     IntegralPresentation, NotMinimalDimension,
                      PresentedModule, UnsupportedAmbient, WeylAlgebra,
-                     ZeroModule, char_cycle, dual_star, ext, grade, groebner,
-                     hilbert_dimension, is_minimal_dimension,
-                     quotient_presentation, submodule_presentation)
+                     ZeroModule, char_cycle, dual_star, ext, free_resolution,
+                     grade, groebner, hilbert_dimension, is_minimal_dimension,
+                     make_lattice, quotient_presentation, saturate_z,
+                     submodule_presentation, to_str)
 
 from helpers import rand_element
 
@@ -149,3 +153,94 @@ def test_ext_out_of_range_rejected():
         ext(-1, M)
     with pytest.raises(IndexOutOfRange):
         ext(5, M)
+
+
+def _gkz13():
+    """GKZ A = [1 3], beta = 1/2 on W_2."""
+    x1, x2, d1, d2 = W2.x(1), W2.x(2), W2.d(1), W2.d(2)
+    return module(d1 ** 3 - d2, x1 * d1 + 3 * x2 * d2
+                  - W2.scalar(Fraction(1, 2)), n=2)
+
+
+def _z1_avatar():
+    """The ZP avatar of coker [[x1*d1 - 1/2 - z]], as good_lattice takes it."""
+    A = WeylAlgebra(1, QZ)
+    P = IntegralPresentation.from_qz_matrix(
+        1, [[A.x(1) * A.d(1) - A.scalar(Fraction(1, 2)) - A.z()]])
+    return make_lattice(P).module()
+
+
+def _z1_integral_dual():
+    """The saturated integral Ext^1 that good_lattice dualizes again."""
+    E = ext(1, _z1_avatar())
+    return PresentedModule(1, ZP, E.side, E.rank, saturate_z(E.rows, E.rank))
+
+
+def _ext_digest(E):
+    rows = [[to_str(w) for w in r.entries()] for r in E.rows]
+    return hashlib.sha256(repr((E.side, E.rank, rows)).encode()).hexdigest()
+
+
+# sha256 of (side, rank, printed rows) of Ext^0, Ext^1, Ext^2, recorded
+# when every module was resolved eagerly one stage past its global
+# dimension: resolving on demand must present the same modules.
+EXT_PINS = [
+    (_gkz13, ["41c220af451323c70b398a0aa8f8dd5d279c0e09c9ce24eb9ed8e862aaafc409",
+              "6a695420e0742de3d6c8e993ac129cc9dec84df55104f44584143c05897fa29b",
+              "5ab17ceca2bf6888ce534bb7d0b3288be6512ea70443a386736e97e75ab9afd1"]),
+    (_z1_avatar,
+     ["41c220af451323c70b398a0aa8f8dd5d279c0e09c9ce24eb9ed8e862aaafc409",
+      "bb1b7fbd8668091137b5ca7fd9da7f18e5853018842b99e50bc3b2c04cbdc6d0",
+      "41c220af451323c70b398a0aa8f8dd5d279c0e09c9ce24eb9ed8e862aaafc409"]),
+    (_z1_integral_dual,
+     ["874643ef6b34e8bcf0cd564105f6e02013c9362907b18966dfed1278edf20db2",
+      "78e08514d2927b299295a613609982d6fdd7f4f17a2f96442185167ea231f765",
+      "874643ef6b34e8bcf0cd564105f6e02013c9362907b18966dfed1278edf20db2"]),
+]
+
+
+@pytest.mark.parametrize("make,digests", EXT_PINS,
+                         ids=["gkz13", "z1", "z1-dual"])
+@pytest.mark.parametrize("descending", [False, True],
+                         ids=["ascending", "descending"])
+def test_ext_presentations_pinned(make, digests, descending):
+    M = make()
+    stages = range(len(digests))
+    got = {i: _ext_digest(ext(i, M))
+           for i in (reversed(stages) if descending else stages)}
+    assert [got[i] for i in stages] == digests
+
+
+def _syz_inputs(monkeypatch):
+    """Log the generator list of every syz_of_list call from groebner."""
+    calls = []
+    real = groebner.syz_of_list
+
+    def spy(gens):
+        calls.append(tuple(gens))
+        return real(gens)
+    monkeypatch.setattr(groebner, "syz_of_list", spy)
+    return calls
+
+
+def test_ext_resolves_only_the_stages_it_reads(monkeypatch):
+    M = _gkz13()
+    stage1 = tuple(free_resolution(M.rows, M.rank, 1).matrices[1])
+    assert stage1
+    calls = _syz_inputs(monkeypatch)
+    ext(1, M)
+    assert calls.count(tuple(M.rows)) == 1  # stage 1, resolved once
+    assert stage1 not in calls              # stage 2 is never resolved
+
+
+@pytest.mark.parametrize("ring,resolved", [(QQ, [0, 1]), (ZP, [0, 1, 1])])
+def test_ext_resolves_each_stage_once(monkeypatch, ring, resolved):
+    M = module(WeylAlgebra(1, ring).d(1), ring=ring)
+    # d1 has no syzygies: the resolution ends in a zero kernel at stage 1
+    assert len(free_resolution(M.rows, M.rank, 3).matrices) == 1
+    calls = _syz_inputs(monkeypatch)
+    seen = []
+    for i in range(len(resolved)):
+        ext(i, M)
+        seen.append(calls.count(tuple(M.rows)))
+    assert seen == resolved

@@ -25,3 +25,37 @@ def test_no_assert_in_package():
              for path in sorted(PACKAGE.rglob("*.py"))
              for line in _assert_lines(ast.parse(path.read_text()))]
     assert not found
+
+
+# The public names; a simplification may not drop one.
+PUBLIC = [
+    "BFunction", "CharCycle", "CohomologyReport", "CompareReport",
+    "DeRhamComplex", "DivisionByZero", "FreeVec", "GBasis", "H1", "INF",
+    "IndexOutOfRange", "IntegralPresentation", "InternalInvariant",
+    "KunnethReport", "LEFT", "Lattice", "MixedAmbient", "NonIntegral",
+    "NotAComplex", "NotHolonomic", "NotMinimalDimension", "NotSameModule",
+    "NotSaturated", "ParseError", "PerfectComplexOverDVR", "PresentedModule",
+    "QPoly", "QQ", "QZ", "RIGHT", "RankMismatch", "RatFunc",
+    "ReductionReport", "RightModule", "RingMismatch", "Session",
+    "UndeclaredName", "UnsupportedAmbient", "UnsupportedTarget",
+    "WeylAlgebra", "WeylElement", "WeylmodError", "XPoly", "ZP",
+    "ZeroElement", "ZeroModule", "apply_to_polynomial",
+    "b_function_along_x", "bernstein_degree", "bernstein_order",
+    "buchberger", "char_cycle", "chi_via_reduction", "compare_lattices",
+    "convert_ring", "derham", "dr_complex", "dual_star", "errors",
+    "euler_check_perfect", "ext", "fourier", "fourier_inverse",
+    "free_resolution", "good_lattice", "grade", "groebner", "h_dr_n1",
+    "hilbert_dimension", "is_minimal_dimension", "kunneth_check", "lattice",
+    "leading_term", "left_normal_form", "make_lattice",
+    "minimal_dimension_via_reduction", "modules", "normal_product", "parse",
+    "parser", "pot_block_order", "preimage_rows", "principal_symbol",
+    "quotient_presentation", "reduce_element_mod_z", "reduce_mod_z",
+    "saturate_z", "scalars", "stabilization_oracle",
+    "submodule_presentation", "syz_of_list", "to_str", "transpose",
+    "vres_order", "weyl",
+]
+
+
+def test_public_names_pinned():
+    assert len(PUBLIC) == 95
+    assert sorted(weylmod.__all__) == PUBLIC
