@@ -118,7 +118,7 @@ def _complex(sess, name):
 
 
 def _int_arg(args, what):
-    if not args or not isinstance(args[0], int):
+    if not args:
         raise UnsupportedTarget("%s needs an integer argument" % what)
     return args[0]
 
@@ -133,7 +133,7 @@ def _cmd_gb(sess, target, args, flags):
 
 def _cmd_nf(sess, target, args, flags):
     M = _module(sess, target)
-    if not args or not isinstance(args[0], list):
+    if not args:
         raise UnsupportedTarget("nf needs an element argument")
     row = args[0]
     if len(row) != M.rank:

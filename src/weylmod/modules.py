@@ -315,9 +315,18 @@ def _ext_of_resolution(i, M):
 
 
 def grade(M):
-    """Least i with Ext^i(M, W) nonzero; +infinity exactly for the zero module."""
+    """Least i with Ext^i(M, W) nonzero; +infinity exactly for the zero module.
+
+    Over the fields QQ and Q(z), W_n is Auslander regular, so
+    grade + dimension = 2n for a nonzero module (Bjork, Rings of
+    Differential Operators, ch. 2): the grade is read off the module's own
+    Groebner basis and no Ext is resolved.  Over Q[z] the Ext groups are
+    resolved in order up to the first nonzero one.
+    """
     if M.is_zero():
         return INF
+    if M.ring in (QQ, QZ):
+        return 2 * M.n - hilbert_dimension(M)
     bound = homological_bound(M.n, M.ring)
     for i in range(bound + 1):
         if not ext(i, M).is_zero():
@@ -327,12 +336,15 @@ def grade(M):
 
 
 def is_minimal_dimension(M):
-    """grade(M) = n, the algebraic holonomicity test; False for the zero module."""
+    """dim(M) = n, equivalently grade(M) = n: the holonomicity test.
+
+    False for the zero module.  Reads only the module's Groebner basis.
+    """
     if M.ring not in (QQ, QZ):
         raise UnsupportedAmbient("minimal dimension is a field-coefficient test")
     if M.is_zero():
         return False
-    return grade(M) == M.n
+    return hilbert_dimension(M) == M.n
 
 
 def dual_star(M):

@@ -304,15 +304,7 @@ class _Parser:
                 else:
                     self.fail("unknown flag --%s" % tok.value, tok)
                 continue
-            if tok.kind == "int":
-                args.append(self.next().value)
-                continue
-            if tok.kind == "name" and (tok.value in s.modules
-                                       or tok.value in s.lattices):
-                args.append(self.next().value)
-                continue
-            # anything else is an element argument (for nf)
-            args.append(self.element_argument())
+            args.append(self.argument(sub))
         self.session.command = {"target": target.value, "subcommand": sub,
                                 "args": args, "flags": flags}
 
@@ -333,6 +325,24 @@ class _Parser:
         if name not in SUBCOMMANDS:
             self.fail("unknown subcommand %r" % name, tok)
         return name
+
+    def argument(self, sub):
+        """One argument, read as the subcommand takes it.
+
+        ext and kunneth take a signed integer and nf an element row; the
+        other subcommands take an integer, a declared name or an element.
+        """
+        if sub in ("ext", "kunneth"):
+            sign = -1 if self.eat_punct("-") else 1
+            return sign * self.expect_int().value
+        if sub == "nf":
+            return self.element_argument()
+        tok = self.peek()
+        s = self.session
+        if tok.kind == "int" or (tok.kind == "name" and (
+                tok.value in s.modules or tok.value in s.lattices)):
+            return self.next().value
+        return self.element_argument()
 
     def element_argument(self):
         if self.at_punct("["):

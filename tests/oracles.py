@@ -1,12 +1,16 @@
-"""Independent brute-force oracles used to cross-check the engine.
+"""Independent oracles used to cross-check the engine.
 
 Membership is decided by plain linear algebra: span all left monomial
 multiples m*g with deg(m) + deg(g) below a bound and row reduce.  No
 Groebner machinery is involved, so agreement is meaningful.
+
+The grade is taken by its definition, the least i with Ext^i(M, W) != 0,
+from free resolutions; the engine reads it off the dimension instead.
 """
 
-from weylmod import WeylAlgebra, bernstein_degree
+from weylmod import INF, WeylAlgebra, bernstein_degree, ext
 from weylmod._linalg import Echelon
+from weylmod.modules import homological_bound
 
 
 def all_monomials(n, deg):
@@ -36,3 +40,11 @@ def brute_member(v, gens, bound):
             ech.add(dict(prod.terms))
     rem = ech.reduce(dict(v.terms))
     return not rem
+
+
+def ext_grade(M):
+    """min{i : Ext^i(M, W) != 0}, +infinity when every Ext vanishes."""
+    for i in range(homological_bound(M.n, M.ring) + 1):
+        if not ext(i, M).is_zero():
+            return i
+    return INF

@@ -124,9 +124,6 @@ FAULTS = {
     "good-lattice-reduction": ("lattice", "minimal_dimension_via_reduction",
                                _on_call(2, lambda P: False), GOOD_LATTICE,
                                "lost minimal dimension"),
-    "grade": ("modules", "ext", lambda real: _zero_ext,
-              "ring W(1) over QQ; module M = coker [[d1]]; check M grade",
-              "no Ext"),
 }
 
 
@@ -169,6 +166,33 @@ def test_cli_stdin_and_exit_codes(tmp_path):
     assert rep["error"]["code"] == "UndeclaredName"
 
 
+GOLDEN_UNDER_O = """
+import json, pathlib, sys
+from weylmod.cli import _jsonable, run
+if __debug__:
+    sys.exit("not running under -O")
+out = {}
+for case in sorted(pathlib.Path(sys.argv[1]).glob("*.in")):
+    report, code = run(case.read_text(), json.loads(sys.argv[2]))
+    report.pop("timing", None)
+    out[case.stem] = {"exit": code, "report": _jsonable(report)}
+print(json.dumps(out))
+"""
+
+
+def test_goldens_under_optimize_flag():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", GOLDEN_UNDER_O, str(GOLDEN),
+         json.dumps(DEFAULTS)], capture_output=True, text=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    want = {p.stem: json.loads(p.read_text())
+            for p in GOLDEN.glob("*.json")}
+    assert sorted(got) == sorted(want)
+    for case in want:
+        assert got[case] == want[case], case
+
+
 def test_max_degree_flag_reaches_oracle():
     src = ("ring W(1) over QQ; module M = coker [[d1]]; "
            "check M derham --max-degree 2")
@@ -187,6 +211,27 @@ def test_negative_max_degree_is_a_coded_error(tmp_path, capsys):
     assert main([str(f), "--max-degree", "-1"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep["error"]["code"] == "IndexOutOfRange"
+
+
+@pytest.mark.parametrize("source", [
+    "ring W(1) over QQ; module M = coker [[d1]]; check M ext -1",
+    "ring W(1) over QZ; module M = coker [[x1*d1 - 1/2 - z]]; "
+    "lattice L = M; check L kunneth -1",
+], ids=["ext", "kunneth"])
+def test_negative_index_is_out_of_range(source):
+    rep, code = run_stripped(source)
+    assert code == 1
+    assert rep["error"]["code"] == "IndexOutOfRange"
+
+
+@pytest.mark.parametrize("element,normal_form,member", [
+    ("1", ["1"], False), ("2*d1", ["0"], True)], ids=["1", "2*d1"])
+def test_nf_reads_an_element(element, normal_form, member):
+    rep, code = run_stripped("ring W(1) over QQ; module M = coker [[d1]]; "
+                             "check M nf " + element)
+    assert code == 0
+    assert rep["command"]["args"] == [[element]]
+    assert rep["result"] == {"normal_form": normal_form, "member": member}
 
 
 FUZZ_VOCAB = (

@@ -11,11 +11,12 @@ from weylmod import (H1, QQ, ZP, FreeVec, GBasis, InternalInvariant,
                      bernstein_order, buchberger, free_resolution,
                      leading_term, left_normal_form, pot_block_order,
                      preimage_rows, syz_of_list, vres_order)
-from weylmod import groebner
+from weylmod import bernstein_degree, groebner, to_str
+from weylmod.cli import run
 from weylmod.groebner import colon_z, syzygy_module
 
 from helpers import rand_element
-from oracles import brute_member
+from oracles import all_monomials, brute_member
 
 W = WeylAlgebra(1, QQ)
 
@@ -76,6 +77,42 @@ def test_membership_vs_brute_force():
             mine = left_normal_form(vec(p), gb, order).is_zero()
             ref = brute_member(p, gens, 8)
             assert mine == ref
+
+
+def test_nf_membership_vs_brute_force_n2():
+    """The CLI nf on the W_2 GKZ module A = [1 2] against linear algebra."""
+    A = WeylAlgebra(2, QQ)
+    x1, x2, d1, d2 = A.x(1), A.x(2), A.d(1), A.d(2)
+    gens = [d1 * d1 - d2, x1 * d1 + 2 * x2 * d2 - A.scalar(Fraction(1, 2))]
+    session = ("ring W(2) over QQ; module M = coker [[d1^2 - d2], "
+               "[x1*d1 + 2*x2*d2 - 1/2]]; check M nf ")
+    leads = [(a, b) for (_comp, a, b, _e), _c in
+             buchberger(ideal_rows(*gens), bernstein_order(2)).leads]
+    standard = [A.monomial(a, b) for a, b in all_monomials(2, 2)
+                if not any(all(s >= t for s, t in zip(a + b, la + lb))
+                           for la, lb in leads)]
+    assert len(standard) > 1
+
+    def nf_member(v):
+        report, code = run(session + to_str(v), {"stats": False})
+        assert code == 0
+        return report["result"]["member"]
+
+    rng = random.Random(97)
+    tested = 0
+    while tested < 6:
+        qs = [rand_element(rng, A, deg=2, terms=2) for _ in gens]
+        member = sum((q * g for q, g in zip(qs, gens)), A.zero())
+        if member.is_zero():
+            continue
+        tested += 1
+        bound = max(bernstein_degree(q) + bernstein_degree(g)
+                    for q, g in zip(qs, gens))
+        assert nf_member(member)
+        assert brute_member(member, gens, bound)
+        shifted = member + rng.choice(standard)
+        assert not nf_member(shifted)
+        assert not brute_member(shifted, gens, bound)
 
 
 def test_gb_transform_and_lifts():

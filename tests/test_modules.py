@@ -13,8 +13,10 @@ from weylmod import (INF, LEFT, QQ, QZ, RIGHT, ZP, CharCycle,
                      grade, groebner, hilbert_dimension, is_minimal_dimension,
                      make_lattice, quotient_presentation, saturate_z,
                      submodule_presentation, to_str)
+from weylmod.parser import parse
 
 from helpers import rand_element
+from oracles import ext_grade
 
 W = WeylAlgebra(1, QQ)
 W2 = WeylAlgebra(2, QQ)
@@ -133,16 +135,99 @@ def test_qz_coefficients_supported():
 
 def test_n2_product_module():
     M = PresentedModule.from_matrix(2, QQ, [[W2.d(1)], [W2.d(2)]])
+    M.gb()
+    # dimension, holonomicity and grade all read the module's own basis
+    calls = groebner.COUNTERS["buchberger_calls"]
     assert hilbert_dimension(M) == 2
     assert is_minimal_dimension(M)
-    # the holonomicity test already built every Ext^i up to the grade
-    calls = groebner.COUNTERS["buchberger_calls"]
+    assert grade(M) == 2
+    assert groebner.COUNTERS["buchberger_calls"] == calls
     E = ext(2, M)
     assert ext(2, M) is E
-    assert grade(M) == 2
     assert dual_star(M) is E
     assert not E.is_zero()
-    assert groebner.COUNTERS["buchberger_calls"] == calls
+
+
+def test_holonomicity_resolves_no_ext():
+    M = _gkz13()
+    assert is_minimal_dimension(M)
+    assert (grade(M), hilbert_dimension(M)) == (2, 2)
+    assert M._res is None and M._ext == {}
+
+
+def test_dual_builds_only_ext_n():
+    M = _gkz13()
+    dual_star(M)
+    assert set(M._ext) == {2}
+
+
+def test_grade_without_ext_raises_over_zp(monkeypatch):
+    from weylmod import InternalInvariant, modules
+    M = module(WeylAlgebra(1, ZP).d(1), ring=ZP)
+
+    def zero_ext(i, M):
+        return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
+    monkeypatch.setattr(modules, "ext", zero_ext)
+    with pytest.raises(InternalInvariant, match="no Ext"):
+        grade(M)
+
+
+# GKZ systems on W_2: A = [a b] -> its toric operator, and the betas of
+# the benchmark's gkz-resolution ladder, none of them resonant
+GKZ2 = {(1, 2): "d1^2 - d2", (1, 3): "d1^3 - d2", (1, 4): "d1^4 - d2",
+        (2, 3): "d1^3 - d2^2"}
+BETA = ("1/2", "1/3", "-2/3", "3/4")
+
+
+def _session_module(source):
+    s = parse(source)
+    return PresentedModule.from_matrix(s.n, s.ring, s.modules["M"])
+
+
+def _gkz(a, b, beta, ring="QQ"):
+    return _session_module(
+        "ring W(2) over %s; module M = coker [[%s], [%d*x1*d1 + %d*x2*d2 "
+        "- %s%s]];" % (ring, GKZ2[a, b], a, b, beta,
+                       " - z" if ring == "QZ" else ""))
+
+
+def _random_modules(n, seed, count):
+    rng = random.Random(seed)
+    A = WeylAlgebra(n, QQ)
+    for _ in range(count):
+        gens = [rand_element(rng, A, deg=2, terms=2)
+                for _ in range(rng.randint(1, 2))]
+        yield PresentedModule.from_matrix(n, QQ, [[g] for g in gens])
+
+
+def _grade_corpus():
+    for (a, b) in GKZ2:
+        for beta in BETA:
+            yield "gkz[%d %d] %s" % (a, b, beta), _gkz(a, b, beta)
+    yield "coker d1 d2", _session_module(
+        "ring W(2) over QQ; module M = coker [[d1], [d2]];")
+    yield "free", PresentedModule.from_matrix(1, QQ, [], rank=1)
+    yield "rank 2", _session_module(
+        "ring W(1) over QQ; module M = coker [[x1*d1, d1], [d1^2, x1]];")
+    yield "right", module(W.x(1) * W.d(1) - W.scalar(3), side=RIGHT)
+    yield "Z12", _gkz(1, 2, "1/2", ring="QZ")
+    for n, seed in ((1, 83), (2, 89)):
+        for k, M in enumerate(_random_modules(n, seed, 8)):
+            yield "random W_%d #%d" % (n, k), M
+
+
+def test_grade_is_2n_minus_dimension():
+    """Auslander regularity: the Ext definition of the grade agrees."""
+    nonzero = 0
+    for name, M in _grade_corpus():
+        j = ext_grade(M)
+        assert grade(M) == j, name
+        if M.is_zero():
+            assert j == INF, name
+            continue
+        nonzero += 1
+        assert j + hilbert_dimension(M) == 2 * M.n, name
+    assert nonzero >= 30
 
 
 def test_ext_out_of_range_rejected():
@@ -157,9 +242,7 @@ def test_ext_out_of_range_rejected():
 
 def _gkz13():
     """GKZ A = [1 3], beta = 1/2 on W_2."""
-    x1, x2, d1, d2 = W2.x(1), W2.x(2), W2.d(1), W2.d(2)
-    return module(d1 ** 3 - d2, x1 * d1 + 3 * x2 * d2
-                  - W2.scalar(Fraction(1, 2)), n=2)
+    return _gkz(1, 3, "1/2")
 
 
 def _z1_avatar():
