@@ -18,8 +18,7 @@ from fractions import Fraction
 from . import groebner
 from .derham import (PerfectComplexOverDVR, chi_via_reduction,
                      euler_check_perfect, h_dr_n1, stabilization_oracle)
-from .errors import ParseError, RankMismatch, UnsupportedAmbient, \
-    UnsupportedTarget, WeylmodError
+from .errors import ParseError, RankMismatch, WeylmodError
 from .groebner import FreeVec, left_normal_form
 from .lattice import (IntegralPresentation, Lattice, compare_lattices,
                       good_lattice, kunneth_check, make_lattice,
@@ -69,17 +68,10 @@ def _cohomology(rep):
     return out
 
 
-# --- target resolution
+# --- targets; the parser has checked each name's kind and the ring
 
 def _module(sess, name):
-    if name not in sess.modules:
-        raise UnsupportedTarget("%r is not a module" % name)
     return PresentedModule.from_matrix(sess.n, sess.ring, sess.modules[name])
-
-
-def _require_qz(sess):
-    if sess.ring != QZ:
-        raise UnsupportedAmbient("lattice subcommands need the QZ ring")
 
 
 def _lattice(sess, name, avatars):
@@ -88,13 +80,7 @@ def _lattice(sess, name, avatars):
     avatars maps a base module name to its saturated avatar, so lattices of
     one module share one saturation.
     """
-    _require_qz(sess)
-    if name in sess.lattices:
-        base, gens = sess.lattices[name]
-    elif name in sess.modules:
-        base, gens = name, None
-    else:
-        raise UnsupportedTarget("%r is not a module or a lattice" % name)
+    base, gens = sess.lattices.get(name, (name, None))
     avatar = avatars.get(base)
     if avatar is None:
         avatar = avatars[base] = make_lattice(
@@ -110,19 +96,6 @@ def _presentation(sess, name):
     return _lattice(sess, name, {}).presentation()
 
 
-def _complex(sess, name):
-    if name not in sess.complexes:
-        raise UnsupportedTarget("%r is not a complex" % name)
-    ranks, matrices = sess.complexes[name]
-    return PerfectComplexOverDVR(ranks, matrices)
-
-
-def _int_arg(args, what):
-    if not args:
-        raise UnsupportedTarget("%s needs an integer argument" % what)
-    return args[0]
-
-
 # --- subcommand handlers
 
 def _cmd_gb(sess, target, args, flags):
@@ -133,8 +106,6 @@ def _cmd_gb(sess, target, args, flags):
 
 def _cmd_nf(sess, target, args, flags):
     M = _module(sess, target)
-    if not args:
-        raise UnsupportedTarget("nf needs an element argument")
     row = args[0]
     if len(row) != M.rank:
         raise RankMismatch("element has %d entries, module has rank %d"
@@ -163,7 +134,7 @@ def _cmd_holonomic(sess, target, args, flags):
 
 
 def _cmd_ext(sess, target, args, flags):
-    i = _int_arg(args, "ext")
+    i = args[0]
     E = ext(i, _module(sess, target))
     return {"i": i, "rows": _rows(E.rows), "rank": E.rank,
             "side": E.side, "is_zero": E.is_zero()}
@@ -199,9 +170,6 @@ def _cmd_good_lattice(sess, target, args, flags):
 
 
 def _cmd_compare_lattices(sess, target, args, flags):
-    if not args or not isinstance(args[0], str):
-        raise UnsupportedTarget(
-            "compare-lattices needs a second lattice name")
     avatars = {}
     rep = compare_lattices(_lattice(sess, target, avatars),
                            _lattice(sess, args[0], avatars),
@@ -216,7 +184,7 @@ def _cmd_compare_lattices(sess, target, args, flags):
 
 
 def _cmd_kunneth(sess, target, args, flags):
-    i = _int_arg(args, "kunneth")
+    i = args[0]
     rep = kunneth_check(_presentation(sess, target), i)
     return {"i": i, "zero_pattern_ok": rep.zero_pattern_ok,
             "additivity_ok": rep.additivity_ok,
@@ -251,7 +219,7 @@ def _cmd_chi(sess, target, args, flags):
 
 
 def _cmd_euler_check(sess, target, args, flags):
-    return euler_check_perfect(_complex(sess, target))
+    return euler_check_perfect(PerfectComplexOverDVR(*sess.complexes[target]))
 
 
 _HANDLERS = {
@@ -283,12 +251,8 @@ def _ring_info(sess):
 def _command_info(cmd):
     if cmd is None:
         return None
-    args = []
-    for a in cmd["args"]:
-        if isinstance(a, list):
-            args.append([to_str(w) for w in a])
-        else:
-            args.append(a)
+    args = [[to_str(w) for w in a] if isinstance(a, list) else a
+            for a in cmd["args"]]
     return {"target": cmd["target"], "subcommand": cmd["subcommand"],
             "args": args}
 
@@ -299,13 +263,13 @@ def run(source, defaults):
     t0 = time.perf_counter()
     try:
         sess = parse(source)
+        flags = dict(defaults)
         if sess.command is None:
             result = {"declared": {
                 "modules": sorted(sess.modules),
                 "lattices": sorted(sess.lattices),
                 "complexes": sorted(sess.complexes)}}
         else:
-            flags = dict(defaults)
             flags.update(sess.command["flags"])
             handler = _HANDLERS[sess.command["subcommand"]]
             result = handler(sess, sess.command["target"],
@@ -323,8 +287,7 @@ def run(source, defaults):
               "ring": _ring_info(sess),
               "result": result,
               "timing": {"seconds": round(time.perf_counter() - t0, 6)}}
-    if (sess.command and sess.command["flags"].get("stats")) \
-            or defaults.get("stats"):
+    if flags.get("stats"):
         report["stats"] = dict(groebner.COUNTERS)
     return report, 0
 

@@ -267,7 +267,9 @@ def _reduce(v, basis, leads, order, track=False):
 
     The running remainder is one mutable dict; order keys are memoized for
     the length of the call.  Each step divides by the first basis element
-    whose lead divides the current leading monomial.
+    whose lead divides the current leading monomial.  With track=True also
+    returns the quotients as a FreeVec over W^len(basis), so that
+    v = sum_k q_k basis[k] + remainder.
     """
     keys = {}
 
@@ -300,12 +302,11 @@ def _reduce(v, basis, leads, order, track=False):
     return r
 
 
-def left_normal_form(v, basis, order, track=False):
+def left_normal_form(v, basis, order):
     """Remainder of left division of v by the monic elements of basis.
 
     basis is a list of FreeVec or a GBasis; a GBasis computed under order
-    lends its cached leads.  With track=True also returns the quotients as
-    a FreeVec over W^len(basis), so that v = sum_k q_k basis[k] + remainder.
+    lends its cached leads.
     """
     leads = None
     if isinstance(basis, GBasis):
@@ -320,7 +321,7 @@ def left_normal_form(v, basis, order, track=False):
         _require_homogeneous([v] if leads is not None else [v] + basis)
     if leads is None:
         leads = [leading_term(g, order) if g else None for g in basis]
-    return _reduce(v, basis, leads, order, track)
+    return _reduce(v, basis, leads, order)
 
 
 class GBasis:
@@ -620,16 +621,14 @@ def colon_z(gens, rank):
     return out
 
 
-def submodule_equal(gens_a, gens_b, rank, order=None):
+def submodule_equal(gens_a, gens_b):
     gens_a = [g for g in gens_a if g.terms]
     gens_b = [g for g in gens_b if g.terms]
     if not gens_a and not gens_b:
         return True
     if not gens_a or not gens_b:
         return False
-    n = gens_a[0].n
-    if order is None:
-        order = bernstein_order(n)
+    order = bernstein_order(gens_a[0].n)
     gb_a = buchberger(gens_a, order)
     gb_b = buchberger(gens_b, order)
     return all(gb_a.contains(g) for g in gens_b) and \

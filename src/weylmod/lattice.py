@@ -20,7 +20,7 @@ from .groebner import (FreeVec, bernstein_order, buchberger,
                        left_normal_form, preimage_rows, saturate_z,
                        colon_z, submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
-                      is_minimal_dimension)
+                      is_minimal_dimension, matrix_rows)
 from .weyl import (QQ, QZ, ZP, WeylAlgebra, convert_ring,
                    reduce_element_mod_z)
 
@@ -46,12 +46,9 @@ class IntegralPresentation:
         denominators; a denominator vanishing at z = 0 is not a unit of
         the local ring and is rejected.
         """
-        if rank is None:
-            rank = len(entries[0]) if entries and entries[0] else 1
+        rank, entries = matrix_rows(entries, rank)
         rows = []
         for row in entries:
-            if not row or all(w.is_zero() for w in row):
-                continue
             lcm = QPoly((1,))
             for w in row:
                 for c in w.terms.values():
@@ -254,7 +251,7 @@ def compare_lattices(first, second, zpower=8):
     A, B = first.avatar, second.avatar
     if A.n != B.n or A.rank != B.rank or A.side != B.side:
         raise NotSameModule("avatars live in different ambients")
-    if A is not B and not submodule_equal(A.rows, B.rows, A.rank):
+    if A is not B and not submodule_equal(A.rows, B.rows):
         raise NotSameModule("avatar relation modules differ")
     span_a = first.generator_rows() + A.rows
     span_b = second.generator_rows() + B.rows

@@ -31,6 +31,22 @@ def homological_bound(n, ring):
     return n + 1 if ring == ZP else n
 
 
+def matrix_rows(entries, rank=None):
+    """The rank and the nonzero rows of a relation matrix.
+
+    The rank is the one given, else the width of the first nonempty row,
+    else 1; a nonempty row of another width raises RankMismatch.
+    """
+    if rank is None:
+        rank = next((len(row) for row in entries if row), 1)
+    for row in entries:
+        if row and len(row) != rank:
+            raise RankMismatch("row of width %d in a presentation of rank %d"
+                               % (len(row), rank))
+    return rank, [row for row in entries
+                  if not all(w.is_zero() for w in row)]
+
+
 class PresentedModule:
     __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext")
 
@@ -54,17 +70,10 @@ class PresentedModule:
     @staticmethod
     def from_matrix(n, ring, entries, side=LEFT, rank=None):
         """entries: list of relation rows, each a list of WeylElements."""
-        if rank is None:
-            rank = len(entries[0]) if entries and entries[0] else 1
-        rows = []
-        for row in entries:
-            if len(row) != rank and row:
-                raise RankMismatch("ragged presentation matrix")
-            if not row or all(w.is_zero() for w in row):
-                continue
-            if side == RIGHT:
-                row = [transpose(w) for w in row]
-            rows.append(FreeVec.from_entries(row, rank=rank))
+        rank, entries = matrix_rows(entries, rank)
+        if side == RIGHT:
+            entries = [[transpose(w) for w in row] for row in entries]
+        rows = [FreeVec.from_entries(row, rank=rank) for row in entries]
         return PresentedModule(n, ring, side, rank, rows)
 
     def gb(self):

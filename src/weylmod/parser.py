@@ -15,14 +15,35 @@ the identity on normal forms.
 
 from fractions import Fraction
 
-from .errors import ParseError, RingMismatch, UndeclaredName
+from .errors import (ParseError, RingMismatch, UndeclaredName,
+                     UnsupportedAmbient, UnsupportedTarget)
 from .weyl import QQ, QZ, WeylAlgebra
 
-SUBCOMMANDS = (
-    "gb", "nf", "dim", "grade", "holonomic", "ext", "charcycle", "dual",
-    "reduce", "holonomic-hat", "good-lattice", "compare-lattices",
-    "kunneth", "derham", "chi", "euler-check",
-)
+# The check line: subcommand -> (target kind, kind of its one argument).
+# A "lattice" is a lattice or a module name and needs ring QZ, as does a
+# lattice name for "module or lattice".  An argument is a signed "int", an
+# "element" or a row, a "lattice" name checked as a target is, or None.
+SUBCOMMANDS = {
+    "gb": ("module", None),
+    "nf": ("module", "element"),
+    "dim": ("module", None),
+    "grade": ("module", None),
+    "holonomic": ("module", None),
+    "ext": ("module", "int"),
+    "charcycle": ("module", None),
+    "dual": ("module", None),
+    "reduce": ("lattice", None),
+    "holonomic-hat": ("lattice", None),
+    "good-lattice": ("lattice", None),
+    "compare-lattices": ("lattice", "lattice"),
+    "kunneth": ("lattice", "int"),
+    "derham": ("module", None),
+    "chi": ("module or lattice", None),
+    "euler-check": ("complex", None),
+}
+
+# Check-line flags and the type of their value; a bool flag is a switch.
+FLAGS = {"stats": bool, "max-degree": int, "zpower": int}
 
 _PUNCT = "()[]{},;=+-*/^"
 
@@ -61,18 +82,16 @@ def tokenize(source):
             while i < size and source[i] != "\n":
                 i += 1
             continue
-        if (source[i:i + 2] == "--" and i + 2 < size
-                and source[i + 2].isalpha()):
+        if source.startswith("--", i):
             j = i + 2
             while j < size and (source[j].isalnum() or source[j] == "-"):
                 j += 1
-            name = source[i + 2:j]
-            if not name:
-                raise ParseError("dangling '--'", line, col)
-            tokens.append(Token("flag", name, line, col))
-            col += j - i
-            i = j
-            continue
+            # any other --name is two minus signs, as in d1--x1
+            if source[i + 2:j] in FLAGS:
+                tokens.append(Token("flag", source[i + 2:j], line, col))
+                col += j - i
+                i = j
+                continue
         if ch.isdigit():
             j = i
             while j < size and source[j].isdigit():
@@ -190,6 +209,9 @@ class _Parser:
                 self.check_command()
             else:
                 self.fail("unknown statement %r" % tok.value, tok)
+        if self.session.command is not None:
+            # after the whole input, so that a parse error anywhere wins
+            _check_kinds(self.session)
         return self.session
 
     def ring_decl(self):
@@ -281,32 +303,35 @@ class _Parser:
         self.require_ring(tok)
         if self.session.command is not None:
             self.fail("only one check per input", tok)
-        target = self.expect_name()
-        s = self.session
-        if target.value not in s.modules and target.value not in s.lattices \
-                and target.value not in s.complexes:
-            raise UndeclaredName("no object named %r" % target.value,
-                                 target.line, target.col)
+        target = self.declared_name()
         sub = self.subcommand_name()
+        arg_kind = SUBCOMMANDS[sub][1]
         args = []
         flags = {}
         while True:
             tok = self.peek()
-            if tok.kind == "end" or (tok.kind == "punct" and tok.value == ";"):
-                self.eat_punct(";")
+            if tok.kind == "end" or self.eat_punct(";"):
                 break
             if tok.kind == "flag":
                 self.next()
-                if tok.value == "stats":
-                    flags["stats"] = True
-                elif tok.value in ("max-degree", "zpower"):
-                    flags[tok.value] = self.expect_int().value
-                else:
-                    self.fail("unknown flag --%s" % tok.value, tok)
-                continue
-            args.append(self.argument(sub))
-        self.session.command = {"target": target.value, "subcommand": sub,
+                flags[tok.value] = (self.expect_int().value
+                                    if FLAGS[tok.value] is int else True)
+            elif arg_kind is not None and not args:
+                args.append(self.argument(arg_kind))
+            else:
+                self.fail("expected a flag or the end of the check, found "
+                          "%r" % (tok.value,), tok)
+        self.session.command = {"target": target, "subcommand": sub,
                                 "args": args, "flags": flags}
+
+    def declared_name(self):
+        tok = self.expect_name()
+        s = self.session
+        if tok.value not in s.modules and tok.value not in s.lattices \
+                and tok.value not in s.complexes:
+            raise UndeclaredName("no object named %r" % tok.value,
+                                 tok.line, tok.col)
+        return tok.value
 
     def subcommand_name(self):
         tok = self.expect_name()
@@ -326,28 +351,13 @@ class _Parser:
             self.fail("unknown subcommand %r" % name, tok)
         return name
 
-    def argument(self, sub):
-        """One argument, read as the subcommand takes it.
-
-        ext and kunneth take a signed integer and nf an element row; the
-        other subcommands take an integer, a declared name or an element.
-        """
-        if sub in ("ext", "kunneth"):
+    def argument(self, kind):
+        if kind == "int":
             sign = -1 if self.eat_punct("-") else 1
             return sign * self.expect_int().value
-        if sub == "nf":
-            return self.element_argument()
-        tok = self.peek()
-        s = self.session
-        if tok.kind == "int" or (tok.kind == "name" and (
-                tok.value in s.modules or tok.value in s.lattices)):
-            return self.next().value
-        return self.element_argument()
-
-    def element_argument(self):
-        if self.at_punct("["):
-            return self.row()
-        return [self.element()]
+        if kind == "element":
+            return self.row() if self.at_punct("[") else [self.element()]
+        return self.declared_name()
 
     # --- matrices and elements
 
@@ -360,14 +370,8 @@ class _Parser:
                 if not self.eat_punct(","):
                     break
         self.expect_punct("]")
-        width = None
-        for row in rows:
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                self.fail("ragged matrix rows")
+        if len({len(row) for row in rows if row}) > 1:
+            self.fail("ragged matrix rows")
         return rows
 
     def row(self):
@@ -486,6 +490,35 @@ def _scalar_of(w):
     return w.terms[_zero_key(w)]
 
 
+def _check_kinds(s):
+    sub = s.command["subcommand"]
+    target_kind, arg_kind = SUBCOMMANDS[sub]
+    args = s.command["args"]
+    if arg_kind is not None and not args:
+        raise UnsupportedTarget("%s needs %s" % (sub, {
+            "int": "an integer argument", "element": "an element argument",
+            "lattice": "a second lattice name"}[arg_kind]))
+    _check_kind(s, s.command["target"], target_kind)
+    if arg_kind == "lattice":
+        _check_kind(s, args[0], "lattice")
+
+
+def _check_kind(s, name, kind):
+    if kind == "module or lattice":
+        kind = "lattice" if s.ring == QZ or name in s.lattices else "module"
+    if kind == "lattice":
+        if s.ring != QZ:
+            raise UnsupportedAmbient("lattice subcommands need the QZ ring")
+        if name not in s.lattices and name not in s.modules:
+            raise UnsupportedTarget("%r is not a module or a lattice" % name)
+    elif name not in {"module": s.modules, "complex": s.complexes}[kind]:
+        raise UnsupportedTarget("%r is not a %s" % (name, kind))
+
+
 def parse(source):
-    """Parse a full session; raises ParseError subclasses with positions."""
+    """Parse a full session; raises ParseError subclasses with positions.
+
+    A check whose target or argument is of a kind the table does not take
+    raises UnsupportedTarget, or UnsupportedAmbient for a lattice on QQ.
+    """
     return _Parser(source).parse()

@@ -431,10 +431,6 @@ class XPoly:
              c * a[i - 1])
             for a, c in self.terms.items() if a[i - 1])))
 
-    def mul_x(self, alpha):
-        return XPoly(self.n, self.ring,
-                     {_add_idx(a, alpha): c for a, c in self.terms.items()})
-
     def degree(self):
         if not self.terms:
             return -1

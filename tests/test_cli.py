@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import string
 import subprocess
 import sys
@@ -13,7 +14,8 @@ import sys
 import pytest
 
 import weylmod
-from weylmod.cli import _jsonable, main, run
+from weylmod.cli import _HANDLERS, _jsonable, main, run
+from weylmod.parser import SUBCOMMANDS
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # child interpreters import the same weylmod as this process
@@ -40,7 +42,6 @@ def test_golden(case):
 
 
 def test_every_subcommand_has_a_golden():
-    from weylmod.parser import SUBCOMMANDS
     stems = {p.stem for p in GOLDEN.glob("*.in")}
     for sub in SUBCOMMANDS:
         assert sub in stems, sub
@@ -224,14 +225,74 @@ def test_negative_index_is_out_of_range(source):
     assert rep["error"]["code"] == "IndexOutOfRange"
 
 
-@pytest.mark.parametrize("element,normal_form,member", [
-    ("1", ["1"], False), ("2*d1", ["0"], True)], ids=["1", "2*d1"])
-def test_nf_reads_an_element(element, normal_form, member):
+@pytest.mark.parametrize("element,printed,normal_form,member", [
+    ("1", "1", ["1"], False), ("2*d1", "2*d1", ["0"], True),
+    ("d1--x1 --stats", "x1 + d1", ["x1"], False)],
+    ids=["1", "2*d1", "d1--x1 --stats"])
+def test_nf_reads_an_element(element, printed, normal_form, member):
     rep, code = run_stripped("ring W(1) over QQ; module M = coker [[d1]]; "
                              "check M nf " + element)
     assert code == 0
-    assert rep["command"]["args"] == [[element]]
+    assert rep["command"]["args"] == [[printed]]
     assert rep["result"] == {"normal_form": normal_form, "member": member}
+    assert ("stats" in rep) == element.endswith("--stats")
+
+
+QQ_SESSION = ("ring W(1) over QQ; module M = coker [[d1]]; "
+              "complex C = [1, 1] with [[1]]; ")
+QZ_SESSION = ("ring W(1) over QZ; module M = coker [[x1*d1 - 1/2 - z]]; "
+              "lattice L = M; complex C = [1, 1] with [[z]]; ")
+
+# inputs the check-line table or the row reader rejects: (session, exit, code)
+CHECK_LINE_ERRORS = {
+    "gb-extra": (QQ_SESSION + "check M gb 5 x1", 2, "ParseError"),
+    "ext-extra": (QQ_SESSION + "check M ext 1 2", 2, "ParseError"),
+    "nf-extra": (QQ_SESSION + "check M nf d1 [x1]", 2, "ParseError"),
+    "kunneth-extra": (QZ_SESSION + "check L kunneth 1 2", 2, "ParseError"),
+    "unknown-flag": (QQ_SESSION + "check M gb --stat", 2, "ParseError"),
+    "compare-int": (QZ_SESSION + "check L compare-lattices 3", 2,
+                    "ParseError"),
+    "compare-undeclared": (QZ_SESSION + "check L compare-lattices P", 2,
+                           "UndeclaredName"),
+    "compare-complex": (QZ_SESSION + "check L compare-lattices C", 1,
+                        "UnsupportedTarget"),
+    "compare-missing": (QZ_SESSION + "check L compare-lattices", 1,
+                        "UnsupportedTarget"),
+    "ext-missing": (QQ_SESSION + "check M ext --stats", 1,
+                    "UnsupportedTarget"),
+    "gb-on-complex": (QQ_SESSION + "check C gb", 1, "UnsupportedTarget"),
+    "chi-on-complex": (QZ_SESSION + "check C chi", 1, "UnsupportedTarget"),
+    "reduce-on-QQ": (QQ_SESSION + "check M reduce", 1,
+                     "UnsupportedAmbient"),
+    "kind-after-parse": (QQ_SESSION + "check C gb; module", 2, "ParseError"),
+    "lattice-row-too-wide": ("ring W(1) over QZ; module M = coker [[d1]]; "
+                             "lattice P = M with [[1, 1]]; check P reduce",
+                             1, "RankMismatch"),
+    "lattice-row-too-narrow": ("ring W(2) over QZ; module M = coker "
+                               "[[d1, d2]]; lattice P = M with [[1]]; "
+                               "check P reduce", 1, "RankMismatch"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHECK_LINE_ERRORS))
+def test_check_line_errors(case):
+    source, exit_code, error = CHECK_LINE_ERRORS[case]
+    rep, code = run_stripped(source)
+    assert (code, rep["error"]["code"]) == (exit_code, error)
+    assert ("line" in rep["error"]) == (exit_code == 2)
+
+
+def test_check_line_table_matches_handlers():
+    assert SUBCOMMANDS.keys() == _HANDLERS.keys()
+
+
+def test_readme_lists_the_check_line_table():
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)( \w+)?` +\| ([a-z ]+?) +\|", readme,
+                      re.M)
+    assert {name: (target, bool(arg)) for name, arg, target in rows} == {
+        name: (target, arg is not None)
+        for name, (target, arg) in SUBCOMMANDS.items()}
 
 
 FUZZ_VOCAB = (

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (QZ, ZP, FreeVec, IntegralPresentation, Lattice,
-                     NonIntegral, NotSameModule, NotSaturated, QPoly,
-                     RatFunc, WeylAlgebra, bernstein_order, buchberger,
+from weylmod import (QQ, QZ, ZP, FreeVec, IntegralPresentation, Lattice,
+                     NonIntegral, NotSameModule, NotSaturated,
+                     PresentedModule, QPoly, RankMismatch, RatFunc,
+                     WeylAlgebra, bernstein_order, buchberger,
                      char_cycle, compare_lattices, good_lattice,
                      kunneth_check, left_normal_form, make_lattice,
                      minimal_dimension_via_reduction, reduce_mod_z)
@@ -34,6 +35,21 @@ def test_from_qz_matrix_rejects_poles_at_zero():
     invz = A.scalar(RatFunc(QPoly.const(Fraction(1)), QPoly((0, 1))))
     with pytest.raises(NonIntegral):
         pres(A.d(1) - invz)
+
+
+def test_rank_is_the_width_of_the_first_nonempty_row():
+    P = IntegralPresentation.from_qz_matrix(1, [[], [A.d(1), A.x(1)]])
+    W = WeylAlgebra(1, QQ)
+    M = PresentedModule.from_matrix(1, QQ, [[], [W.d(1), W.x(1)]])
+    assert P.rank == M.rank == 2
+    assert P.rows[0].entries() == [Z.d(1), Z.x(1)]
+
+
+@pytest.mark.parametrize("width,rank", [(2, 1), (1, 2)])
+def test_rows_of_another_width_raise(width, rank):
+    with pytest.raises(RankMismatch):
+        IntegralPresentation.from_qz_matrix(1, [[A.one()] * width],
+                                            rank=rank)
 
 
 def test_make_lattice_idempotent():

@@ -38,6 +38,12 @@ def test_expression_grammar():
     assert s.modules["M"][0][0] == want
 
 
+def test_double_minus_is_subtraction_of_a_negation():
+    s = parse("ring W(1) over QQ; module M = coker [[d1--x1]];")
+    W = WeylAlgebra(1, QQ)
+    assert s.modules["M"][0][0] == W.d(1) + W.x(1)
+
+
 def test_z_requires_qz():
     with pytest.raises(RingMismatch):
         parse("ring W(1) over QQ; module M = coker [[z*d1]];")
@@ -66,6 +72,11 @@ def test_check_with_flags_and_args():
     assert c["target"] == "M" and c["subcommand"] == "ext"
     assert c["args"] == [1]
     assert c["flags"] == {"stats": True, "max-degree": 12}
+    s = parse("ring W(1) over QQ;"
+              "module M = coker [[d1]];"
+              "check M ext --zpower 3 -1 --stats")
+    assert s.command["args"] == [-1]
+    assert s.command["flags"] == {"stats": True, "zpower": 3}
 
 
 def test_comments_and_whitespace():
