@@ -306,8 +306,13 @@ def main(argv=None):
                     help="include engine counters in the report")
     ns = ap.parse_args(argv)
     if ns.file:
-        with open(ns.file) as fh:
-            source = fh.read()
+        try:
+            with open(ns.file, encoding="utf-8") as fh:
+                source = fh.read()
+        except OSError as e:
+            ap.error("cannot read %s: %s" % (ns.file, e.strerror))
+        except UnicodeDecodeError:
+            ap.error("cannot read %s: not UTF-8 text" % ns.file)
     else:
         source = sys.stdin.read()
     defaults = {"max-degree": ns.max_degree, "zpower": ns.zpower,

@@ -15,7 +15,9 @@ keyed by the order key of their lcm, with the sequence number of the pair
 as tiebreak; basis elements never change once pushed, so the heap pops
 pairs in exactly the order of a stable sort by lcm, and the transform,
 lifts and syzygies do not depend on how the queue is kept.  Normal forms
-reduce one mutable sparse dict.
+reduce one mutable sparse dict.  Interreduction is one pass: tail
+reduction never changes a lead, so an element reduced against the other
+leads stays reduced while the rest are.
 
 Termination note: the V-order used for restriction is not a well-order on
 all monomials, only on the h-homogeneous elements the caller feeds it; the
@@ -353,9 +355,14 @@ class GBasis:
         return left_normal_form(v, self, self.order).is_zero()
 
     def is_full_module(self):
-        return all(self.contains(FreeVec.unit(self.n, self.ring,
-                                              self.rank, j))
-                   for j in range(self.rank))
+        """The span is W^rank exactly when every component has a unit lead.
+
+        A unit lead divides every monomial of its component, so in a
+        reduced basis its element is the unit vector itself.
+        """
+        z0 = _zero_index(self.n)
+        leads = {m for m, _c in self.leads}
+        return all((j, z0, z0, 0) in leads for j in range(self.rank))
 
 
 COUNTERS = {"buchberger_calls": 0, "spairs": 0, "basis_elements": 0}
@@ -370,21 +377,9 @@ def buchberger(gens, order, track=False):
     """Left Groebner basis of the row span of gens, normal pair selection."""
     COUNTERS["buchberger_calls"] += 1
     gens = list(gens)
-    nonzero = [(i, g) for i, g in enumerate(gens) if g and g.terms]
-    if not nonzero:
-        first = gens[0] if gens else None
-        n = first.n if first else 1
-        ring = first.ring if first else QQ
-        rank = first.rank if first else 1
-        return GBasis(n, ring, rank, order, [],
-                      transform=[] if track else None,
-                      lifts=[FreeVec.zero(n, ring, len(gens))
-                             for _ in gens] if track else None,
-                      stats={"spairs": 0, "reductions_to_zero": 0,
-                             "basis_size": 0})
-    n = nonzero[0][1].n
-    ring = nonzero[0][1].ring
-    rank = nonzero[0][1].rank
+    # an empty list names no ambient; W_1 over QQ of rank 1 stands in
+    first = gens[0] if gens else FreeVec.zero(1, QQ, 1)
+    n, ring, rank = first.n, first.ring, first.rank
     src = len(gens)
     one = _one(ring)
 
@@ -411,8 +406,9 @@ def buchberger(gens, order, track=False):
         if track:
             trans.append(rep.scale(inv))
 
-    for i, g in nonzero:
-        push(g, FreeVec.unit(n, ring, src, i) if track else None)
+    for i, g in enumerate(gens):
+        if g.terms:
+            push(g, FreeVec.unit(n, ring, src, i) if track else None)
 
     stats = {"spairs": 0, "reductions_to_zero": 0}
     while pairs:
@@ -438,14 +434,11 @@ def buchberger(gens, order, track=False):
     if track:
         lifts = []
         for g in gens:
-            if g and g.terms:
-                rem, q = _reduce(g, basis, leads, order, track=True)
-                if rem.terms:
-                    raise InternalInvariant("a generator left a remainder "
-                                            "on its own Groebner basis")
-                lifts.append(q)
-            else:
-                lifts.append(FreeVec.zero(n, ring, len(basis)))
+            rem, q = _reduce(g, basis, leads, order, track=True)
+            if rem.terms:
+                raise InternalInvariant("a generator left a remainder on "
+                                        "its own Groebner basis")
+            lifts.append(q)
     stats["basis_size"] = len(basis)
     COUNTERS["spairs"] += stats["spairs"]
     COUNTERS["basis_elements"] += len(basis)
@@ -457,7 +450,8 @@ def _interreduce(basis, leads, trans, order):
     """Keep minimal leads, then tail-reduce each element against the rest.
 
     No other kept lead divides a kept lead, so tail reduction leaves every
-    lead in place and the cached leads stay valid.
+    lead and its coefficient 1 in place.  The leads never change, so an
+    element reduced once stays reduced and one pass suffices.
     """
     monos = [m for m, _c in leads]
     keep = [i for i, mi in enumerate(monos)
@@ -467,30 +461,14 @@ def _interreduce(basis, leads, trans, order):
     leads = [leads[i] for i in keep]
     if trans is not None:
         trans = [trans[i] for i in keep]
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(basis):
-            others = basis[:i] + basis[i + 1:]
-            others_leads = leads[:i] + leads[i + 1:]
-            if trans is not None:
-                rem, q = _reduce(g, others, others_leads, order, track=True)
-            else:
-                rem = _reduce(g, others, others_leads, order)
-            if rem == g:
-                continue
-            changed = True
-            mono = leads[i][0]
-            lc = rem.terms.get(mono)
-            if lc is None:
-                raise InternalInvariant("interreduction killed a minimal "
-                                        "lead")
-            inv = _one(g.ring) / lc
-            if trans is not None:
-                trans[i] = _minus_quotients(
-                    trans[i], q, trans[:i] + trans[i + 1:]).scale(inv)
-            basis[i] = rem.scale(inv)
-            leads[i] = (mono, basis[i].terms[mono])
+    for i, g in enumerate(basis):
+        own, leads[i] = leads[i], None
+        if trans is not None:
+            basis[i], q = _reduce(g, basis, leads, order, track=True)
+            trans[i] = _minus_quotients(trans[i], q, trans)
+        else:
+            basis[i] = _reduce(g, basis, leads, order)
+        leads[i] = own
     return basis, leads, trans
 
 

@@ -16,9 +16,8 @@ completion while staying nonzero over Q(z).
 from .errors import InternalInvariant, NonIntegral, NotMinimalDimension, \
     NotSameModule, NotSaturated, UnsupportedAmbient
 from .scalars import QPoly, RatFunc
-from .groebner import (FreeVec, bernstein_order, buchberger,
-                       left_normal_form, preimage_rows, saturate_z,
-                       colon_z, submodule_equal)
+from .groebner import (FreeVec, bernstein_order, buchberger, colon_z,
+                       preimage_rows, saturate_z, submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
                       is_minimal_dimension, matrix_rows)
 from .weyl import (QQ, QZ, ZP, WeylAlgebra, convert_ring,
@@ -98,11 +97,13 @@ class ReductionReport:
 
 
 def reduce_rows_mod_z(rows):
-    out = []
-    for r in rows:
-        entries = [reduce_element_mod_z(w) for w in r.entries()]
-        out.append(FreeVec.from_entries(entries, rank=r.rank))
+    out = [r.map_entries(reduce_element_mod_z) for r in rows]
     return [r for r in out if r.terms]
+
+
+def _reduced_module(P):
+    """The reduction mod z of a presentation over Q[z], a module over QQ."""
+    return PresentedModule(P.n, QQ, P.side, P.rank, reduce_rows_mod_z(P.rows))
 
 
 def reduce_mod_z(P, with_generic_diagnostic=False):
@@ -113,8 +114,7 @@ def reduce_mod_z(P, with_generic_diagnostic=False):
     """
     if not P.saturated:
         raise NotSaturated("reduce after make_lattice, not before")
-    reduced = PresentedModule(P.n, QQ, P.side, P.rank,
-                              reduce_rows_mod_z(P.rows))
+    reduced = _reduced_module(P)
     zero = reduced.is_zero()
     cycle = None
     verdict = None
@@ -191,11 +191,18 @@ class Lattice:
         return [FreeVec.unit(A.n, ZP, A.rank, j) for j in range(A.rank)]
 
     def presentation(self):
+        """Relations {u : u . gens in the avatar's relation span}.
+
+        For the standard generators these are the avatar's rows negated,
+        in order and without repeats: what preimage_rows(units, A.rows)
+        returns, without its syzygy computation.
+        """
         A = self.avatar
-        gens = self.generator_rows()
-        rels = preimage_rows(gens, A.rows)
-        return IntegralPresentation(A.n, A.side, len(gens), rels,
-                                    saturated=True)
+        if self.gens is None:
+            rank, rels = A.rank, dict.fromkeys(-r for r in A.rows)
+        else:
+            rank, rels = len(self.gens), preimage_rows(self.gens, A.rows)
+        return IntegralPresentation(A.n, A.side, rank, rels, saturated=True)
 
 
 class CompareReport:
@@ -215,25 +222,19 @@ class CompareReport:
         self.multiplicity_second = cycle_second.total() if cycle_second else 0
 
 
-def _containment_power(gens_small, span_rows, zpower):
+def _containment_power(gens_small, span_rows, n, zpower):
     """Least a <= zpower with z^a g inside the ZP row span, per generator."""
-    if not span_rows:
-        return None if any(g.terms for g in gens_small) else 0
-    order = bernstein_order(gens_small[0].n if gens_small else 1)
-    gb = buchberger(span_rows, order)
+    gb = buchberger(span_rows, bernstein_order(n))
+    z = WeylAlgebra(n, ZP).z()
     worst = 0
-    A = WeylAlgebra(span_rows[0].n, ZP)
     for g in gens_small:
-        found = None
-        v = g
         for a in range(zpower + 1):
-            if left_normal_form(v, gb, order).is_zero():
-                found = a
+            if gb.contains(g):
                 break
-            v = v.mul_left(A.z())
-        if found is None:
+            g = g.mul_left(z)
+        else:
             return None
-        worst = max(worst, found)
+        worst = max(worst, a)
     return worst
 
 
@@ -255,8 +256,9 @@ def compare_lattices(first, second, zpower=8):
         raise NotSameModule("avatar relation modules differ")
     span_a = first.generator_rows() + A.rows
     span_b = second.generator_rows() + B.rows
-    a_in_b = _containment_power(first.generator_rows(), span_b, zpower)
-    b_in_a = _containment_power(second.generator_rows(), span_a, zpower)
+    a_in_b = _containment_power(first.generator_rows(), span_b, A.n, zpower)
+    b_in_a = _containment_power(second.generator_rows(), span_a, A.n,
+                                zpower)
     if a_in_b is None or b_in_a is None:
         raise NotSameModule(
             "mutual containment fails within z power %d" % zpower)
@@ -310,28 +312,11 @@ def kunneth_check(P, i):
     if not P.saturated:
         raise NotSaturated("kunneth terms are defined for saturated input")
     M = P.module()
-    n = P.n
-
-    def reduced_presented(E):
-        return PresentedModule(n, QQ, E.side, E.rank,
-                               reduce_rows_mod_z(E.rows))
-
-    Ei = ext(i, M)
-    term_a = reduced_presented(Ei)
-
-    reduced = PresentedModule(n, QQ, P.side, P.rank,
-                              reduce_rows_mod_z(P.rows))
-    term_b = ext(i, reduced)
-
+    term_a = _reduced_module(ext(i, M))
+    term_b = ext(i, _reduced_module(P))
     Enext = ext(i + 1, M)
-    if Enext.rank == 0:
-        term_c = PresentedModule(n, QQ, Enext.side, 0, [])
-    else:
-        torsion_gens = colon_z(Enext.rows, Enext.rank) if Enext.rows else []
-        if not torsion_gens:
-            term_c = PresentedModule(n, QQ, Enext.side, 0, [])
-        else:
-            rels = preimage_rows(torsion_gens, Enext.rows)
-            term_c = PresentedModule(n, QQ, Enext.side, len(torsion_gens),
-                                     reduce_rows_mod_z(rels))
+    torsion_gens = colon_z(Enext.rows, Enext.rank)
+    term_c = _reduced_module(IntegralPresentation(
+        P.n, Enext.side, len(torsion_gens),
+        preimage_rows(torsion_gens, Enext.rows)))
     return KunnethReport(i, term_a, term_b, term_c)

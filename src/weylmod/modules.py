@@ -83,13 +83,9 @@ class PresentedModule:
         return self._gb
 
     def is_zero(self):
-        if self.rank == 0:
-            return True
         if not self.rows:
-            return False
-        gb = self.gb()
-        return all(gb.contains(FreeVec.unit(self.n, self.ring, self.rank, j))
-                   for j in range(self.rank))
+            return self.rank == 0
+        return self.gb().is_full_module()
 
     def resolution(self, stage):
         """The free resolution through `stage`, or to its zero kernel.
@@ -302,9 +298,8 @@ def ext(i, M):
 def _ext_of_resolution(i, M):
     res = M.resolution(i)
     ranks = res.ranks
-    if i > len(res.matrices):
-        return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
-    s_i = ranks[i]
+    # a resolution complete before stage i has no free module there
+    s_i = ranks[i] if i < len(ranks) else 0
     if s_i == 0:
         return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
     out_rows = _tau_dual_rows(res.matrices[i], s_i) \
@@ -316,8 +311,6 @@ def _ext_of_resolution(i, M):
         kernel = syz_of_list(out_rows)
     else:
         kernel = [FreeVec.unit(M.n, M.ring, s_i, j) for j in range(s_i)]
-    if not kernel:
-        return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
     relations = preimage_rows(kernel, image_rows)
     return PresentedModule(M.n, M.ring, M.opposite_side(),
                            len(kernel), relations)
@@ -366,8 +359,6 @@ def dual_star(M):
 def submodule_presentation(M, extra_rows):
     """The submodule of M generated by the images of extra_rows."""
     extra = [r for r in extra_rows if r.terms]
-    if not extra:
-        return PresentedModule(M.n, M.ring, M.side, 0, [])
     relations = preimage_rows(extra, M.rows)
     return PresentedModule(M.n, M.ring, M.side, len(extra), relations)
 

@@ -209,8 +209,10 @@ class _Parser:
                 self.check_command()
             else:
                 self.fail("unknown statement %r" % tok.value, tok)
+        # after the whole input, so that a parse error anywhere wins
+        for base, _gens in self.session.lattices.values():
+            _check_kind(self.session, base, "module")
         if self.session.command is not None:
-            # after the whole input, so that a parse error anywhere wins
             _check_kinds(self.session)
         return self.session
 
@@ -266,16 +268,13 @@ class _Parser:
         self.require_ring(tok)
         name = self.fresh_name()
         self.expect_punct("=")
-        base = self.expect_name()
-        if base.value not in self.session.modules:
-            raise UndeclaredName("no module named %r" % base.value,
-                                 base.line, base.col)
+        base = self.declared_name("module")
         gens = None
         if self.peek().kind == "name" and self.peek().value == "with":
             self.next()
             gens = self.matrix()
         self.expect_punct(";")
-        self.session.lattices[name] = (base.value, gens)
+        self.session.lattices[name] = (base, gens)
 
     def complex_decl(self):
         tok = self.expect_name("complex")
@@ -324,12 +323,12 @@ class _Parser:
         self.session.command = {"target": target, "subcommand": sub,
                                 "args": args, "flags": flags}
 
-    def declared_name(self):
+    def declared_name(self, noun="object"):
         tok = self.expect_name()
         s = self.session
         if tok.value not in s.modules and tok.value not in s.lattices \
                 and tok.value not in s.complexes:
-            raise UndeclaredName("no object named %r" % tok.value,
+            raise UndeclaredName("no %s named %r" % (noun, tok.value),
                                  tok.line, tok.col)
         return tok.value
 
@@ -518,7 +517,8 @@ def _check_kind(s, name, kind):
 def parse(source):
     """Parse a full session; raises ParseError subclasses with positions.
 
-    A check whose target or argument is of a kind the table does not take
-    raises UnsupportedTarget, or UnsupportedAmbient for a lattice on QQ.
+    A check whose target or argument is of a kind the table does not take,
+    or a lattice whose base is not a module, raises UnsupportedTarget, or
+    UnsupportedAmbient for a lattice on QQ.
     """
     return _Parser(source).parse()

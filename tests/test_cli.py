@@ -214,6 +214,22 @@ def test_negative_max_degree_is_a_coded_error(tmp_path, capsys):
     assert rep["error"]["code"] == "IndexOutOfRange"
 
 
+@pytest.mark.parametrize("name,content,reason", [
+    ("missing.wm", None, "No such file or directory"),
+    ("latin1.wm", b"ring W(1) over QQ; # caf\xe9\n", "not UTF-8 text")],
+    ids=["missing", "not-utf8"])
+def test_unreadable_session_file(tmp_path, capsys, name, content, reason):
+    path = tmp_path / name
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == "weylmod: error: cannot read %s: %s" % (
+        path, reason)
+
+
 @pytest.mark.parametrize("source", [
     "ring W(1) over QQ; module M = coker [[d1]]; check M ext -1",
     "ring W(1) over QZ; module M = coker [[x1*d1 - 1/2 - z]]; "
@@ -265,6 +281,12 @@ CHECK_LINE_ERRORS = {
     "reduce-on-QQ": (QQ_SESSION + "check M reduce", 1,
                      "UnsupportedAmbient"),
     "kind-after-parse": (QQ_SESSION + "check C gb; module", 2, "ParseError"),
+    "lattice-of-complex": (QZ_SESSION + "lattice P = C;", 1,
+                           "UnsupportedTarget"),
+    "lattice-of-lattice": (QZ_SESSION + "lattice P = L; check L reduce", 1,
+                           "UnsupportedTarget"),
+    "lattice-of-undeclared": (QZ_SESSION + "lattice P = Q;", 2,
+                              "UndeclaredName"),
     "lattice-row-too-wide": ("ring W(1) over QZ; module M = coker [[d1]]; "
                              "lattice P = M with [[1, 1]]; check P reduce",
                              1, "RankMismatch"),

@@ -252,6 +252,46 @@ def test_selection_order_pinned(make, stats, digest):
     assert hashlib.sha256(got).hexdigest() == digest
 
 
+# on gkz3 and colon interreduction changes a tail; a second pass would
+# change nothing, since tail reduction leaves every lead in place
+@pytest.mark.parametrize("make", [_gkz13, _gkz3, _colon_block],
+                         ids=["gkz13", "gkz3", "colon"])
+def test_interreduce_is_one_pass(monkeypatch, make):
+    calls = []
+    kept = []
+    real_reduce, real_interreduce = groebner._reduce, groebner._interreduce
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real_reduce(*args, **kwargs)
+
+    def spied(basis, leads, trans, order):
+        monkeypatch.setattr(groebner, "_reduce", counted)
+        out = real_interreduce(basis, leads, trans, order)
+        monkeypatch.setattr(groebner, "_reduce", real_reduce)
+        kept.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr(groebner, "_interreduce", spied)
+    gens, order = make()
+    gb = buchberger(gens, order, track=True)
+    assert kept == [len(gb.elements)]
+    assert len(calls) == len(gb.elements)
+
+
+@pytest.mark.parametrize("ring", [QQ, ZP], ids=["QQ", "ZP"])
+def test_zero_generators_only(ring):
+    zero = FreeVec.zero(2, ring, 3)
+    gb = buchberger([zero, zero], bernstein_order(2), track=True)
+    assert (gb.n, gb.ring, gb.rank) == (2, ring, 3)
+    assert gb.elements == gb.leads == gb.transform == []
+    # lifts live over the empty basis, as for any other input
+    assert gb.lifts == [FreeVec.zero(2, ring, 0)] * 2
+    assert gb.stats == {"spairs": 0, "reductions_to_zero": 0,
+                        "basis_size": 0}
+    assert not gb.is_full_module()
+
+
 def test_leads_computed_once(monkeypatch):
     calls = []
     real = groebner.leading_term

@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (QQ, QZ, ZP, FreeVec, IntegralPresentation, Lattice,
-                     NonIntegral, NotSameModule, NotSaturated,
+from weylmod import (LEFT, QQ, QZ, ZP, FreeVec, IntegralPresentation,
+                     Lattice, NonIntegral, NotSameModule, NotSaturated,
                      PresentedModule, QPoly, RankMismatch, RatFunc,
                      WeylAlgebra, bernstein_order, buchberger,
-                     char_cycle, compare_lattices, good_lattice,
+                     char_cycle, compare_lattices, good_lattice, groebner,
                      kunneth_check, left_normal_form, make_lattice,
-                     minimal_dimension_via_reduction, reduce_mod_z)
+                     minimal_dimension_via_reduction, parse,
+                     preimage_rows, reduce_mod_z)
 
 from helpers import battery_avatars, free_avatar
 
@@ -145,3 +146,42 @@ def test_lattice_presentation_saturated():
     assert Q.rank == 2
     rep = reduce_mod_z(Q)
     assert not rep.is_zero
+
+
+def _avatar(source):
+    s = parse(source)
+    return make_lattice(IntegralPresentation.from_qz_matrix(
+        s.n, s.modules["M"]))
+
+
+def _hand_built():
+    """A saturated presentation whose relations repeat a row."""
+    r = FreeVec.from_entries([Z.x(1) * Z.d(1) - Z.z()], rank=1)
+    s = FreeVec.from_entries([Z.d(1) ** 2], rank=1)
+    return IntegralPresentation(1, LEFT, 1, [r, s, r], saturated=True)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _avatar("ring W(1) over QZ; "
+                    "module M = coker [[x1*d1 - 1/2 - z]];"),
+    lambda: _avatar("ring W(2) over QZ; module M = coker [[d1^2 - d2], "
+                    "[x1*d1 + 2*x2*d2 - 1/2 - z]];"),
+    _hand_built], ids=["Z1", "Z12", "repeated-row"])
+def test_standard_lattice_is_presented_by_its_avatar(monkeypatch, make):
+    P = make()
+    L = Lattice(P)
+    units = L.generator_rows()
+    want = preimage_rows(units, P.rows)
+    syzygies = []
+    real = groebner.syz_of_list
+
+    def spy(gens):
+        syzygies.append(1)
+        return real(gens)
+
+    monkeypatch.setattr(groebner, "syz_of_list", spy)
+    Q = L.presentation()
+    assert not syzygies
+    assert Q.rows == want
+    assert Q.rows == list(dict.fromkeys(-r for r in P.rows))
+    assert (Q.n, Q.side, Q.rank, Q.saturated) == (P.n, P.side, P.rank, True)

@@ -66,6 +66,29 @@ def test_zero_module():
         hilbert_dimension(Z)
 
 
+@pytest.mark.parametrize("ring", [QQ, ZP], ids=["QQ", "ZP"])
+@pytest.mark.parametrize("rows,zero", [
+    ([[1, 1]], False), ([[1, 1], [0, 1]], True)], ids=["one-unit", "both"])
+def test_is_zero_reads_the_leads(monkeypatch, ring, rows, zero):
+    A = WeylAlgebra(1, ring)
+    M = PresentedModule.from_matrix(
+        1, ring, [[A.scalar(Fraction(c)) for c in row] for row in rows])
+    gb = M.gb()
+    units = [(0, (0,), (0,), 0), (1, (0,), (0,), 0)]
+    # coker [[1, 1]]: component 0 has a unit lead, component 1 has none
+    assert [m in units for m, _c in gb.leads].count(True) == 1 + zero
+    normal_forms = []
+
+    def spy(*args, **kwargs):
+        normal_forms.append(1)
+
+    monkeypatch.setattr(groebner, "_reduce", spy)
+    monkeypatch.setattr(groebner, "left_normal_form", spy)
+    assert M.is_zero() is zero
+    assert gb.is_full_module() is zero
+    assert not normal_forms
+
+
 def test_ext_pattern_for_holonomic():
     M = module(W.d(1) * W.d(1) - W.x(1))  # Airy
     assert ext(0, M).is_zero()

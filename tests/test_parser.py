@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylmod import (QQ, QZ, ParseError, RingMismatch, UndeclaredName,
-                     WeylAlgebra, parse, to_str)
+                     UnsupportedTarget, WeylAlgebra, parse, to_str)
 
 from helpers import rand_element
 
@@ -95,6 +95,20 @@ def test_undeclared_target():
 def test_undeclared_lattice_base():
     with pytest.raises(UndeclaredName):
         parse("ring W(1) over QZ; lattice L = M;")
+
+
+LATTICE_BASES = ("ring W(1) over QZ; module M = coker [[d1]]; "
+                 "lattice L = M; complex C = [1, 1] with [[z]]; ")
+
+
+@pytest.mark.parametrize("base", ["C", "L"], ids=["complex", "lattice"])
+@pytest.mark.parametrize("check", ["", "check M gb"], ids=["bare", "check"])
+def test_lattice_base_of_another_kind(base, check):
+    with pytest.raises(UnsupportedTarget, match="'%s' is not a module" % base):
+        parse(LATTICE_BASES + "lattice P = %s; %s" % (base, check))
+    # a parse error anywhere wins over the kind of the base
+    with pytest.raises(ParseError):
+        parse(LATTICE_BASES + "lattice P = %s; module" % base)
 
 
 def test_error_positions():
