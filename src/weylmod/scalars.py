@@ -210,7 +210,7 @@ class RatFunc:
             raise DivisionByZero("rational function with zero denominator")
         if num.is_zero():
             num, den = _P0, _P1
-        else:
+        elif den != _P1:
             g = num.gcd(den)
             if g.degree() > 0:
                 num, den = num // g, den // g

@@ -67,6 +67,19 @@ def test_ratfunc_basics():
         RatFunc(P(1), P(0))
 
 
+def test_ratfunc_polynomial_takes_no_gcd(monkeypatch):
+    calls = []
+    real = QPoly.gcd
+    monkeypatch.setattr(QPoly, "gcd",
+                        lambda a, b: calls.append((a, b)) or real(a, b))
+    r = RatFunc(P(-2, 1)) * RatFunc.z() + RatFunc(3)
+    assert calls == []
+    assert r.num == P(3, -2, 1) and r.den == P(1)
+    assert RatFunc(P(2, 2), P(2)) == RatFunc(P(1, 1))
+    assert RatFunc(P(0, 1), P(0, 2)) == RatFunc(Fraction(1, 2))
+    assert len(calls) == 2
+
+
 @given(polys, polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_qpoly_ring_axioms(a, b, c):
