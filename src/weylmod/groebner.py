@@ -6,18 +6,28 @@ sort keys: larger key = more leading.  The engine runs Buchberger with the
 normal selection strategy and no pair criteria: the product criterion is
 unsound in algebras with nontrivial commutators, and skipping the chain
 criterion keeps every S-pair available for the Schreyer syzygy
-construction.  All basis elements are kept monic, so over the ZP tag every
-computed object stays z-integral (leading coefficients are rational).
+construction.
 
-Each basis element's leading term is computed once, when it joins the
+Inside the kernel a row over QQ, ZP or H1 is a sparse dict of integers:
+denominators are cleared once, at input, and a row that joins the basis
+is divided by its content and given a positive lead.  Reduction is
+fraction-free: cancelling a term against a lead scales the remainder
+instead of dividing, and the product of the scales travels with the
+result.  QZ rows keep RatFunc coefficients, are monic, and run the same
+loop with scale 1.  Rows become monic Fraction rows only where they leave
+the kernel (GBasis elements, transform, lifts, syzygies and remainders),
+so over the ZP tag every computed object stays z-integral (leading
+coefficients are rational).
+
+Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  Pending pairs wait in a heap
 keyed by the order key of their lcm, with the sequence number of the pair
 as tiebreak; basis elements never change once pushed, so the heap pops
 pairs in exactly the order of a stable sort by lcm, and the transform,
 lifts and syzygies do not depend on how the queue is kept.  Normal forms
 reduce one mutable sparse dict.  Interreduction is one pass: tail
-reduction never changes a lead, so an element reduced against the other
-leads stays reduced while the rest are.
+reduction never changes a lead monomial, so an element reduced against
+the other leads stays reduced while the rest are.
 
 Termination note: the V-order used for restriction is not a well-order on
 all monomials, only on the h-homogeneous elements the caller feeds it; the
@@ -28,11 +38,12 @@ of the input to left_normal_form, and raises InternalInvariant otherwise.
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
+from math import gcd, lcm
 from operator import le
 
 from ._linalg import add_terms
 from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
-from .weyl import (H1, QQ, ZP, WeylAlgebra, WeylElement, _one,
+from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _one,
                    _product_items, _sub_idx, _zero_index)
 
 
@@ -124,7 +135,8 @@ class FreeVec:
     def mul_left(self, w):
         """Product w . self for w a WeylElement of the same algebra."""
         return FreeVec(self.n, self.ring, self.rank,
-                       add_terms({}, _product_items(w, self.terms)))
+                       add_terms({}, _product_items(w.terms, self.terms,
+                                                    self.ring == H1)))
 
     def mul_monomial(self, a, b, e, coeff):
         """Left multiply by a single monomial coeff * z^e x^a d^b."""
@@ -218,33 +230,82 @@ def _divides(m1, m2):
         all(map(le, b1, b2))
 
 
-def _require_homogeneous(vecs):
+def _require_homogeneous(rows):
     """The V-order is a well-order only on h-homogeneous input."""
-    for v in vecs:
-        if len({sum(a) + sum(b) + e for (_c, a, b, e) in v.terms}) > 1:
+    for row in rows:
+        if len({sum(a) + sum(b) + e for (_c, a, b, e) in row}) > 1:
             raise InternalInvariant("H1 Groebner input must be "
                                     "h-homogeneous")
 
 
-def _monomial_items(q, c, v):
-    """Terms of c * z^e x^a d^b times the FreeVec v, for q = (a, b, e)."""
-    return _product_items(WeylElement(v.n, v.ring, {q: c}), v.terms)
+def _clear(terms, ring):
+    """An integer row proportional to terms, and the factor that gives it.
+
+    terms times the lcm of its denominators; a QZ row stays as it is.
+    """
+    if ring == QZ:
+        return dict(terms), 1
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in terms.items()}, den
 
 
-def _spoly(vi, qi, vj, qj):
-    """qi * vi - qj * vj for monomials qi, qj given as (a, b, e)."""
-    one = _one(vi.ring)
-    terms = add_terms({}, _monomial_items(qi, one, vi))
-    return FreeVec(vi.n, vi.ring, vi.rank,
-                   add_terms(terms, _monomial_items(qj, -one, vj)))
+def _primitive(row, mono):
+    """row divided by its content, signed to give a positive lead at mono.
+
+    A RatFunc row is divided by its lead instead, which makes it monic.
+    Also returns the divisor.
+    """
+    lc = row[mono]
+    if isinstance(lc, int):
+        d = gcd(*row.values()) if lc > 0 else -gcd(*row.values())
+        return (row if d == 1 else {k: c // d for k, c in row.items()}), d
+    return (row if lc == 1 else {k: c / lc for k, c in row.items()}), lc
 
 
-def _minus_quotients(v, quot, rows):
-    """v - sum_k quot_k rows[k], for quot a FreeVec over W^len(rows)."""
-    terms = dict(v.terms)
-    for (k, a, b, e), c in quot.terms.items():
-        add_terms(terms, _monomial_items((a, b, e), -c, rows[k]))
-    return FreeVec(v.n, v.ring, v.rank, terms)
+def _divided(terms, d):
+    """The sparse row terms / d, of Fraction or RatFunc coefficients."""
+    return terms if d == 1 else {k: c / d for k, c in terms.items()}
+
+
+def _rational(row, den, ring, scales=None):
+    """row / den as a Fraction row, component k also times scales[k].
+
+    The one way integer rows leave the kernel.  A QZ row leaves as it is:
+    QZ rows are monic, so den and every scale are 1.
+    """
+    if ring == QZ:
+        return row
+    if scales is None:
+        return {k: Fraction(c, den) for k, c in row.items()}
+    return {k: Fraction(c * scales[k[0]], den) for k, c in row.items()}
+
+
+def _cofactors(li, lj):
+    """ci, cj with ci * li = cj * lj, the least such over the integers."""
+    if isinstance(li, int):
+        g = gcd(li, lj)
+        return lj // g, li // g
+    return lj, li
+
+
+def _monomial_items(q, c, row, homog):
+    """Terms of c * z^e x^a d^b times the sparse row, for q = (a, b, e)."""
+    return _product_items({q: c}, row, homog)
+
+
+def _spoly(ri, qi, ci, rj, qj, cj, homog):
+    """ci qi ri - cj qj rj, for monomials qi, qj given as (a, b, e)."""
+    p = add_terms({}, _monomial_items(qi, ci, ri, homog))
+    return add_terms(p, _monomial_items(qj, -cj, rj, homog))
+
+
+def _minus_quotients(row, quot, rows, homog):
+    """row - sum_k quot_k rows[k], for quot a sparse row over W^len(rows)."""
+    out = dict(row)
+    for (k, a, b, e), c in quot.items():
+        add_terms(out, _monomial_items((a, b, e), -c, rows[k], homog))
+    return out
 
 
 def _lcm_multipliers(mi, mj):
@@ -264,14 +325,17 @@ def _lcm_multipliers(mi, mj):
         (_sub_idx(A, aj), _sub_idx(B, bj), E - ej)
 
 
-def _reduce(v, basis, leads, order, track=False):
-    """left_normal_form with leads[k] = leading_term(basis[k], order) given.
+def _reduce(p, rows, monos, order, homog, track=False):
+    """Left division of the sparse row p by rows, free of fractions.
 
-    The running remainder is one mutable dict; order keys are memoized for
-    the length of the call.  Each step divides by the first basis element
-    whose lead divides the current leading monomial.  With track=True also
-    returns the quotients as a FreeVec over W^len(basis), so that
-    v = sum_k q_k basis[k] + remainder.
+    monos[k] is the lead monomial of rows[k], or None to skip that row.
+    Each step divides the current leading monomial by the first lead that
+    divides it.  On integer rows a step cancelling the coefficient c
+    against the lead coefficient l first scales the running remainder by
+    l / gcd(c, l).  Returns the remainder r, the product s of those scales
+    (1 on RatFunc rows, which are monic) and, with track=True, the
+    quotients as a sparse row over W^len(rows), so that
+    s p = sum_k q_k rows[k] + r.  Order keys are memoized for the call.
     """
     keys = {}
 
@@ -281,49 +345,70 @@ def _reduce(v, basis, leads, order, track=False):
             k = keys[m] = order.key(m)
         return k
 
-    p = dict(v.terms)
+    p = dict(p)
     rem = {}
     quot = {} if track else None
+    scaled = (p, rem, quot) if track else (p, rem)
+    s = 1
     while p:
         mono = max(p, key=key)
-        for hit, lt in enumerate(leads):
-            if lt is not None and _divides(lt[0], mono):
+        for hit, lm in enumerate(monos):
+            if lm is not None and _divides(lm, mono):
                 break
         else:
             rem[mono] = p.pop(mono)
             continue
-        (_gc, ga, gb, ge), glc = lt
-        q = (_sub_idx(mono[1], ga), _sub_idx(mono[2], gb), mono[3] - ge)
-        qc = p[mono] / glc
-        add_terms(p, _monomial_items(q, -qc, basis[hit]))
+        row = rows[hit]
+        c, lc = p[mono], row[lm]
+        if isinstance(c, int):
+            g = gcd(c, lc)
+            m, c = lc // g, c // g
+            if m != 1:
+                s *= m
+                for terms in scaled:
+                    for k in terms:
+                        terms[k] *= m
+        else:
+            c = c / lc
+        q = (_sub_idx(mono[1], lm[1]), _sub_idx(mono[2], lm[2]),
+             mono[3] - lm[3])
+        add_terms(p, _monomial_items(q, -c, row, homog))
         if track:
-            add_terms(quot, [((hit,) + q, qc)])
-    r = FreeVec(v.n, v.ring, v.rank, rem)
-    if track:
-        return r, FreeVec(v.n, v.ring, len(basis), quot)
-    return r
+            add_terms(quot, [((hit,) + q, c)])
+    return rem, s, quot
+
+
+def _to_kernel(vecs, monos, ring):
+    """Primitive integer (or monic RatFunc) rows of vecs, None for zero."""
+    return [_primitive(_clear(v.terms, ring)[0], m)[0] if m is not None
+            else None for v, m in zip(vecs, monos)]
 
 
 def left_normal_form(v, basis, order):
-    """Remainder of left division of v by the monic elements of basis.
+    """Remainder of left division of v by the elements of basis.
 
     basis is a list of FreeVec or a GBasis; a GBasis computed under order
-    lends its cached leads.
+    lends its cached leads and kernel rows.
     """
-    leads = None
+    rows = None
     if isinstance(basis, GBasis):
         if order is basis.order:
-            leads = basis.leads
+            monos = [m for m, _c in basis.leads]
+            rows = basis._kernel_rows()
         basis = basis.elements
     for g in basis:
         if g and g.rank != v.rank:
             raise RankMismatch("vector rank %d vs basis rank %d"
                                % (v.rank, g.rank))
     if v.ring == H1:
-        _require_homogeneous([v] if leads is not None else [v] + basis)
-    if leads is None:
-        leads = [leading_term(g, order) if g else None for g in basis]
-    return _reduce(v, basis, leads, order)
+        _require_homogeneous([v.terms] if rows is not None
+                             else [v.terms] + [g.terms for g in basis])
+    if rows is None:
+        monos = [leading_term(g, order)[0] if g else None for g in basis]
+        rows = _to_kernel(basis, monos, v.ring)
+    row, den = _clear(v.terms, v.ring)
+    rem, s, _q = _reduce(row, rows, monos, order, v.ring == H1)
+    return FreeVec(v.n, v.ring, v.rank, _rational(rem, s * den, v.ring))
 
 
 class GBasis:
@@ -336,7 +421,7 @@ class GBasis:
     """
 
     __slots__ = ("n", "ring", "rank", "order", "elements", "leads",
-                 "transform", "lifts", "stats")
+                 "transform", "lifts", "stats", "_rows")
 
     def __init__(self, n, ring, rank, order, elements, transform=None,
                  lifts=None, stats=None, leads=None):
@@ -350,6 +435,18 @@ class GBasis:
         self.transform = transform
         self.lifts = lifts
         self.stats = stats or {}
+        self._rows = None
+
+    def _kernel_rows(self):
+        """The elements as the kernel reduces them (see _primitive).
+
+        buchberger hands over the rows it built; a basis built by hand
+        computes its own on first use.
+        """
+        if self._rows is None:
+            self._rows = _to_kernel(self.elements,
+                                    [m for m, _c in self.leads], self.ring)
+        return self._rows
 
     def contains(self, v):
         return left_normal_form(v, self, self.order).is_zero()
@@ -380,118 +477,138 @@ def buchberger(gens, order, track=False):
     # an empty list names no ambient; W_1 over QQ of rank 1 stands in
     first = gens[0] if gens else FreeVec.zero(1, QQ, 1)
     n, ring, rank = first.n, first.ring, first.rank
+    homog = ring == H1
     src = len(gens)
-    one = _one(ring)
 
-    basis = []
-    leads = []
+    rows = []
+    monos = []
     trans = [] if track else None
     pairs = []
     seq = count()
 
-    def push(v, rep):
-        if ring == H1:
-            _require_homogeneous([v])
-        mono, lc = leading_term(v, order)
-        new = len(basis)
-        for k, (m, _c) in enumerate(leads):
+    def push(row, rep):
+        if homog:
+            _require_homogeneous([row])
+        mono = max(row, key=order.key)
+        new = len(rows)
+        for k, m in enumerate(monos):
             data = _lcm_multipliers(m, mono)
             if data is not None:
                 heappush(pairs, (order.key(data[0]), next(seq), k, new,
                                  data[1], data[2]))
-        inv = one / lc
-        g = v.scale(inv)
-        basis.append(g)
-        leads.append((mono, g.terms[mono]))
+        row, d = _primitive(row, mono)
+        rows.append(row)
+        monos.append(mono)
         if track:
-            trans.append(rep.scale(inv))
+            trans.append(_divided(rep, d))
 
+    z0 = _zero_index(n)
     for i, g in enumerate(gens):
         if g.terms:
-            push(g, FreeVec.unit(n, ring, src, i) if track else None)
+            row, den = _clear(g.terms, ring)
+            push(row, {(i, z0, z0, 0): _one(ring) * den} if track else None)
 
     stats = {"spairs": 0, "reductions_to_zero": 0}
     while pairs:
         _key, _seq, i, j, qi, qj = heappop(pairs)
-        sp = _spoly(basis[i], qi, basis[j], qj)
+        ci, cj = _cofactors(rows[i][monos[i]], rows[j][monos[j]])
+        sp = _spoly(rows[i], qi, ci, rows[j], qj, cj, homog)
         stats["spairs"] += 1
-        if track:
-            rem, q = _reduce(sp, basis, leads, order, track=True)
-        else:
-            rem = _reduce(sp, basis, leads, order)
-        if rem.is_zero():
+        rem, s, q = _reduce(sp, rows, monos, order, homog, track)
+        if not rem:
             stats["reductions_to_zero"] += 1
             continue
         rep = None
         if track:
-            rep = _minus_quotients(_spoly(trans[i], qi, trans[j], qj), q,
-                                   trans)
+            rep = _minus_quotients(_spoly(trans[i], qi, s * ci, trans[j],
+                                          qj, s * cj, homog), q, trans, homog)
         push(rem, rep)
 
-    basis, leads, trans = _interreduce(basis, leads, trans, order)
+    rows, monos, trans = _interreduce(rows, monos, trans, order, homog)
 
+    lcs = [row[m] for row, m in zip(rows, monos)]
     lifts = None
     if track:
         lifts = []
         for g in gens:
-            rem, q = _reduce(g, basis, leads, order, track=True)
-            if rem.terms:
+            row, den = _clear(g.terms, ring)
+            rem, s, q = _reduce(row, rows, monos, order, homog, True)
+            if rem:
                 raise InternalInvariant("a generator left a remainder on "
                                         "its own Groebner basis")
-            lifts.append(q)
-    stats["basis_size"] = len(basis)
+            lifts.append(FreeVec(n, ring, len(rows),
+                                 _rational(q, s * den, ring, lcs)))
+        trans = [FreeVec(n, ring, src, _rational(t, lc, ring))
+                 for t, lc in zip(trans, lcs)]
+    stats["basis_size"] = len(rows)
     COUNTERS["spairs"] += stats["spairs"]
-    COUNTERS["basis_elements"] += len(basis)
-    return GBasis(n, ring, rank, order, basis, transform=trans,
-                  lifts=lifts, stats=stats, leads=leads)
+    COUNTERS["basis_elements"] += len(rows)
+    one = _one(ring)
+    gb = GBasis(n, ring, rank, order,
+                [FreeVec(n, ring, rank, _rational(row, lc, ring))
+                 for row, lc in zip(rows, lcs)],
+                transform=trans, lifts=lifts, stats=stats,
+                leads=[(m, one) for m in monos])
+    gb._rows = rows
+    return gb
 
 
-def _interreduce(basis, leads, trans, order):
-    """Keep minimal leads, then tail-reduce each element against the rest.
+def _interreduce(rows, monos, trans, order, homog):
+    """Keep minimal leads, then tail-reduce each row against the rest.
 
     No other kept lead divides a kept lead, so tail reduction leaves every
-    lead and its coefficient 1 in place.  The leads never change, so an
-    element reduced once stays reduced and one pass suffices.
+    lead in place (scaled by the s of _reduce).  The leads never change,
+    so a row reduced once stays reduced and one pass suffices.
     """
-    monos = [m for m, _c in leads]
     keep = [i for i, mi in enumerate(monos)
             if not any(j != i and _divides(mj, mi) and (mi != mj or j < i)
                        for j, mj in enumerate(monos))]
-    basis = [basis[i] for i in keep]
-    leads = [leads[i] for i in keep]
+    rows = [rows[i] for i in keep]
+    monos = [monos[i] for i in keep]
     if trans is not None:
         trans = [trans[i] for i in keep]
-    for i, g in enumerate(basis):
-        own, leads[i] = leads[i], None
+    for i, row in enumerate(rows):
+        own, monos[i] = monos[i], None
+        rem, s, q = _reduce(row, rows, monos, order, homog,
+                            trans is not None)
+        rows[i], d = _primitive(rem, own)
         if trans is not None:
-            basis[i], q = _reduce(g, basis, leads, order, track=True)
-            trans[i] = _minus_quotients(trans[i], q, trans)
-        else:
-            basis[i] = _reduce(g, basis, leads, order)
-        leads[i] = own
-    return basis, leads, trans
+            t = trans[i] if s == 1 else {k: c * s
+                                         for k, c in trans[i].items()}
+            trans[i] = _divided(_minus_quotients(t, q, trans, homog), d)
+        monos[i] = own
+    return rows, monos, trans
 
 
 def syzygy_module(gb):
     """Schreyer generators of the left syzygies of gb.elements."""
-    basis, leads = gb.elements, gb.leads
-    m = len(basis)
+    rows, monos = gb._kernel_rows(), [m for m, _c in gb.leads]
+    lcs = [row[m] for row, m in zip(rows, monos)]
+    homog = gb.ring == H1
+    z0 = _zero_index(gb.n)
     out = []
-    for j in range(m):
+    for j in range(len(rows)):
         for i in range(j):
-            data = _lcm_multipliers(leads[i][0], leads[j][0])
+            data = _lcm_multipliers(monos[i], monos[j])
             if data is None:
                 continue
             _, qi, qj = data
-            rem, q = _reduce(_spoly(basis[i], qi, basis[j], qj), basis,
-                             leads, gb.order, track=True)
-            if rem.terms:
+            ci, cj = _cofactors(lcs[i], lcs[j])
+            rem, s, q = _reduce(_spoly(rows[i], qi, ci, rows[j], qj, cj,
+                                       homog), rows, monos, gb.order, homog,
+                                True)
+            if rem:
                 raise InternalInvariant("input to syzygy_module was not a "
                                         "Groebner basis")
-            syz = _spoly(FreeVec.unit(gb.n, gb.ring, m, i), qi,
-                         FreeVec.unit(gb.n, gb.ring, m, j), qj) - q
-            if syz.terms:
-                out.append(syz)
+            # s (ci qi e_i - cj qj e_j) - q kills rows; with component k
+            # times lcs[k] it kills the elements, and over s ci lcs[i]
+            # its term qi e_i has coefficient 1
+            syz = _spoly({(i, z0, z0, 0): s}, qi, ci, {(j, z0, z0, 0): s},
+                         qj, cj, homog)
+            add_terms(syz, ((k, -c) for k, c in q.items()))
+            if syz:
+                out.append(FreeVec(gb.n, gb.ring, len(rows), _rational(
+                    syz, s * ci * lcs[i], gb.ring, lcs)))
     return out
 
 
@@ -506,15 +623,18 @@ def syz_of_list(gens):
     if not gens:
         return []
     n, ring = gens[0].n, gens[0].ring
+    homog = ring == H1
     gb = buchberger(gens, bernstein_order(n), track=True)
     s = len(gens)
-    zero = FreeVec.zero(n, ring, s)
-    rows = [_minus_quotients(zero, -sig, gb.transform)
+    trans = [t.terms for t in gb.transform]
+    rows = [_minus_quotients({}, {k: -c for k, c in sig.terms.items()},
+                             trans, homog)
             for sig in syzygy_module(gb)]
-    rows += [_minus_quotients(FreeVec.unit(n, ring, s, i), lift,
-                              gb.transform)
+    z0 = _zero_index(n)
+    rows += [_minus_quotients({(i, z0, z0, 0): _one(ring)}, lift.terms,
+                              trans, homog)
              for i, lift in enumerate(gb.lifts)]
-    return [row for row in rows if row.terms]
+    return [FreeVec(n, ring, s, row) for row in rows if row]
 
 
 class FreeResolution:

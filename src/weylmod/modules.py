@@ -78,13 +78,13 @@ class PresentedModule:
 
     def gb(self):
         if self._gb is None:
+            # with no relations a zero row names the ambient for buchberger
+            rows = self.rows or [FreeVec.zero(self.n, self.ring, self.rank)]
             object.__setattr__(self, "_gb",
-                               buchberger(self.rows, bernstein_order(self.n)))
+                               buchberger(rows, bernstein_order(self.n)))
         return self._gb
 
     def is_zero(self):
-        if not self.rows:
-            return self.rank == 0
         return self.gb().is_full_module()
 
     def resolution(self, stage):

@@ -19,7 +19,7 @@ termwise instead of iterating single commutators.
 from fractions import Fraction
 from itertools import product as _iproduct
 from math import comb, factorial
-from operator import add, sub
+from operator import add, mul, sub
 
 from ._linalg import add_terms
 from .errors import MixedAmbient, UnsupportedAmbient, ZeroElement
@@ -74,16 +74,23 @@ def _reorder_terms(beta, gamma):
         yield nu, m
 
 
-def _product_items(u, terms):
-    """The terms of u times each term of terms, as (key, coeff) pairs.
+def _product_items(left, terms, homog):
+    """The terms of left times each term of terms, as (key, coeff) pairs.
 
-    The only product loop.  Keys of terms end in (alpha, beta, e); what
-    comes before (the component of a free-module term) is carried over.
+    The only product loop.  left maps (alpha, beta, e) to a coefficient;
+    keys of terms end in (alpha, beta, e), and what comes before (the
+    component of a free-module term) is carried over.  homog adds the h^2
+    of each commutator (the H1 tag).  When the left d-exponent and the
+    right x-exponent share no index the two terms commute, and their
+    product is the one term yielded directly.
     """
-    homog = u.ring == H1
-    for (a1, b1, e1), c1 in u.terms.items():
+    for (a1, b1, e1), c1 in left.items():
         for key, c2 in terms.items():
             head, (a2, b2, e2) = key[:-3], key[-3:]
+            if not any(map(mul, b1, a2)):
+                yield (head + (_add_idx(a1, a2), _add_idx(b1, b2), e1 + e2),
+                       c1 * c2)
+                continue
             c12 = c1 * c2
             for nu, m in _reorder_terms(b1, a2):
                 yield (head + (_add_idx(_sub_idx(a2, nu), a1),
@@ -206,7 +213,8 @@ class WeylElement:
 def normal_product(u, v):
     """Product in normal order, summed from the shared loop _product_items."""
     u._check(v)
-    return WeylElement(u.n, u.ring, add_terms({}, _product_items(u, v.terms)))
+    return WeylElement(u.n, u.ring, add_terms(
+        {}, _product_items(u.terms, v.terms, u.ring == H1)))
 
 
 class WeylAlgebra:
@@ -360,8 +368,8 @@ def _reordered(u, image):
     out = {}
     for (a, b, e), c in u.terms.items():
         p, q, sign = image(a, b)
-        head = WeylElement(u.n, u.ring, {(z0, p, e): c * sign})
-        add_terms(out, _product_items(head, {(q, z0, 0): one}))
+        add_terms(out, _product_items({(z0, p, e): c * sign},
+                                      {(q, z0, 0): one}, u.ring == H1))
     return WeylElement(u.n, u.ring, out)
 
 

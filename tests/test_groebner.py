@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (H1, QQ, ZP, FreeVec, GBasis, InternalInvariant,
-                     RankMismatch, UnsupportedAmbient, WeylAlgebra,
+from weylmod import (H1, QQ, QZ, ZP, FreeVec, GBasis, InternalInvariant,
+                     QPoly, RankMismatch, RatFunc, UnsupportedAmbient,
+                     WeylAlgebra, WeylElement,
                      bernstein_order, buchberger, free_resolution,
                      leading_term, left_normal_form, pot_block_order,
                      preimage_rows, syz_of_list, vres_order)
 from weylmod import bernstein_degree, groebner, to_str
+from weylmod._linalg import add_terms
 from weylmod.cli import run
 from weylmod.groebner import colon_z, syzygy_module
 
 from helpers import rand_element
-from oracles import all_monomials, brute_member
+from oracles import all_monomials, brute_member, field_normal_form
 
 W = WeylAlgebra(1, QQ)
 
@@ -115,21 +117,115 @@ def test_nf_membership_vs_brute_force_n2():
         assert not brute_member(shifted, gens, bound)
 
 
+def combine(coeffs, rows, zero):
+    """sum_k coeffs_k rows[k], for coeffs a FreeVec over W^len(rows)."""
+    acc = zero
+    for (k, a, b, e), c in coeffs.terms.items():
+        acc = acc + rows[k].mul_monomial(a, b, e, c)
+    return acc
+
+
+def check_tracked(gens, order):
+    """The tracked outputs of buchberger and the syzygies of its basis."""
+    gb = buchberger(gens, order, track=True)
+    zero = FreeVec.zero(gens[0].n, gens[0].ring, gens[0].rank)
+    for g, t in zip(gb.elements, gb.transform):
+        assert combine(t, gens, zero) == g
+    for r, lift in zip(gens, gb.lifts):
+        assert combine(lift, gb.elements, zero) == r
+    syz = syzygy_module(gb)
+    for sig in syz:
+        assert combine(sig, gb.elements, zero).is_zero()
+    assert all(leading_term(g, order)[1] == 1 for g in gb.elements)
+    return gb, syz
+
+
 def test_gb_transform_and_lifts():
     x, d = W.x(1), W.d(1)
-    rows = ideal_rows(d * d - x, x * x * d)
-    gb = buchberger(rows, bernstein_order(1), track=True)
-    # transform rows rewrite each basis element over the input rows
-    for g, t in zip(gb.elements, gb.transform):
-        acc = FreeVec(1, QQ, 1, {})
-        for (k, a, b, e), c in t.terms.items():
-            acc = acc + rows[k].mul_monomial(a, b, e, c)
-        assert acc == g
-    for r, lift in zip(rows, gb.lifts):
-        acc = FreeVec(1, QQ, 1, {})
-        for (k, a, b, e), c in lift.terms.items():
-            acc = acc + gb.elements[k].mul_monomial(a, b, e, c)
-        assert acc == r
+    check_tracked(ideal_rows(d * d - x, x * x * d), bernstein_order(1))
+
+
+# lead coefficients forced onto the inputs: negative, non-unit, or both
+FORCED_LEADS = {
+    QQ: [Fraction(-1), Fraction(3), Fraction(-5, 2)],
+    ZP: [Fraction(-1), Fraction(4, 3), Fraction(-6)],
+    H1: [Fraction(-1), Fraction(2), Fraction(-7, 3)],
+    QZ: [RatFunc(-1), RatFunc(QPoly((2, 1)), QPoly((3,))),
+         RatFunc(QPoly((-1, 0, 1)), QPoly((1, 5)))],
+}
+
+
+def homogenized(entries):
+    """h-homogeneous entries: every term lifted to the top total degree."""
+    top = max(sum(a) + sum(b) + e for w in entries for (a, b, e) in w.terms)
+    return [WeylElement(1, H1, add_terms({}, (
+        ((a, b, top - sum(a) - sum(b)), c) for (a, b, _e), c in
+        w.terms.items()))) for w in entries]
+
+
+def random_gens(rng, ring, rank, order, n=1, deg=1):
+    """Two random left multiples of a random row, then a third random row.
+
+    Each lead coefficient is forced to one of FORCED_LEADS[ring].
+    """
+    A = WeylAlgebra(n, ring)
+
+    def element(count):
+        while True:
+            entries = [rand_element(rng, A, deg=deg, terms=2)
+                       for _ in range(count)]
+            if ring == H1:
+                entries = homogenized(entries)
+            if not any(w.is_zero() for w in entries):
+                return entries
+
+    f = FreeVec.from_entries(element(rank), rank=rank)
+    gens = []
+    for v in [f.mul_left(element(1)[0]) for _ in range(2)] + [
+            FreeVec.from_entries(element(rank), rank=rank)]:
+        lc = leading_term(v, order)[1]
+        gens.append(v.scale(rng.choice(FORCED_LEADS[ring]) / lc))
+    return gens
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("ring", [QQ, ZP, QZ, H1])
+def test_gb_transform_and_lifts_random(ring, rank):
+    # integer rows inside the kernel leave it as Fraction rows, RatFunc
+    # rows as RatFunc rows; the scales of the division cancel on the way
+    rng = random.Random("%s/%d" % (ring, rank))
+    order = vres_order(1) if ring == H1 else bernstein_order(1)
+    scalar = RatFunc if ring == QZ else Fraction
+    for _ in range(3):
+        gens = random_gens(rng, ring, rank, order)
+        gb, syz = check_tracked(gens, order)
+        member = gens[0].mul_monomial((1,), (0,), 0, FORCED_LEADS[ring][2]) \
+            + gens[0].mul_monomial((0,), (1,), 0, 1)
+        assert left_normal_form(member, gb, order).is_zero()
+        rem = left_normal_form(random_gens(rng, ring, rank, order)[0], gb,
+                               order)
+        out = (gb.elements + gb.transform + gb.lifts + syz + [rem]
+               + syz_of_list(gens))
+        assert all(type(c) is scalar for v in out for c in v.terms.values())
+
+
+@pytest.mark.parametrize("ring,n", [(QQ, 1), (ZP, 1), (QZ, 1), (H1, 1),
+                                    (QQ, 2), (ZP, 2), (QZ, 2)])
+def test_normal_form_matches_field_division(ring, n):
+    # a GBasis reduces through the integer rows buchberger kept, a plain
+    # list (non-monic, with a zero row) through rows made on the fly
+    rng = random.Random("nf/%s/%d" % (ring, n))
+    order = vres_order(1) if ring == H1 else bernstein_order(n)
+    for _ in range(3):
+        gens = random_gens(rng, ring, 1, order, n)
+        gb = buchberger(gens, order)
+        plain = gens + [FreeVec.zero(n, ring, 1)]
+        for _ in range(3):
+            v = random_gens(rng, ring, 1, order, n, deg=3)[2]
+            assert left_normal_form(v, gb, order) == \
+                field_normal_form(v, gb.elements, order)
+            assert left_normal_form(v, plain, order) == \
+                field_normal_form(v, plain, order)
 
 
 def test_syzygies_kill_generators():
@@ -265,9 +361,9 @@ def test_interreduce_is_one_pass(monkeypatch, make):
         calls.append(1)
         return real_reduce(*args, **kwargs)
 
-    def spied(basis, leads, trans, order):
+    def spied(rows, monos, trans, order, homog):
         monkeypatch.setattr(groebner, "_reduce", counted)
-        out = real_interreduce(basis, leads, trans, order)
+        out = real_interreduce(rows, monos, trans, order, homog)
         monkeypatch.setattr(groebner, "_reduce", real_reduce)
         kept.append(len(out[0]))
         return out

@@ -89,6 +89,24 @@ def test_is_zero_reads_the_leads(monkeypatch, ring, rows, zero):
     assert not normal_forms
 
 
+@pytest.mark.parametrize("ring", [QQ, ZP], ids=["QQ", "ZP"])
+def test_module_without_relations_keeps_its_ambient(ring):
+    # coker [[0, 0]] on W(2) is the free module of rank 2
+    A = WeylAlgebra(2, ring)
+    M = PresentedModule.from_matrix(2, ring, [[A.zero(), A.zero()]])
+    assert (M.n, M.ring, M.rank, M.rows) == (2, ring, 2, [])
+    gb = M.gb()
+    assert (gb.n, gb.ring, gb.rank) == (2, ring, 2)
+    assert gb.elements == []
+    assert not M.is_zero()
+
+
+def test_rank_zero_module_is_zero():
+    M = PresentedModule(2, QQ, LEFT, 0, [])
+    assert M.gb().rank == 0
+    assert M.is_zero()
+
+
 def test_ext_pattern_for_holonomic():
     M = module(W.d(1) * W.d(1) - W.x(1))  # Airy
     assert ext(0, M).is_zero()

@@ -3,6 +3,8 @@
 import ast
 import pathlib
 
+import pytest
+
 import weylmod
 
 PACKAGE = pathlib.Path(weylmod.__file__).resolve().parent
@@ -25,6 +27,24 @@ def test_no_assert_in_package():
              for path in sorted(PACKAGE.rglob("*.py"))
              for line in _assert_lines(ast.parse(path.read_text()))]
     assert not found
+
+
+def _names(path, function):
+    """Every name and attribute the body of a top-level function uses."""
+    tree = ast.parse((PACKAGE / path).read_text())
+    node = next(n for n in tree.body
+                if isinstance(n, ast.FunctionDef) and n.name == function)
+    return {n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+@pytest.mark.parametrize("path,function", [("groebner.py", "_reduce"),
+                                           ("weyl.py", "_product_items")])
+def test_kernel_loops_name_no_fraction(path, function):
+    # the one division loop and the one product loop serve integer rows
+    # and RatFunc rows alike; a field-only path would name Fraction
+    assert "Fraction" not in _names(path, function)
 
 
 # The public names; a simplification may not drop one.
