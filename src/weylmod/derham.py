@@ -15,12 +15,13 @@ Also here: the algebraic de Rham complex in any number of variables
 perfect complexes over the power series coordinate, and a truncation
 oracle used to cross-check the window computation.  The oracle shares
 no code with the window: it cuts the module at growing total degree and
-grows two echelon forms, keyed degree first, one degree at a time.
+grows two echelon forms of integer rows, keyed degree first, one degree
+at a time.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from ._linalg import Echelon, add_terms, dense_rank, rank_of_rows
 from .errors import (
@@ -444,6 +445,19 @@ def chi_via_reduction(pres):
 # ---------------------------------------------------------------------------
 # truncation oracle
 
+def _d_times(row):
+    """d * row, for a row keyed (a + b, comp, a) by its terms x^a d^b e_comp.
+
+    d x^a d^b = x^a d^(b+1) + a x^(a-1) d^b.
+    """
+    out = {}
+    for (deg, comp, a), c in row.items():
+        add_terms(out, [((deg + 1, comp, a), c)])
+        if a:
+            add_terms(out, [((deg - 1, comp, a - 1), a * c)])
+    return out
+
+
 def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     """Kernel and cokernel of the derivative by brute force truncation.
 
@@ -469,31 +483,47 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     of the span lies in F_d exactly when the pivot rows it combines all
     have degree <= d: dim(S cap F_d) is the number of pivots of degree
     at most d.
+
+    Rows are integer rows: each basis element g is cleared of
+    denominators once, and x^i d^j g is built from rows already made, as
+    x (x^(i-1) d^j g) by shifting every key (t, j, a) to (t+1, j, a+1),
+    or for i = 0 as d (d^(j-1) g) by _d_times.  Only the span of each
+    echelon form is read, so integer multiples change nothing.
     """
     if module.n != 1 or module.ring != QQ:
         raise UnsupportedAmbient("oracle requires W(1) over QQ")
     if pad is None:
         pad = window
+    if window < 1:
+        raise IndexOutOfRange("oracle window %d is below 1" % window)
     if pad < 0:
-        raise ValueError("pad must be >= 0")
+        raise IndexOutOfRange("oracle pad %d is negative" % pad)
     if max_degree < 0:
         raise IndexOutOfRange("oracle max_degree %d is negative" % max_degree)
     rank = module.rank
-    gb = [(max(a[0] + b[0] for (_c, a, b, _e) in g.terms), g)
-          for g in module.gb().elements]
-    W = WeylAlgebra(1, QQ)
+    # starts[k] = deg(g_k); last[k]: the rows x^i d^j g_k (i = 0, 1, ...)
+    # of the degree built last
+    starts, last = [], []
+    for g in module.gb().elements:
+        den = lcm(*(c.denominator for c in g.terms.values()))
+        row = {(a[0] + b[0], comp, a[0]): c.numerator * (den // c.denominator)
+               for (comp, a, b, _e), c in g.terms.items()}
+        starts.append(max(key[0] for key in row))
+        last.append([row])
 
     def relations(deg):
         """The rows x^i d^j g with deg(g) + i + j = deg."""
-        return [{(a[0] + b[0], comp, a[0]): c for (comp, a, b, _e), c
-                 in g.mul_monomial((i,), (deg - gdeg - i,), 0,
-                                   Fraction(1)).terms.items()}
-                for gdeg, g in gb for i in range(deg - gdeg + 1)]
-
-    def dx_row(j, a, b):
-        u = W.d(1) * W.monomial((a,), (b,))
-        return {(ua[0] + ub[0], j, ua[0]): c
-                for (ua, ub, _ue), c in u.terms.items()}
+        out = []
+        for k, gdeg in enumerate(starts):
+            if gdeg > deg:
+                continue
+            if gdeg < deg:
+                rows = last[k]
+                last[k] = [_d_times(rows[0])] + [
+                    {(t + 1, j, a + 1): c for (t, j, a), c in row.items()}
+                    for row in rows]
+            out.extend(last[k])
+        return out
 
     rel, span = Echelon(), Echelon()
     rows = []        # rows[t]: relation rows of degree t
@@ -507,7 +537,7 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
                 span.add(row)
         for j in range(rank):
             for a in range(t + 1):
-                span.add(dx_row(j, a, t - a))
+                span.add(_d_times({(t, j, a): 1}))
         span_rank.append(span.rank())
         d = t - pad
         if d < 0:

@@ -41,7 +41,7 @@ from itertools import count
 from math import gcd, lcm
 from operator import le
 
-from ._linalg import add_terms
+from ._linalg import add_terms, primitive
 from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
 from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _one,
                    _product_items, _sub_idx, _zero_index)
@@ -250,19 +250,6 @@ def _clear(terms, ring):
             for k, c in terms.items()}, den
 
 
-def _primitive(row, mono):
-    """row divided by its content, signed to give a positive lead at mono.
-
-    A RatFunc row is divided by its lead instead, which makes it monic.
-    Also returns the divisor.
-    """
-    lc = row[mono]
-    if isinstance(lc, int):
-        d = gcd(*row.values()) if lc > 0 else -gcd(*row.values())
-        return (row if d == 1 else {k: c // d for k, c in row.items()}), d
-    return (row if lc == 1 else {k: c / lc for k, c in row.items()}), lc
-
-
 def _divided(terms, d):
     """The sparse row terms / d, of Fraction or RatFunc coefficients."""
     return terms if d == 1 else {k: c / d for k, c in terms.items()}
@@ -380,7 +367,7 @@ def _reduce(p, rows, monos, order, homog, track=False):
 
 def _to_kernel(vecs, monos, ring):
     """Primitive integer (or monic RatFunc) rows of vecs, None for zero."""
-    return [_primitive(_clear(v.terms, ring)[0], m)[0] if m is not None
+    return [primitive(_clear(v.terms, ring)[0], m)[0] if m is not None
             else None for v, m in zip(vecs, monos)]
 
 
@@ -438,7 +425,7 @@ class GBasis:
         self._rows = None
 
     def _kernel_rows(self):
-        """The elements as the kernel reduces them (see _primitive).
+        """The elements as the kernel reduces them (see _linalg.primitive).
 
         buchberger hands over the rows it built; a basis built by hand
         computes its own on first use.
@@ -496,7 +483,7 @@ def buchberger(gens, order, track=False):
             if data is not None:
                 heappush(pairs, (order.key(data[0]), next(seq), k, new,
                                  data[1], data[2]))
-        row, d = _primitive(row, mono)
+        row, d = primitive(row, mono)
         rows.append(row)
         monos.append(mono)
         if track:
@@ -571,7 +558,7 @@ def _interreduce(rows, monos, trans, order, homog):
         own, monos[i] = monos[i], None
         rem, s, q = _reduce(row, rows, monos, order, homog,
                             trans is not None)
-        rows[i], d = _primitive(rem, own)
+        rows[i], d = primitive(rem, own)
         if trans is not None:
             t = trans[i] if s == 1 else {k: c * s
                                          for k, c in trans[i].items()}

@@ -11,10 +11,10 @@ from math import comb
 
 import pytest
 
-from weylmod import (LEFT, QQ, QZ, RIGHT, DeRhamComplex, NonIntegral,
-                     NotAComplex, NotHolonomic, PerfectComplexOverDVR,
-                     PresentedModule, QPoly, RatFunc, RightModule,
-                     UnsupportedAmbient, WeylAlgebra, XPoly,
+from weylmod import (LEFT, QQ, QZ, RIGHT, DeRhamComplex, IndexOutOfRange,
+                     NonIntegral, NotAComplex, NotHolonomic,
+                     PerfectComplexOverDVR, PresentedModule, QPoly, RatFunc,
+                     RightModule, UnsupportedAmbient, WeylAlgebra, XPoly,
                      b_function_along_x, chi_via_reduction, dr_complex,
                      euler_check_perfect, h_dr_n1, stabilization_oracle)
 
@@ -86,6 +86,29 @@ ORACLE_PINS = [
      ((0, 3), True, 4), False),
 ]
 
+# The (x1*d1-k)(x1*d1+k+1) family, whose window answer is (1, 1) for every
+# k: (k, window, (dims, stabilized, degree), agrees), recorded before the
+# oracle moved to integer rows.  Each window settles early on (0, 0) once
+# k reaches it.
+FAMILY_PINS = [
+    (1, 5, ((1, 1), True, 8), True), (1, 12, ((1, 1), True, 15), True),
+    (2, 5, ((1, 1), True, 9), True), (2, 12, ((1, 1), True, 16), True),
+    (3, 5, ((1, 1), True, 10), True), (3, 12, ((1, 1), True, 17), True),
+    (4, 5, ((1, 1), True, 11), True), (4, 12, ((1, 1), True, 18), True),
+    (5, 5, ((0, 0), True, 4), False), (5, 12, ((1, 1), True, 19), True),
+    (6, 5, ((0, 0), True, 4), False), (6, 12, ((1, 1), True, 20), True),
+    (7, 5, ((0, 0), True, 4), False), (7, 12, ((1, 1), True, 21), True),
+    (8, 5, ((0, 0), True, 4), False), (8, 12, ((1, 1), True, 22), True),
+    (9, 5, ((0, 0), True, 4), False), (9, 12, ((1, 1), True, 23), True),
+    (10, 5, ((0, 0), True, 4), False), (10, 12, ((1, 1), True, 24), True),
+    (11, 5, ((0, 0), True, 4), False), (11, 12, ((1, 1), True, 25), True),
+    (12, 5, ((0, 0), True, 4), False), (12, 12, ((0, 0), True, 11), False),
+]
+ORACLE_PINS += [("family-%d-w%d" % (k, window),
+                 [[theta_product(k, -k - 1)]], {"window": window}, pinned,
+                 agrees)
+                for k, window, pinned, agrees in FAMILY_PINS]
+
 
 @pytest.mark.parametrize("name,rows,opts,pinned,agrees", ORACLE_PINS,
                          ids=[p[0] for p in ORACLE_PINS])
@@ -97,6 +120,17 @@ def test_oracle_pinned(name, rows, opts, pinned, agrees):
     window = h_dr_n1(M).dims
     assert (oracle["stabilized"] and tuple(oracle["dims"]) == window) \
         == agrees
+
+
+@pytest.mark.parametrize("opts", [{"window": 0}, {"window": -1},
+                                  {"pad": -1}, {"max_degree": -1}],
+                         ids=["window-0", "window-negative", "pad-negative",
+                              "max-degree-negative"])
+def test_oracle_rejects_out_of_range(opts):
+    # window 0 used to "stabilize" at degree 0 on (0, 1), and a negative
+    # pad raised a bare ValueError
+    with pytest.raises(IndexOutOfRange):
+        stabilization_oracle(module(theta_product(1, -2)), **opts)
 
 
 def test_b_function_conventions():

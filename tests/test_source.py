@@ -47,6 +47,16 @@ def test_kernel_loops_name_no_fraction(path, function):
     assert "Fraction" not in _names(path, function)
 
 
+def test_oracle_shares_nothing_with_the_window():
+    # the truncation oracle cross-checks h_dr_n1, so it builds its rows
+    # from integer shifts of the basis, not from the window algorithm's
+    # V-order machinery or the Weyl product
+    shared = {"Fraction", "WeylAlgebra", "mul_monomial", "_v_lifts",
+              "_b_data", "_truncated_nf", "_stairs_by_comp",
+              "_standard_monomials", "_indicial_polynomial", "vres_order"}
+    assert not shared & _names("derham.py", "stabilization_oracle")
+
+
 # The public names; a simplification may not drop one.
 PUBLIC = [
     "BFunction", "CharCycle", "CohomologyReport", "CompareReport",
