@@ -21,7 +21,7 @@ at a time.
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import isqrt, lcm
 
 from ._linalg import Echelon, add_terms, dense_rank, rank_of_rows
 from .errors import (
@@ -39,7 +39,7 @@ from .groebner import FreeVec, buchberger, vres_order
 from .lattice import make_lattice, reduce_mod_z
 from .modules import LEFT, is_minimal_dimension
 from .scalars import QPoly, RatFunc
-from .weyl import H1, QQ, WeylAlgebra, fourier_inverse
+from .weyl import H1, QQ, WeylAlgebra, _product_items, fourier_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -111,86 +111,54 @@ def dr_complex(module):
 
 # ---------------------------------------------------------------------------
 # weight filtration data in one variable
+#
+# A term x^a d^b e_comp has weight b - a.  The reducers of the weight
+# filtration are tuples (stair, weight, terms): the V-order lead
+# (comp, a, b) of a basis element of the homogenized relations, its
+# weight, and the element dehomogenized, keyed (comp, (a,), (b,), 0).
+# The element is homogeneous, so dehomogenizing merges no terms, and it
+# is monic, so its coefficient at stair is 1.
 
-def _weight(a, b):
-    return b - a
-
-
-def _homogenize_row(row, rank):
-    """Total-degree homogenization of a relation vector into the h ring."""
-    deg = 0
-    for (comp, a, b, e) in row.terms:
-        deg = max(deg, a[0] + b[0])
-    terms = {}
-    for (comp, a, b, e), c in row.terms.items():
-        terms[(comp, a, b, deg - a[0] - b[0])] = c
-    return FreeVec(1, H1, rank, terms)
-
-
-def _dehomogenize_row(row, rank):
-    return FreeVec(1, QQ, rank, add_terms({}, (
-        ((comp, a, b, 0), c) for (comp, a, b, _e), c in row.terms.items())))
-
-
-class _VLift:
-    """One reducer for the weight filtration: full lift plus initial data.
-
-    lead is the V-order lead of the homogenized basis element.  The
-    element is homogeneous, so dehomogenizing merges no term into the
-    lead, and it is monic, so the lift's coefficient at stair is 1.
-    """
-
-    __slots__ = ("lift", "initial", "weight", "stair")
-
-    def __init__(self, lift, lead, rank):
-        comp, a, b, _e = lead
-        self.lift = lift
-        self.stair = (comp, a[0], b[0])
-        self.weight = w = _weight(a[0], b[0])
-        self.initial = FreeVec(1, QQ, rank,
-                               {k: c for k, c in lift.terms.items()
-                                if _weight(k[1][0], k[2][0]) == w})
-
-
-def _v_lifts(rows, rank):
+def _v_lifts(rows):
     """Groebner data of the weight filtration for a relation module."""
-    hom = [_homogenize_row(r, rank) for r in rows if r.terms]
-    gb = buchberger(hom, vres_order(1))
-    return [_VLift(_dehomogenize_row(g, rank), mono, rank)
-            for g, (mono, _c) in zip(gb.elements, gb.leads)]
+    hom = []
+    for row in rows:
+        if row.terms:
+            deg = max(a[0] + b[0] for (_comp, a, b, _e) in row.terms)
+            hom.append(FreeVec(1, H1, row.rank, {
+                (comp, a, b, deg - a[0] - b[0]): c
+                for (comp, a, b, _e), c in row.terms.items()}))
+    basis = buchberger(hom, vres_order(1))
+    return [((comp, a[0], b[0]), b[0] - a[0],
+             {(j, p, q, 0): c for (j, p, q, _e), c in g.terms.items()})
+            for g, ((comp, a, b, _e), _c) in zip(basis.elements, basis.leads)]
 
 
-def _falling_factorial(a):
-    poly = QPoly.const(Fraction(1))
-    for t in range(a):
-        poly = poly * QPoly((Fraction(-t), Fraction(1)))
+def _theta_image(a, b):
+    """x^a d^b moved to weight zero, as a polynomial in theta = x d.
+
+    With w = b - a, left multiplication by x^w (w >= 0) or d^-w (w < 0)
+    gives x^b d^b = theta (theta - 1) ... (theta - b + 1), times
+    d^-w x^-w = (theta + 1) ... (theta - w) when w < 0.
+    """
+    poly = QPoly.const(1)
+    for t in range(min(b - a, 0), b):
+        poly = poly * QPoly((-t, 1))
     return poly
-
-
-def _weight_zero_to_theta(vec, rank):
-    """Convert a weight zero vector to polynomials in theta = x d."""
-    out = [QPoly.const(Fraction(0)) for _ in range(rank)]
-    for (comp, a, b, e), c in vec.terms.items():
-        if a[0] != b[0]:
-            raise InternalInvariant("a weight zero row has a term x^%d d^%d"
-                                    % (a[0], b[0]))
-        out[comp] = out[comp] + _falling_factorial(a[0]) * c
-    return out
 
 
 def _indicial_polynomial(lifts, rank):
     """Monic annihilator of the weight zero slice, or None if not finite."""
+    # each lift's initial terms (those of its own weight) moved to weight
+    # zero; within one weight the images of distinct terms have distinct
+    # degrees, so no row is zero
     rows = []
-    for lf in lifts:
-        vec = lf.initial
-        d = lf.weight
-        if d > 0:
-            vec = vec.mul_monomial((d,), (0,), 0, Fraction(1))
-        elif d < 0:
-            vec = vec.mul_monomial((0,), (-d,), 0, Fraction(1))
-        row = _weight_zero_to_theta(vec, rank)
-        if any(not p.is_zero() for p in row):
-            rows.append(row)
+    for _stair, w, terms in lifts:
+        row = [QPoly() for _ in range(rank)]
+        for (comp, a, b, _e), c in terms.items():
+            if b[0] - a[0] == w:
+                row[comp] = row[comp] + _theta_image(a[0], b[0]) * c
+        rows.append(row)
 
     # triangularize over Q[theta] by euclidean elimination per column
     rem = rows
@@ -232,32 +200,22 @@ def _indicial_polynomial(lifts, rank):
 
 
 def _integer_roots(poly):
-    if poly.is_zero():
-        raise NotHolonomic("zero indicial polynomial")
-    roots = []
-    p = poly
-    if p.eval0() == 0:
-        roots.append(0)
-        coeffs = list(p.coeffs)
-        while coeffs and coeffs[0] == 0:
-            coeffs = coeffs[1:]
-        p = QPoly(tuple(coeffs))
-    if p.degree() >= 1:
-        den = 1
-        for c in p.coeffs:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [int(c * den) for c in p.coeffs]
-        const = abs(ints[0])
-        cand = set()
-        d = 1
-        while d * d <= const:
+    """The integer roots of a nonzero polynomial over Q, ascending.
+
+    Rational root test on the polynomial cleared of denominators and of
+    its factor s^low: a nonzero integer root divides its lowest
+    coefficient.
+    """
+    coeffs = poly.coeffs
+    low = next(i for i, c in enumerate(coeffs) if c)
+    const = int(abs(coeffs[low]) * lcm(*(c.denominator for c in coeffs)))
+    roots = {0} if low else set()
+    if poly.degree() > low:
+        for d in range(1, isqrt(const) + 1):
             if const % d == 0:
-                cand.update((d, -d, const // d, -(const // d)))
-            d += 1
-        for r in sorted(cand):
-            if p(Fraction(r)) == 0:
-                roots.append(r)
-    return sorted(set(roots))
+                roots.update(r for r in (d, -d, const // d, -(const // d))
+                             if poly(r) == 0)
+    return sorted(roots)
 
 
 class BFunction:
@@ -275,9 +233,9 @@ class BFunction:
 
 
 def _b_data(rows, rank):
-    lifts = _v_lifts(rows, rank)
+    lifts = _v_lifts(rows)
     b = _indicial_polynomial(lifts, rank)
-    if b is None or b.is_zero():
+    if b is None:
         raise NotHolonomic("weight zero slice is not finite dimensional")
     return lifts, b
 
@@ -296,59 +254,53 @@ def b_function_along_x(module):
 
 def _stairs_by_comp(lifts, rank):
     stairs = [[] for _ in range(rank)]
-    for lf in lifts:
-        comp, a, b = lf.stair
+    for (comp, a, b), _w, _terms in lifts:
         stairs[comp].append((a, b))
     return stairs
 
 
 def _standard_monomials(stairs, rank, w):
-    """Monomials x^a d^(a+w) e_j outside the staircase, for one weight w."""
+    """Monomials x^a d^(a+w) e_j outside the staircase, for one weight w.
+
+    Keyed (j, (a,), (a + w,), 0), as the terms of the lifts.
+    """
     out = []
     for j in range(rank):
         if not stairs[j]:
             raise NotHolonomic("free direction in the weight graded module")
         lo = max(0, -w)
         hi = min(max(a, b - w) for (a, b) in stairs[j])
-        for a in range(lo, max(hi, lo)):
-            out.append((j, a, a + w))
+        out.extend((j, (a,), (a + w,), 0) for a in range(lo, hi))
     return out
-
-
-def _find_reducer(lifts, mono):
-    j, a, b = mono
-    for lf in lifts:
-        cj, ca, cb = lf.stair
-        if cj == j and a >= ca and b >= cb:
-            return lf
-    return None
 
 
 def _truncated_nf(expr, lifts, min_weight):
     """Reduce to standard monomials, discarding weights below min_weight.
 
-    expr maps (comp, a, b) to Fraction.  Every subtraction uses the full
+    expr maps terms (comp, (a,), (b,), 0) to Fractions.  Each step takes
+    the largest term in (weight, a + b, -comp), the V-order, and stops
+    once that falls below min_weight.  A term no stair divides moves to
+    the remainder; any other is cancelled by a monomial multiple of the
+    first lift whose stair divides it.  Every subtraction uses the full
     lift, so lower weight tails propagate correctly before being cut.
     """
+    key = vres_order(1).key
     expr = dict(expr)
-    while True:
-        expr = {m: c for m, c in expr.items()
-                if _weight(m[1], m[2]) >= min_weight}
-        target = lf = tkey = None
-        for m in expr:
-            reducer = _find_reducer(lifts, m)
-            if reducer is None:
-                continue
-            key = (_weight(m[1], m[2]), m[1] + m[2], -m[0])
-            if tkey is None or key > tkey:
-                target, lf, tkey = m, reducer, key
-        if target is None:
-            return expr
-        j, a, b = target
-        _, sa, sb = lf.stair
-        piece = lf.lift.mul_monomial((a - sa,), (b - sb,), 0, -expr[target])
-        add_terms(expr, (((comp, pa[0], pb[0]), c)
-                         for (comp, pa, pb, _pe), c in piece.terms.items()))
+    rem = {}
+    while expr:
+        mono = max(expr, key=key)
+        j, (a,), (b,), _e = mono
+        if b - a < min_weight:
+            break
+        for (sj, sa, sb), _w, terms in lifts:
+            if sj == j and a >= sa and b >= sb:
+                break
+        else:
+            rem[mono] = expr.pop(mono)
+            continue
+        add_terms(expr, _product_items(
+            {((a - sa,), (b - sb,), 0): -expr[mono]}, terms, False))
+    return rem
 
 
 class CohomologyReport:
@@ -383,18 +335,9 @@ def h_dr_n1(module):
     if not is_minimal_dimension(module):
         raise NotHolonomic("module is not holonomic")
 
-    W = WeylAlgebra(1, QQ)
-    twisted = []
-    for row in module.rows:
-        terms = {}
-        for (comp, a, b, e), c in row.terms.items():
-            u = fourier_inverse(W.monomial(a, b, coeff=c))
-            add_terms(terms, (((comp, ua, ub, 0), uc)
-                              for (ua, ub, _ue), uc in u.terms.items()))
-        twisted.append(FreeVec(1, QQ, module.rank, terms))
-
     rank = module.rank
-    lifts, b = _b_data(twisted, rank)
+    lifts, b = _b_data([row.map_entries(fourier_inverse)
+                        for row in module.rows], rank)
     broots = _integer_roots(b)
     bf = BFunction(b, broots)
     if not broots:
@@ -402,21 +345,15 @@ def h_dr_n1(module):
 
     k0, k1 = min(broots), max(broots)
     stairs = _stairs_by_comp(lifts, rank)
-    dom = []
-    for w in range(k0 + 1, k1 + 2):
-        dom.extend(_standard_monomials(stairs, rank, w))
-    cod = []
-    for w in range(k0, k1 + 1):
-        cod.extend(_standard_monomials(stairs, rank, w))
+    dom = [m for w in range(k0 + 1, k1 + 2)
+           for m in _standard_monomials(stairs, rank, w)]
+    cod = [m for w in range(k0, k1 + 1)
+           for m in _standard_monomials(stairs, rank, w)]
     cod_index = {m: i for i, m in enumerate(cod)}
-
     rows = []
-    for (j, a, bb) in dom:
-        nf = _truncated_nf({(j, a + 1, bb): Fraction(1)}, lifts, k0)
-        row = {}
-        for m, c in nf.items():
-            row[cod_index[m]] = c
-        rows.append(row)
+    for j, (a,), bb, _e in dom:
+        nf = _truncated_nf({(j, (a + 1,), bb, 0): Fraction(1)}, lifts, k0)
+        rows.append({cod_index[m]: c for m, c in nf.items()})
     r = rank_of_rows(rows)
     h0 = len(dom) - r
     h1 = len(cod) - r
@@ -492,6 +429,8 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     """
     if module.n != 1 or module.ring != QQ:
         raise UnsupportedAmbient("oracle requires W(1) over QQ")
+    if module.side != LEFT:
+        raise RightModule("truncation oracle of a right module")
     if pad is None:
         pad = window
     if window < 1:

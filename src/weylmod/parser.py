@@ -437,9 +437,13 @@ class _Parser:
                 return u
 
     def factor(self):
-        if self.at_punct("-"):
+        # leading minus signs bind looser than ^, so -x1^2 is -(x1^2);
+        # they are counted, not recursed on, so a long run cannot
+        # overflow the stack
+        signs = 0
+        while self.at_punct("-"):
             self.next()
-            return self.factor().scale(Fraction(-1))
+            signs += 1
         u = self.atom()
         while self.at_punct("^"):
             self.next()
@@ -447,7 +451,7 @@ class _Parser:
             if etok.value > 64:
                 self.fail("exponent too large", etok)
             u = u ** etok.value
-        return u
+        return u.scale(Fraction(-1)) if signs % 2 else u
 
     def atom(self):
         tok = self.next()

@@ -103,21 +103,11 @@ def _on_call(k, fake):
     return factory
 
 
-def _shifted_weight(real):
-    def lifts(rows, rank):
-        out = real(rows, rank)
-        out[0].weight += 1
-        return out
-    return lifts
-
-
 GOOD_LATTICE = (GOLDEN / "good-lattice.in").read_text()
 
 # one injected fault per reachable InternalInvariant site outside groebner:
 # (module, patched name, patch factory, session, message fragment)
 FAULTS = {
-    "derham-weight-zero": ("derham", "_v_lifts", _shifted_weight,
-                           (GOLDEN / "derham.in").read_text(), "weight zero"),
     "good-lattice-dual": ("lattice", "ext", _on_call(1, _zero_ext),
                           GOOD_LATTICE, "integral dual"),
     "good-lattice-double-dual": ("lattice", "ext", _on_call(2, _zero_ext),
@@ -137,6 +127,16 @@ def test_invariant_sites_exit_1(monkeypatch, fault):
     assert code == 1
     assert rep["error"]["code"] == "InternalInvariant"
     assert message in rep["error"]["message"]
+
+
+@pytest.mark.parametrize("signs,want", [(5000, "x1"), (5001, "-x1")])
+def test_long_run_of_minus_signs(signs, want):
+    # the parser used to take one stack frame per leading minus sign, and
+    # about a thousand of them ended in a RecursionError out of run()
+    rep, code = run_stripped("ring W(1) over QQ; module M = coker [[%sd1]]; "
+                             "check M nf [%sx1]" % ("-" * signs, "-" * signs))
+    assert code == 0
+    assert rep["result"]["normal_form"] == [want]
 
 
 def test_declaration_only_session():

@@ -16,7 +16,9 @@ from weylmod import (LEFT, QQ, QZ, RIGHT, DeRhamComplex, IndexOutOfRange,
                      PerfectComplexOverDVR, PresentedModule, QPoly, RatFunc,
                      RightModule, UnsupportedAmbient, WeylAlgebra, XPoly,
                      b_function_along_x, chi_via_reduction, dr_complex,
-                     euler_check_perfect, h_dr_n1, stabilization_oracle)
+                     euler_check_perfect, h_dr_n1, normal_product,
+                     stabilization_oracle)
+from weylmod.derham import _theta_image
 
 from helpers import battery_avatars, rand_element
 
@@ -44,6 +46,12 @@ CASES = [
     ("airy", [D * D - X], (0, 1)),
     ("irregular", [X * X * D + W.one()], (0, 1)),
     ("product", [D * X * D], (1, 0)),
+    # the window reduction of these cuts tails of weight below the
+    # smallest integer root; dims recorded from the window algorithm
+    ("d3-plus-d", [D ** 3 + D], (1, 0)),
+    ("x-d3-plus-x-d2", [X * D ** 3 + X * D ** 2], (1, 0)),
+    ("three-roots", [X ** 3 * D ** 2 + W.scalar(3) * X ** 2 * D
+                     + W.scalar(2) * D ** 2], (1, 2)),
 ]
 
 
@@ -133,6 +141,35 @@ def test_oracle_rejects_out_of_range(opts):
         stabilization_oracle(module(theta_product(1, -2)), **opts)
 
 
+def falling_factorial(k):
+    """x^k d^k = theta (theta - 1) ... (theta - k + 1), theta = x d."""
+    poly = QPoly.const(1)
+    for t in range(k):
+        poly = poly * QPoly((-t, 1))
+    return poly
+
+
+def test_theta_image_matches_weyl_product():
+    # the b-function moves each initial term x^a d^b of weight w = b - a
+    # to weight zero as if left-multiplied by x^w (w >= 0) or d^-w (w < 0),
+    # through the closed form prod_{min(w, 0) <= t < b} (theta - t)
+    for a in range(7):
+        for b in range(7):
+            w = b - a
+            shift = W.monomial((w,), (0,)) if w >= 0 \
+                else W.monomial((0,), (-w,))
+            product = normal_product(shift, W.monomial((a,), (b,)))
+            theta = QPoly()
+            for (p, q, _e), c in product.terms.items():
+                assert p == q, (a, b)
+                theta = theta + falling_factorial(p[0]) * c
+            closed = QPoly.const(1)
+            for t in range(min(w, 0), b):
+                closed = closed * QPoly((-t, 1))
+            assert theta == closed, (a, b)
+            assert _theta_image(a, b) == closed, (a, b)
+
+
 def test_b_function_conventions():
     b = b_function_along_x(module(D))
     assert b.poly.to_str("s") == "s"
@@ -165,9 +202,12 @@ def test_free_module_rejected():
 
 
 def test_right_module_rejected():
+    # the oracle answered {'dims': (1, 0), 'stabilized': True, 'degree': 4}
+    # on this right module before it checked the side
     M = module(D, side=RIGHT)
-    with pytest.raises(RightModule):
-        h_dr_n1(M)
+    for compute in (h_dr_n1, b_function_along_x, stabilization_oracle):
+        with pytest.raises(RightModule):
+            compute(M)
 
 
 def test_two_variables_rejected():

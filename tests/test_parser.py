@@ -44,6 +44,15 @@ def test_double_minus_is_subtraction_of_a_negation():
     assert s.modules["M"][0][0] == W.d(1) + W.x(1)
 
 
+def test_unary_minus_binds_looser_than_power():
+    W = WeylAlgebra(1, QQ)
+    for signs, want in [(1, -(W.x(1) * W.x(1))), (2, W.x(1) * W.x(1)),
+                        (3, -(W.x(1) * W.x(1)))]:
+        s = parse("ring W(1) over QQ; module M = coker [[%sx1^2]];"
+                  % ("-" * signs))
+        assert s.modules["M"][0][0] == want
+
+
 def test_z_requires_qz():
     with pytest.raises(RingMismatch):
         parse("ring W(1) over QQ; module M = coker [[z*d1]];")

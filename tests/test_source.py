@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -29,6 +30,27 @@ def test_no_assert_in_package():
     assert not found
 
 
+def _imported_modules(tree):
+    """Top-level names of the modules a file imports absolutely."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def test_engine_imports_only_the_standard_library():
+    # relative imports stay inside the package; every other import must
+    # name the package itself or a module of the standard library
+    allowed = set(sys.stdlib_module_names) | {"weylmod"}
+    found = ["%s:%d %s" % (path.relative_to(PACKAGE), line, name)
+             for path in sorted(PACKAGE.glob("*.py"))
+             for line, name in _imported_modules(ast.parse(path.read_text()))
+             if name not in allowed]
+    assert not found
+
+
 def _names(path, function):
     """Every name and attribute the body of a top-level function uses."""
     tree = ast.parse((PACKAGE / path).read_text())
@@ -51,9 +73,10 @@ def test_oracle_shares_nothing_with_the_window():
     # the truncation oracle cross-checks h_dr_n1, so it builds its rows
     # from integer shifts of the basis, not from the window algorithm's
     # V-order machinery or the Weyl product
-    shared = {"Fraction", "WeylAlgebra", "mul_monomial", "_v_lifts",
-              "_b_data", "_truncated_nf", "_stairs_by_comp",
-              "_standard_monomials", "_indicial_polynomial", "vres_order"}
+    shared = {"Fraction", "WeylAlgebra", "mul_monomial", "_product_items",
+              "_v_lifts", "_b_data", "_theta_image", "_truncated_nf",
+              "_stairs_by_comp", "_standard_monomials",
+              "_indicial_polynomial", "vres_order"}
     assert not shared & _names("derham.py", "stabilization_oracle")
 
 
