@@ -2,12 +2,14 @@
 Sparse rows: the shared term accumulator and exact echelon form.
 
 Rows, elements and vectors are sparse dicts from hashable keys to
-nonzero scalars.  A row of Python ints is reduced free of fractions:
-cancelling a key scales the row instead of dividing, and a new pivot is
-made primitive with a positive lead.  Any other row (Fraction, rational
-function, or ints mixed with those) is reduced as over a field, against
-monic pivots.  Either way the rank and the set of pivot keys are those
-of the span over the field.
+nonzero scalars.  A row of Python ints is kept primitive with a positive
+lead, any other row (Fraction, rational function, or ints mixed with
+those) monic.  One cancellation step, cancel, serves every reduction
+against such a lead: the echelon form here, the Groebner kernel and the
+Sturm sequences of the de Rham code.  On integers it scales the row
+being reduced instead of dividing, so integer rows stay free of
+fractions.  Either way the rank and the set of pivot keys of an echelon
+form are those of the span over the field.
 """
 
 from fractions import Fraction
@@ -24,6 +26,21 @@ def add_terms(out, items):
         elif k in out:
             del out[k]
     return out
+
+
+def cancel(c, lead):
+    """(m, q) with m * c == q * lead, so m * row - q * pivot cancels c.
+
+    Two ints give the least such integers, m > 0; an int lead with any
+    other c gives (1, c / lead).  Any other lead is that of a monic row:
+    (lead, c), with no division, so a rational function stays one.
+    """
+    if type(lead) is not int:
+        return lead, c
+    if type(c) is not int:
+        return 1, c / lead
+    g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+    return lead // g, c // g
 
 
 def primitive(row, key):
@@ -50,32 +67,25 @@ class Echelon:
         self.pivots = {}
 
     def reduce(self, row):
-        """A nonzero multiple of the residual of row modulo the span so far.
+        """row reduced until its leading key is no pivot's, or zero.
 
-        Every pivoted key is eliminated, not just the leading one, so the
-        residual is a nonzero multiple of a linear function of the input
-        row: against a pivot with integer lead l, an integer coefficient c
-        is cancelled by first scaling the row by l / gcd(c, l).  Whether
-        it is zero, and its keys, do not depend on that multiple.
+        Only the leading key is eliminated, by one cancel step against the
+        pivot there, so the result is zero exactly when row lies in the
+        span, and otherwise leads with a key new to the span.  It is a
+        nonzero multiple of a combination of row and the pivots; the set
+        of its keys does not depend on that multiple.
         """
         row = {k: v for k, v in row.items() if v}
         pivots = self.pivots
         while row:
-            hit = [k for k in row if k in pivots]
-            if not hit:
+            key = max(row)
+            piv = pivots.get(key)
+            if piv is None:
                 return row
-            key = max(hit)
-            piv = pivots[key]
-            c, lead = row[key], piv[key]
-            if type(lead) is int and lead != 1:
-                if type(c) is int:
-                    g = gcd(c, lead)
-                    m, c = lead // g, c // g
-                    if m != 1:
-                        for k in row:
-                            row[k] *= m
-                else:
-                    c = c / lead
+            m, c = cancel(row[key], piv[key])
+            if m != 1:
+                for k in row:
+                    row[k] *= m
             c = -c
             add_terms(row, ((k, v * c) for k, v in piv.items()))
         return row

@@ -21,9 +21,10 @@ at a time.
 
 from fractions import Fraction
 from itertools import combinations
-from math import isqrt, lcm
+from math import lcm
 
-from ._linalg import Echelon, add_terms, dense_rank, rank_of_rows
+from ._linalg import (Echelon, add_terms, cancel, dense_rank, primitive,
+                      rank_of_rows)
 from .errors import (
     IndexOutOfRange,
     InternalInvariant,
@@ -199,22 +200,67 @@ def _indicial_polynomial(lifts, rank):
     return acc.monic()
 
 
+def _horner(coeffs, x):
+    """The polynomial with coefficients coeffs, highest first, at x."""
+    v = 0
+    for c in coeffs:
+        v = v * x + c
+    return v
+
+
 def _integer_roots(poly):
     """The integer roots of a nonzero polynomial over Q, ascending.
 
-    Rational root test on the polynomial cleared of denominators and of
-    its factor s^low: a nonzero integer root divides its lowest
-    coefficient.
+    Sturm bisection on the squarefree part.  The Sturm sequence of poly,
+    cleared to integers, is gcd(poly, poly') times that of the squarefree
+    part, so where poly does not vanish its sign changes V(t) are the
+    squarefree part's, and (s, t) holds V(s) - V(t) distinct roots.  A
+    rational root has a denominator dividing the leading coefficient L of
+    poly cleared of denominators, so none is x + 1/2L for an integer x:
+    the bisection, from the Cauchy bound, evaluates only there, and
+    (x - 1 + 1/2L, x + 1/2L) holds the integer root x exactly when
+    poly(x) = 0.
     """
-    coeffs = poly.coeffs
-    low = next(i for i, c in enumerate(coeffs) if c)
-    const = int(abs(coeffs[low]) * lcm(*(c.denominator for c in coeffs)))
-    roots = {0} if low else set()
-    if poly.degree() > low:
-        for d in range(1, isqrt(const) + 1):
-            if const % d == 0:
-                roots.update(r for r in (d, -d, const // d, -(const // d))
-                             if poly(r) == 0)
+    if poly.degree() < 1:
+        return []
+    den = lcm(*(c.denominator for c in poly.coeffs))
+    f = [int(c * den) for c in reversed(poly.coeffs)]
+    # coefficients highest first; f, f', then minus the remainder of the
+    # last two, each up to a positive factor, down to the last nonzero one
+    seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+    while True:
+        r, last = seq[-2], seq[-1]
+        # a leading zero cancels with m = 1, c = 0: the step just drops it
+        while r and (len(r) >= len(last) or not r[0]):
+            m, c = cancel(r[0], last[0])
+            r = [m * s - c * t for s, t in zip(r, last + [0] * len(r))][1:]
+        if not r:
+            break
+        r, d = primitive(dict(enumerate(r)), 0)
+        seq.append([-c if d > 0 else c for c in r.values()])
+    # p(x + 1/2L) times (2L)^deg(p) > 0, as a polynomial in 2L x + 1
+    two_l = 2 * abs(f[0])
+    seq = [[c * two_l ** i for i, c in enumerate(p)] for p in seq]
+
+    def sign_changes(x):
+        u = two_l * x + 1
+        signs = [v > 0 for v in (_horner(p, u) for p in seq) if v]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    # the Cauchy bound: every integer root lies in [1 - bound, bound - 1]
+    bound = 1 - (-max(map(abs, f[1:])) // abs(f[0]))
+    roots = []
+    todo = [(-bound, sign_changes(-bound), bound, sign_changes(bound))]
+    while todo:
+        a, va, b, vb = todo.pop()
+        if va == vb:
+            continue
+        if b - a > 1:
+            mid = (a + b) // 2
+            vm = sign_changes(mid)
+            todo += [(a, va, mid, vm), (mid, vm, b, vb)]
+        elif not _horner(f, b):
+            roots.append(b)
     return sorted(roots)
 
 
@@ -421,9 +467,9 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     have degree <= d: dim(S cap F_d) is the number of pivots of degree
     at most d.
 
-    Rows are integer rows: each basis element g is cleared of
-    denominators once, and x^i d^j g is built from rows already made, as
-    x (x^(i-1) d^j g) by shifting every key (t, j, a) to (t+1, j, a+1),
+    Rows are integer rows: each basis element g is the primitive row the
+    Groebner kernel keeps, and x^i d^j g is built from rows already made,
+    as x (x^(i-1) d^j g) by shifting every key (t, j, a) to (t+1, j, a+1),
     or for i = 0 as d (d^(j-1) g) by _d_times.  Only the span of each
     echelon form is read, so integer multiples change nothing.
     """
@@ -443,10 +489,9 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     # starts[k] = deg(g_k); last[k]: the rows x^i d^j g_k (i = 0, 1, ...)
     # of the degree built last
     starts, last = [], []
-    for g in module.gb().elements:
-        den = lcm(*(c.denominator for c in g.terms.values()))
-        row = {(a[0] + b[0], comp, a[0]): c.numerator * (den // c.denominator)
-               for (comp, a, b, _e), c in g.terms.items()}
+    for g in module.gb()._kernel_rows():
+        row = {(a[0] + b[0], comp, a[0]): c
+               for (comp, a, b, _e), c in g.items()}
         starts.append(max(key[0] for key in row))
         last.append([row])
 

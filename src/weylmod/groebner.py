@@ -11,13 +11,14 @@ construction.
 Inside the kernel a row over QQ, ZP or H1 is a sparse dict of integers:
 denominators are cleared once, at input, and a row that joins the basis
 is divided by its content and given a positive lead.  Reduction is
-fraction-free: cancelling a term against a lead scales the remainder
-instead of dividing, and the product of the scales travels with the
-result.  QZ rows keep RatFunc coefficients, are monic, and run the same
-loop with scale 1.  Rows become monic Fraction rows only where they leave
-the kernel (GBasis elements, transform, lifts, syzygies and remainders),
-so over the ZP tag every computed object stays z-integral (leading
-coefficients are rational).
+fraction-free: each division step and the cofactors of each S-pair are
+one _linalg.cancel, which scales the remainder instead of dividing, and
+the product of the scales travels with the result.  QZ rows keep RatFunc
+coefficients, are monic, and run the same loop with scale 1.  Rows enter
+the kernel from outside only through GBasis._kernel_rows, and become
+monic Fraction rows only where they leave it (GBasis elements,
+transform, lifts, syzygies and remainders), so over the ZP tag every
+computed object stays z-integral (leading coefficients are rational).
 
 Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  Pending pairs wait in a heap
@@ -38,10 +39,10 @@ of the input to left_normal_form, and raises InternalInvariant otherwise.
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import count
-from math import gcd, lcm
+from math import lcm
 from operator import le
 
-from ._linalg import add_terms, primitive
+from ._linalg import add_terms, cancel, primitive
 from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
 from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _one,
                    _product_items, _sub_idx, _zero_index)
@@ -268,30 +269,17 @@ def _rational(row, den, ring, scales=None):
     return {k: Fraction(c * scales[k[0]], den) for k, c in row.items()}
 
 
-def _cofactors(li, lj):
-    """ci, cj with ci * li = cj * lj, the least such over the integers."""
-    if isinstance(li, int):
-        g = gcd(li, lj)
-        return lj // g, li // g
-    return lj, li
-
-
-def _monomial_items(q, c, row, homog):
-    """Terms of c * z^e x^a d^b times the sparse row, for q = (a, b, e)."""
-    return _product_items({q: c}, row, homog)
-
-
 def _spoly(ri, qi, ci, rj, qj, cj, homog):
     """ci qi ri - cj qj rj, for monomials qi, qj given as (a, b, e)."""
-    p = add_terms({}, _monomial_items(qi, ci, ri, homog))
-    return add_terms(p, _monomial_items(qj, -cj, rj, homog))
+    p = add_terms({}, _product_items({qi: ci}, ri, homog))
+    return add_terms(p, _product_items({qj: -cj}, rj, homog))
 
 
 def _minus_quotients(row, quot, rows, homog):
     """row - sum_k quot_k rows[k], for quot a sparse row over W^len(rows)."""
     out = dict(row)
     for (k, a, b, e), c in quot.items():
-        add_terms(out, _monomial_items((a, b, e), -c, rows[k], homog))
+        add_terms(out, _product_items({(a, b, e): -c}, rows[k], homog))
     return out
 
 
@@ -317,12 +305,12 @@ def _reduce(p, rows, monos, order, homog, track=False):
 
     monos[k] is the lead monomial of rows[k], or None to skip that row.
     Each step divides the current leading monomial by the first lead that
-    divides it.  On integer rows a step cancelling the coefficient c
-    against the lead coefficient l first scales the running remainder by
-    l / gcd(c, l).  Returns the remainder r, the product s of those scales
-    (1 on RatFunc rows, which are monic) and, with track=True, the
-    quotients as a sparse row over W^len(rows), so that
-    s p = sum_k q_k rows[k] + r.  Order keys are memoized for the call.
+    divides it and cancels its coefficient by _linalg.cancel: on integer
+    rows that first scales the running remainder by some m.  Returns the
+    remainder r, the product s of those scales (1 on RatFunc rows, which
+    are monic) and, with track=True, the quotients as a sparse row over
+    W^len(rows), so that s p = sum_k q_k rows[k] + r.  Order keys are
+    memoized for the call.
     """
     keys = {}
 
@@ -346,55 +334,39 @@ def _reduce(p, rows, monos, order, homog, track=False):
             rem[mono] = p.pop(mono)
             continue
         row = rows[hit]
-        c, lc = p[mono], row[lm]
-        if isinstance(c, int):
-            g = gcd(c, lc)
-            m, c = lc // g, c // g
-            if m != 1:
-                s *= m
-                for terms in scaled:
-                    for k in terms:
-                        terms[k] *= m
-        else:
-            c = c / lc
+        m, c = cancel(p[mono], row[lm])
+        if m != 1:
+            s *= m
+            for terms in scaled:
+                for k in terms:
+                    terms[k] *= m
         q = (_sub_idx(mono[1], lm[1]), _sub_idx(mono[2], lm[2]),
              mono[3] - lm[3])
-        add_terms(p, _monomial_items(q, -c, row, homog))
+        add_terms(p, _product_items({q: -c}, row, homog))
         if track:
             add_terms(quot, [((hit,) + q, c)])
     return rem, s, quot
 
 
-def _to_kernel(vecs, monos, ring):
-    """Primitive integer (or monic RatFunc) rows of vecs, None for zero."""
-    return [primitive(_clear(v.terms, ring)[0], m)[0] if m is not None
-            else None for v, m in zip(vecs, monos)]
-
-
 def left_normal_form(v, basis, order):
     """Remainder of left division of v by the elements of basis.
 
-    basis is a list of FreeVec or a GBasis; a GBasis computed under order
-    lends its cached leads and kernel rows.
+    basis is a list of FreeVec or a GBasis.  A GBasis computed under order
+    lends its cached leads and kernel rows; anything else becomes a GBasis
+    of its nonzero elements under order.
     """
-    rows = None
-    if isinstance(basis, GBasis):
-        if order is basis.order:
-            monos = [m for m, _c in basis.leads]
-            rows = basis._kernel_rows()
-        basis = basis.elements
-    for g in basis:
-        if g and g.rank != v.rank:
+    if not (isinstance(basis, GBasis) and basis.order is order):
+        elements = basis.elements if isinstance(basis, GBasis) else basis
+        basis = GBasis(v.n, v.ring, v.rank, order, [g for g in elements if g])
+    for g in basis.elements:
+        if g.rank != v.rank:
             raise RankMismatch("vector rank %d vs basis rank %d"
                                % (v.rank, g.rank))
     if v.ring == H1:
-        _require_homogeneous([v.terms] if rows is not None
-                             else [v.terms] + [g.terms for g in basis])
-    if rows is None:
-        monos = [leading_term(g, order)[0] if g else None for g in basis]
-        rows = _to_kernel(basis, monos, v.ring)
+        _require_homogeneous([v.terms] + [g.terms for g in basis.elements])
     row, den = _clear(v.terms, v.ring)
-    rem, s, _q = _reduce(row, rows, monos, order, v.ring == H1)
+    rem, s, _q = _reduce(row, basis._kernel_rows(),
+                         [m for m, _c in basis.leads], order, v.ring == H1)
     return FreeVec(v.n, v.ring, v.rank, _rational(rem, s * den, v.ring))
 
 
@@ -425,14 +397,13 @@ class GBasis:
         self._rows = None
 
     def _kernel_rows(self):
-        """The elements as the kernel reduces them (see _linalg.primitive).
+        """The elements as primitive integer (or monic RatFunc) rows.
 
-        buchberger hands over the rows it built; a basis built by hand
-        computes its own on first use.
+        buchberger hands over the rows it built; others are made on use.
         """
         if self._rows is None:
-            self._rows = _to_kernel(self.elements,
-                                    [m for m, _c in self.leads], self.ring)
+            self._rows = [primitive(_clear(g.terms, self.ring)[0], m)[0]
+                          for g, (m, _c) in zip(self.elements, self.leads)]
         return self._rows
 
     def contains(self, v):
@@ -498,7 +469,7 @@ def buchberger(gens, order, track=False):
     stats = {"spairs": 0, "reductions_to_zero": 0}
     while pairs:
         _key, _seq, i, j, qi, qj = heappop(pairs)
-        ci, cj = _cofactors(rows[i][monos[i]], rows[j][monos[j]])
+        ci, cj = cancel(rows[i][monos[i]], rows[j][monos[j]])
         sp = _spoly(rows[i], qi, ci, rows[j], qj, cj, homog)
         stats["spairs"] += 1
         rem, s, q = _reduce(sp, rows, monos, order, homog, track)
@@ -580,7 +551,7 @@ def syzygy_module(gb):
             if data is None:
                 continue
             _, qi, qj = data
-            ci, cj = _cofactors(lcs[i], lcs[j])
+            ci, cj = cancel(lcs[i], lcs[j])
             rem, s, q = _reduce(_spoly(rows[i], qi, ci, rows[j], qj, cj,
                                        homog), rows, monos, gb.order, homog,
                                 True)
@@ -639,22 +610,22 @@ class FreeResolution:
         self.ranks = ranks
         self.complete = complete
 
+    def extend(self, max_length):
+        """Resolve further, through stage max_length or to the zero kernel."""
+        while not self.complete and len(self.matrices) <= max_length:
+            current = self.matrices[-1]
+            syz = syz_of_list(current) if any(r.terms for r in current) else []
+            self.complete = not syz
+            if syz:
+                self.matrices.append(syz)
+                self.ranks.append(len(syz))
+        return self
+
 
 def free_resolution(rows, rank, max_length):
-    """Iterated syzygies of a presentation, through stage max_length.
-
-    Stops early at the zero kernel, and then marks the resolution complete.
-    """
-    matrices = [list(rows)]
-    ranks = [rank, len(rows)]
-    while len(matrices) <= max_length:
-        current = matrices[-1]
-        syz = syz_of_list(current) if any(r.terms for r in current) else []
-        if not syz:
-            return FreeResolution(matrices, ranks, True)
-        matrices.append(syz)
-        ranks.append(len(syz))
-    return FreeResolution(matrices, ranks, False)
+    """Iterated syzygies of a presentation, through stage max_length."""
+    return FreeResolution([list(rows)], [rank, len(rows)],
+                          False).extend(max_length)
 
 
 def preimage_rows(arows, brows):

@@ -91,18 +91,13 @@ class PresentedModule:
         """The free resolution through `stage`, or to its zero kernel.
 
         Computed on demand: a later call resolves only the stages past the
-        last one known, starting from that stage's rows.
+        last one known.
         """
-        res = self._res
-        if res is None:
+        if self._res is None:
             object.__setattr__(self, "_res", free_resolution(
                 self.rows, self.rank, stage))
-        elif not res.complete and len(res.matrices) <= stage:
-            tail = free_resolution(res.matrices[-1], res.ranks[-2],
-                                   stage + 1 - len(res.matrices))
-            res.matrices += tail.matrices[1:]
-            res.ranks += tail.ranks[2:]
-            res.complete = tail.complete
+        else:
+            self._res.extend(stage)
         return self._res
 
     def opposite_side(self):

@@ -6,6 +6,7 @@ no code path with the window algorithm.
 """
 
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -18,7 +19,8 @@ from weylmod import (LEFT, QQ, QZ, RIGHT, DeRhamComplex, IndexOutOfRange,
                      b_function_along_x, chi_via_reduction, dr_complex,
                      euler_check_perfect, h_dr_n1, normal_product,
                      stabilization_oracle)
-from weylmod.derham import _theta_image
+from weylmod.cli import run
+from weylmod.derham import _integer_roots, _theta_image
 
 from helpers import battery_avatars, rand_element
 
@@ -181,6 +183,54 @@ def test_b_function_conventions():
     b = b_function_along_x(module(X * D - W.scalar(Fraction(1, 2))))
     assert b.poly.to_str("s") == "s - 1/2"
     assert not list(b.integer_roots)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_integer_roots_of_random_products(seed):
+    # products of linear factors with integer and non-integer roots, some
+    # repeated, some times an irreducible quadratic, against the roots put in
+    rng = random.Random(seed)
+    poly = QPoly.const(Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 5)))
+    want = set()
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.5:
+            root = rng.choice([rng.randint(-40, 40),
+                               rng.randint(-10**9, 10**9)])
+        else:
+            root = Fraction(rng.randint(-200, 200), rng.choice([2, 3, 7]))
+        if root == int(root):
+            want.add(int(root))
+        for _ in range(rng.choice([1, 1, 2, 3])):
+            poly = poly * QPoly((-root, 1))
+    if seed % 3 == 0:
+        poly = poly * QPoly((rng.randint(1, 9), 0, 1))
+    assert _integer_roots(poly) == sorted(want)
+
+
+@pytest.mark.parametrize("roots,want", [
+    # a repeated root makes every member of the Sturm sequence vanish
+    # there, so no bisection point may fall on one: 0 is the first midpoint
+    ((0, 0, 5), [0, 5]), ((0, 0, 0, -3, 2, 2), [-3, 0, 2]),
+    ((Fraction(1, 2), Fraction(1, 2), 1), [1]), ((7, 7, -7, -7), [-7, 7]),
+    ((Fraction(-9, 2), -4, -4, -5), [-5, -4]), ((-1, 1), [-1, 1])])
+def test_integer_roots_with_repeated_roots(roots, want):
+    poly = QPoly.const(3)
+    for root in roots:
+        poly = poly * QPoly((-root, 1))
+    assert _integer_roots(poly) == want
+
+
+def test_large_integer_root_is_fast():
+    # x d - c has the b-function s + c + 1; a root search by trial division
+    # up to the square root of the constant term would not finish here
+    c = 10 ** 30
+    start = time.perf_counter()
+    report, code = run("ring W(1) over QQ;\nmodule M = coker [[x1*d1 - %d]];"
+                       "\ncheck M chi\n" % c,
+                       {"max-degree": 40, "zpower": 8, "stats": False})
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and report["result"]["integer_roots"] == [-c - 1]
+    assert list(report["result"]["dims"]) == [0, 0]
 
 
 def test_rank_two_cases():

@@ -212,18 +212,21 @@ def test_gb_transform_and_lifts_random(ring, rank):
 @pytest.mark.parametrize("ring,n", [(QQ, 1), (ZP, 1), (QZ, 1), (H1, 1),
                                     (QQ, 2), (ZP, 2), (QZ, 2)])
 def test_normal_form_matches_field_division(ring, n):
-    # a GBasis reduces through the integer rows buchberger kept, a plain
-    # list (non-monic, with a zero row) through rows made on the fly
+    # a GBasis reduces through the integer rows buchberger kept; a plain
+    # list (non-monic, with a zero row) and a GBasis under another order
+    # object become a GBasis whose rows are made on the fly
     rng = random.Random("nf/%s/%d" % (ring, n))
     order = vres_order(1) if ring == H1 else bernstein_order(n)
+    other = groebner.TermOrder("copy", order.key)
     for _ in range(3):
         gens = random_gens(rng, ring, 1, order, n)
         gb = buchberger(gens, order)
         plain = gens + [FreeVec.zero(n, ring, 1)]
         for _ in range(3):
             v = random_gens(rng, ring, 1, order, n, deg=3)[2]
-            assert left_normal_form(v, gb, order) == \
-                field_normal_form(v, gb.elements, order)
+            want = field_normal_form(v, gb.elements, order)
+            assert left_normal_form(v, gb, order) == want
+            assert left_normal_form(v, gb, other) == want
             assert left_normal_form(v, plain, order) == \
                 field_normal_form(v, plain, order)
 
@@ -251,6 +254,19 @@ def test_free_resolution_composes_to_zero():
             for (k, a, b, e), c in s.terms.items():
                 acc = acc + step[k].mul_monomial(a, b, e, c)
             assert acc.is_zero()
+
+
+def test_free_resolution_extends_in_steps():
+    x, d = W.x(1), W.d(1)
+    rows = ideal_rows(d * d - x, x * d + 2)
+    whole = free_resolution(rows, 1, 4)
+    res = free_resolution(rows, 1, 0)
+    assert len(res.matrices) == 1 and not res.complete
+    for stage in (1, 1, 2, 4):
+        assert res.extend(stage) is res
+    assert (res.matrices, res.ranks, res.complete) == \
+        (whole.matrices, whole.ranks, whole.complete)
+    assert res.complete and res.extend(9).matrices == whole.matrices
 
 
 def test_preimage_rows():

@@ -11,8 +11,9 @@ from math import gcd
 
 import pytest
 
-from weylmod import RatFunc
-from weylmod._linalg import Echelon, dense_rank, primitive, rank_of_rows
+from weylmod import QPoly, RatFunc
+from weylmod._linalg import (Echelon, cancel, dense_rank, primitive,
+                             rank_of_rows)
 
 from helpers import rand_ratfunc
 
@@ -92,9 +93,11 @@ def test_integer_rows_match_fraction_rows(seed):
         assert ints.contains(probe) == want
         assert ints.contains(_as_fractions(probe)) == want
         assert fracs.contains(probe) == want
-        # the residual may be scaled, never moved to other keys
-        assert set(ints.reduce(probe)) == \
-            set(fracs.reduce(_as_fractions(probe)))
+        # the residual may be scaled, never moved to other keys, and it
+        # leads with a key that is no pivot's
+        res = ints.reduce(probe)
+        assert set(res) == set(fracs.reduce(_as_fractions(probe)))
+        assert not res or max(res) not in ints.pivots
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -115,6 +118,34 @@ def test_mixed_int_and_fraction_rows(seed):
         assert not any(isinstance(v, float) for v in piv.values())
     for probe in _probes(rng, rows):
         assert ech.contains(probe) == ref.contains(_as_fractions(probe))
+
+
+def test_cancel_int_pairs():
+    for c in (6, -6, 4, -4, 1, -1, 9, 35, -35, 2**70 * 3):
+        for lead in (1, -1, 4, -4, 6, 15, -15, 2**64):
+            m, q = cancel(c, lead)
+            assert type(m) is int and type(q) is int
+            assert m * c == q * lead
+            # the least: no common factor, and a scale m > 0
+            assert m > 0 and gcd(m, q) == 1, (c, lead)
+
+
+@pytest.mark.parametrize("c,lead", [
+    (3, Fraction(1)), (Fraction(-2, 7), Fraction(1)),
+    (RatFunc(5), RatFunc(1)), (RatFunc(QPoly((1, 0, 1))), RatFunc(1))])
+def test_cancel_monic_lead_is_returned_as_is(c, lead):
+    # a lead other than an int is that of a monic row: the very lead and
+    # coefficient come back, no division runs, and a RatFunc stays one
+    m, q = cancel(c, lead)
+    assert m is lead and q is c
+    assert m * c == q * lead
+
+
+@pytest.mark.parametrize("c", [Fraction(3, 4), Fraction(-5, 2), Fraction(6)])
+@pytest.mark.parametrize("lead", [1, 3, -4])
+def test_cancel_int_lead_with_fraction(c, lead):
+    m, q = cancel(c, lead)
+    assert m == 1 and q == c / lead and type(q) is Fraction
 
 
 def test_primitive_normalizes_each_kind_of_row():

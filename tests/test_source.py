@@ -69,6 +69,24 @@ def test_kernel_loops_name_no_fraction(path, function):
     assert "Fraction" not in _names(path, function)
 
 
+def test_one_module_takes_gcds_of_rows():
+    # the fraction-free cancellation step and the content of a row are
+    # written once, in _linalg
+    found = sorted(str(path.relative_to(PACKAGE))
+                   for path in PACKAGE.glob("*.py")
+                   for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom)
+                   and any(alias.name == "gcd" for alias in node.names))
+    assert found == ["_linalg.py"]
+
+
+def test_oracle_reads_the_kernel_rows():
+    # the oracle's integer rows are the Groebner kernel's, not cleared again
+    names = _names("derham.py", "stabilization_oracle")
+    assert "_kernel_rows" in names
+    assert not {"denominator", "lcm"} & names
+
+
 def test_oracle_shares_nothing_with_the_window():
     # the truncation oracle cross-checks h_dr_n1, so it builds its rows
     # from integer shifts of the basis, not from the window algorithm's
