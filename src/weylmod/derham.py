@@ -382,8 +382,7 @@ def h_dr_n1(module):
         raise NotHolonomic("module is not holonomic")
 
     rank = module.rank
-    lifts, b = _b_data([row.map_entries(fourier_inverse)
-                        for row in module.rows], rank)
+    lifts, b = _b_data([fourier_inverse(row) for row in module.rows], rank)
     broots = _integer_roots(b)
     bf = BFunction(b, broots)
     if not broots:

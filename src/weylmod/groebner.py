@@ -44,24 +44,29 @@ from operator import le
 
 from ._linalg import add_terms, cancel, primitive
 from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
-from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _one,
-                   _product_items, _sub_idx, _zero_index)
+from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _Terms,
+                   _one, _product_items, _sub_idx, _zero_index)
 
 
-class FreeVec:
+class FreeVec(_Terms):
     """Element of a free module W^rank, sparse over (comp, alpha, beta, e)."""
 
-    __slots__ = ("n", "ring", "rank", "terms")
+    __slots__ = ("rank",)
 
     def __init__(self, n, ring, rank, terms):
-        cleaned = {k: c for k, c in terms.items() if c}
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "terms", cleaned)
+        _Terms.__init__(self, n, ring, terms)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FreeVec is immutable")
+    def _ambient(self):
+        return (self.n, self.ring, self.rank)
+
+    def _like(self, terms):
+        return FreeVec(self.n, self.ring, self.rank, terms)
+
+    def _check(self, other):
+        _Terms._check(self, other)
+        if self.rank != other.rank:
+            raise RankMismatch("rank %d vs %d" % (self.rank, other.rank))
 
     @staticmethod
     def zero(n, ring, rank):
@@ -86,58 +91,16 @@ class FreeVec:
         return FreeVec(n, ring, rank, {(comp, z0, z0, 0): _one(ring)})
 
     def entries(self):
-        A = WeylAlgebra(self.n, self.ring)
         out = [dict() for _ in range(self.rank)]
         for (comp, a, b, e), c in self.terms.items():
             out[comp][(a, b, e)] = c
-        return [WeylElement(self.n, self.ring, t) if t else A.zero()
-                for t in out]
-
-    def entry(self, comp):
-        t = {(a, b, e): c for (j, a, b, e), c in self.terms.items()
-             if j == comp}
-        return WeylElement(self.n, self.ring, t)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, FreeVec):
-            return NotImplemented
-        return (self.n == other.n and self.ring == other.ring
-                and self.rank == other.rank and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.ring, self.rank,
-                     frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        if self.rank != other.rank:
-            raise RankMismatch("rank %d vs %d" % (self.rank, other.rank))
-        return FreeVec(self.n, self.ring, self.rank,
-                       add_terms(dict(self.terms), other.terms.items()))
-
-    def __neg__(self):
-        return FreeVec(self.n, self.ring, self.rank,
-                       {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, c):
-        if not c:
-            return FreeVec.zero(self.n, self.ring, self.rank)
-        return FreeVec(self.n, self.ring, self.rank,
-                       {k: v * c for k, v in self.terms.items()})
+        return [WeylElement(self.n, self.ring, t) for t in out]
 
     def mul_left(self, w):
         """Product w . self for w a WeylElement of the same algebra."""
-        return FreeVec(self.n, self.ring, self.rank,
-                       add_terms({}, _product_items(w.terms, self.terms,
-                                                    self.ring == H1)))
+        _Terms._check(self, w)
+        return self._like(add_terms({}, _product_items(w.terms, self.terms,
+                                                       self.ring == H1)))
 
     def mul_monomial(self, a, b, e, coeff):
         """Left multiply by a single monomial coeff * z^e x^a d^b."""

@@ -264,12 +264,12 @@ def _tau_dual_rows(matrix_rows, source_rank):
     """
     if not matrix_rows:
         return []
-    target = len(matrix_rows)
-    rows = []
-    for j in range(source_rank):
-        entries = [transpose(r.entry(j)) for r in matrix_rows]
-        rows.append(FreeVec.from_entries(entries, rank=target))
-    return rows
+    out = [{} for _ in range(source_rank)]
+    for i, row in enumerate(matrix_rows):
+        for (j, a, b, e), c in transpose(row).terms.items():
+            out[j][(i, a, b, e)] = c
+    n, ring = matrix_rows[0].n, matrix_rows[0].ring
+    return [FreeVec(n, ring, len(matrix_rows), t) for t in out]
 
 
 def ext(i, M):

@@ -236,7 +236,9 @@ class RatFunc:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
+            # a constant: no RatFunc is built to compare with it
+            return (self.den == _P1
+                    and self.num.coeffs == ((other,) if other else ()))
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -14,6 +14,9 @@ lives in the product, which applies the closed-form reordering
     d^beta x^gamma = sum_nu C(beta,nu) C(gamma,nu) nu! x^(gamma-nu) d^(beta-nu)
 
 termwise instead of iterating single commutators.
+
+WeylElement, XPoly, SymbolPolynomial and groebner.FreeVec share one
+immutable sparse-term value type, _Terms.
 """
 
 from fractions import Fraction
@@ -99,22 +102,38 @@ def _product_items(left, terms, homog):
                        c12 * m)
 
 
-class WeylElement:
+class _Terms:
+    """An immutable sparse map from monomials to nonzero scalars.
+
+    The one value type behind WeylElement, XPoly, SymbolPolynomial and
+    groebner.FreeVec: a value is its ambient (n and the ring tag, and the
+    rank of a FreeVec) and its terms.  Subclasses say what a key means.
+    """
+
     __slots__ = ("n", "ring", "terms")
 
     def __init__(self, n, ring, terms):
-        cleaned = {}
-        for key, c in terms.items():
-            if isinstance(c, int):
-                c = _coerce(ring, c)
-            if c:
-                cleaned[key] = c
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", self._nonzero(ring, terms))
+
+    @staticmethod
+    def _nonzero(ring, terms):
+        return {k: c for k, c in terms.items() if c}
 
     def __setattr__(self, name, value):
-        raise AttributeError("WeylElement is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def _ambient(self):
+        return (self.n, self.ring)
+
+    def _like(self, terms):
+        """A value of the same type and ambient with the given terms."""
+        return type(self)(self.n, self.ring, terms)
+
+    def _promote(self, other):
+        """other as a value of this type, where a subclass allows scalars."""
+        return other
 
     def _check(self, other):
         if self.n != other.n or self.ring != other.ring:
@@ -129,43 +148,52 @@ class WeylElement:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylAlgebra(self.n, self.ring).scalar(other)
-        if not isinstance(other, WeylElement):
+        other = self._promote(other)
+        if type(other) is not type(self):
             return NotImplemented
-        return (self.n == other.n and self.ring == other.ring
+        return (self._ambient() == other._ambient()
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.n, self.ring, frozenset(self.terms.items())))
+        return hash(self._ambient() + (frozenset(self.terms.items()),))
 
     def __neg__(self):
-        return WeylElement(self.n, self.ring,
-                           {k: -c for k, c in self.terms.items()})
+        return self._like({k: -c for k, c in self.terms.items()})
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylAlgebra(self.n, self.ring).scalar(other)
+        other = self._promote(other)
         self._check(other)
-        return WeylElement(self.n, self.ring,
-                           add_terms(dict(self.terms), other.terms.items()))
-
-    __radd__ = __add__
+        return self._like(add_terms(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = WeylAlgebra(self.n, self.ring).scalar(other)
         return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def scale(self, c):
         c = _coerce(self.ring, c)
         if not c:
-            return WeylElement(self.n, self.ring, {})
-        return WeylElement(self.n, self.ring,
-                           {k: v * c for k, v in self.terms.items()})
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+
+class WeylElement(_Terms):
+    """Element of W_n, sparse over normal-ordered monomials (alpha, beta, e)."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def _nonzero(ring, terms):
+        return {k: _coerce(ring, c) if isinstance(c, int) else c
+                for k, c in terms.items() if c}
+
+    def _promote(self, other):
+        if isinstance(other, (int, Fraction)):
+            return WeylAlgebra(self.n, self.ring).scalar(other)
+        return other
+
+    __radd__ = _Terms.__add__
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) or (
@@ -292,38 +320,16 @@ def bernstein_degree(u):
     return max(u.support_degree(k) for k in u.terms)
 
 
-class SymbolPolynomial:
+class SymbolPolynomial(_Terms):
     """Commutative polynomial in x_1..x_n, xi_1..xi_n (and z over ZP)."""
 
-    __slots__ = ("n", "ring", "terms")
-
-    def __init__(self, n, ring, terms):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymbolPolynomial is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SymbolPolynomial):
-            return NotImplemented
-        return (self.n == other.n and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.ring, frozenset(self.terms.items())))
+    __slots__ = ()
 
     def __mul__(self, other):
         items = (((_add_idx(a1, a2), _add_idx(b1, b2), e1 + e2), c1 * c2)
                  for (a1, b1, e1), c1 in self.terms.items()
                  for (a2, b2, e2), c2 in other.terms.items())
         return SymbolPolynomial(self.n, self.ring, add_terms({}, items))
-
-    def __add__(self, other):
-        return SymbolPolynomial(self.n, self.ring,
-                                add_terms(dict(self.terms),
-                                          other.terms.items()))
 
     def __repr__(self):
         if not self.terms:
@@ -361,16 +367,20 @@ def _reordered(u, image):
     """Sum of sign * c * z^e d^p x^q over the terms c z^e x^a d^b of u.
 
     image maps (a, b) to (p, q, sign); the Fourier pair and the transpose
-    differ only in it.
+    differ only in it.  Keys of u end in (a, b, e), and what comes before
+    (the component of a free-module term) is carried over, so a FreeVec
+    is mapped entrywise.
     """
     z0 = _zero_index(u.n)
     one = _one(u.ring)
     out = {}
-    for (a, b, e), c in u.terms.items():
+    for key, c in u.terms.items():
+        head, (a, b, e) = key[:-3], key[-3:]
         p, q, sign = image(a, b)
         add_terms(out, _product_items({(z0, p, e): c * sign},
-                                      {(q, z0, 0): one}, u.ring == H1))
-    return WeylElement(u.n, u.ring, out)
+                                      {head + (q, z0, 0): one},
+                                      u.ring == H1))
+    return u._like(out)
 
 
 def fourier(u):
@@ -388,49 +398,17 @@ def transpose(u):
     return _reordered(u, lambda a, b: (b, a, (-1) ** sum(b)))
 
 
-class XPoly:
+class XPoly(_Terms):
     """Commutative polynomial in x_1..x_n, the module Q[x] the algebra acts on."""
 
-    __slots__ = ("n", "ring", "terms")
+    __slots__ = ()
 
     def __init__(self, n, ring, terms=()):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms",
-                           {k: c for k, c in dict(terms).items() if c})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("XPoly is immutable")
+        _Terms.__init__(self, n, ring, dict(terms))
 
     @staticmethod
     def monomial(n, ring, alpha, coeff=1):
         return XPoly(n, ring, {tuple(alpha): _coerce(ring, coeff)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        if not isinstance(other, XPoly):
-            return NotImplemented
-        return (self.n == other.n and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.n, self.ring, frozenset(self.terms.items())))
-
-    def __add__(self, other):
-        return XPoly(self.n, self.ring,
-                     add_terms(dict(self.terms), other.terms.items()))
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
-
-    def scale(self, c):
-        c = _coerce(self.ring, c)
-        if not c:
-            return XPoly(self.n, self.ring, {})
-        return XPoly(self.n, self.ring,
-                     {k: v * c for k, v in self.terms.items()})
 
     def diff(self, i):
         """Partial derivative along x_i, 1-based."""

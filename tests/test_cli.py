@@ -73,6 +73,32 @@ def test_compare_lattices_saturates_once(monkeypatch):
     assert len(calls) == 1
 
 
+TWO_MODULES = ("ring W(1) over QZ; module M = coker [[x1*d1 - 1/2]]; "
+               "module N = coker [[%s]]; lattice L = M; "
+               "lattice P = N with [[z], [x1]]; check %s")
+
+
+@pytest.mark.parametrize("relation,check,code", [
+    ("2*x1*d1 - 1", "L compare-lattices P", 0),
+    ("d1", "M compare-lattices N", 1),
+])
+def test_compare_lattices_over_two_modules(monkeypatch, relation, check,
+                                           code):
+    # the avatars are different modules, so their relation modules are
+    # compared by Groebner bases
+    from weylmod import lattice
+    calls = []
+    real = lattice.submodule_equal
+    monkeypatch.setattr(lattice, "submodule_equal",
+                        lambda a, b: calls.append(1) or real(a, b))
+    rep, got = run_stripped(TWO_MODULES % (relation, check))
+    assert (got, calls) == (code, [1])
+    if code:
+        assert rep["error"]["code"] == "NotSameModule"
+    else:
+        assert rep["result"]["equal"] is True
+
+
 def test_internal_invariant_exits_1(monkeypatch):
     from weylmod import ZP, FreeVec, groebner
     real = groebner.buchberger

@@ -80,6 +80,24 @@ def test_ratfunc_polynomial_takes_no_gcd(monkeypatch):
     assert len(calls) == 2
 
 
+def test_ratfunc_compares_with_constants(monkeypatch):
+    one, z = RatFunc(1), RatFunc.z()
+    built = []
+    real = RatFunc.__init__
+    monkeypatch.setattr(RatFunc, "__init__",
+                        lambda self, *a: built.append(a) or real(self, *a))
+    assert RatFunc(0) == 0 and 0 == RatFunc(0)
+    assert RatFunc(3) == 3 and RatFunc(3) != 2
+    assert RatFunc(Fraction(1, 2)) == Fraction(1, 2)
+    assert z != 1 and z != 0
+    assert 1 / (1 + z) != 1
+    pole = RatFunc(P(1), P(0, 1))
+    del built[:]
+    # the monic-lead test of a QZ reduction step builds no RatFunc
+    assert not one != 1 and one != 0 and pole != 1
+    assert built == []
+
+
 @given(polys, polys, polys)
 @settings(max_examples=60, deadline=None)
 def test_qpoly_ring_axioms(a, b, c):

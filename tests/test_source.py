@@ -80,6 +80,34 @@ def test_one_module_takes_gcds_of_rows():
     assert found == ["_linalg.py"]
 
 
+def _class_members(tree):
+    """(class, name) for every method or attribute a class body binds."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield cls.name, node.name
+                elif isinstance(node, ast.Assign):
+                    for target in node.targets:
+                        if isinstance(target, ast.Name):
+                            yield cls.name, target.id
+
+
+def test_one_sparse_term_value_type():
+    # WeylElement, FreeVec, XPoly and SymbolPolynomial share one value
+    # type: immutability, equality, hashing and the additive operations
+    # are written once, in weyl._Terms
+    shared = {"__setattr__", "__hash__", "__eq__", "is_zero", "__bool__",
+              "__neg__", "__add__", "__sub__", "scale"}
+    found = sorted((path, cls, name)
+                   for path in ("weyl.py", "groebner.py")
+                   for cls, name in _class_members(
+                       ast.parse((PACKAGE / path).read_text()))
+                   if name in shared)
+    assert {cls for _path, cls, _name in found} == {"_Terms"}
+    assert {name for _path, _cls, name in found} == shared
+
+
 def test_oracle_reads_the_kernel_rows():
     # the oracle's integer rows are the Groebner kernel's, not cleared again
     names = _names("derham.py", "stabilization_oracle")

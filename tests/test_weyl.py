@@ -5,9 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (H1, QQ, QZ, ZP, FreeVec, MixedAmbient, WeylAlgebra, XPoly,
-                     apply_to_polynomial, bernstein_degree, convert_ring,
-                     fourier, fourier_inverse, principal_symbol,
+from weylmod import (H1, QQ, QZ, ZP, FreeVec, MixedAmbient, RankMismatch,
+                     WeylAlgebra, XPoly, apply_to_polynomial,
+                     bernstein_degree, convert_ring, fourier,
+                     fourier_inverse, principal_symbol,
                      reduce_element_mod_z, to_str, transpose)
 
 from helpers import rand_element
@@ -112,6 +113,55 @@ def test_transpose_antiautomorphism():
         v = rand_element(rng, W1, deg=4, terms=3)
         assert transpose(u * v) == transpose(v) * transpose(u)
         assert transpose(transpose(u)) == u
+
+
+def test_automorphisms_act_entrywise_on_free_vectors():
+    rng = random.Random(37)
+    for W in (W2, WeylAlgebra(2, QZ), WeylAlgebra(1, H1)):
+        for _ in range(10):
+            entries = [rand_element(rng, W, deg=3, terms=3) for _ in range(3)]
+            v = FreeVec.from_entries(entries, rank=4)
+            for f in (fourier, fourier_inverse, transpose):
+                assert f(v) == FreeVec.from_entries(
+                    [f(w) for w in entries], rank=4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: W2.x(1) * W2.d(2) - 3,
+    lambda: FreeVec.from_entries([W2.x(1), W2.d(2) - 3]),
+    lambda: XPoly(2, QQ, [((1, 0), Fraction(2)), ((0, 2), Fraction(-1))]),
+    lambda: principal_symbol(W2.x(1) * W2.d(2) - 3),
+], ids=["WeylElement", "FreeVec", "XPoly", "SymbolPolynomial"])
+def test_sparse_term_values(make):
+    u, v = make(), make()
+    assert u is not v and u == v and hash(u) == hash(v)
+    for name in ("terms", "n"):
+        with pytest.raises(AttributeError,
+                           match="^%s is immutable$" % type(u).__name__):
+            setattr(u, name, None)
+    assert u.scale(0).is_zero() and not u.scale(0) and u
+    assert u - v == u.scale(0) and -(-u) == u
+    assert u + v == u.scale(2) != u
+
+
+def test_weyl_element_promotes_scalars():
+    x = W1.x(1)
+    assert x - x + 2 == 2 and 2 == (x - x) + 2
+    assert x + Fraction(1, 2) - Fraction(1, 2) == x
+    assert 1 - x == -(x - 1) and 1 + x == x + 1
+
+
+def test_free_vectors_of_different_algebras_do_not_add():
+    u = FreeVec.from_entries([W1.x(1)])
+    v = FreeVec.from_entries([WeylAlgebra(2, ZP).z()])
+    with pytest.raises(MixedAmbient):
+        u + v
+    with pytest.raises(MixedAmbient):
+        u - v
+    with pytest.raises(MixedAmbient):
+        u.mul_left(WeylAlgebra(2, ZP).z())
+    with pytest.raises(RankMismatch, match="^rank 1 vs 2$"):
+        u + FreeVec.from_entries([W1.x(1), W1.d(1)])
 
 
 def test_mixed_ambient_rejected():
