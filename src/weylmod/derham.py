@@ -25,6 +25,7 @@ from math import lcm
 
 from ._linalg import (Echelon, add_terms, cancel, dense_rank, primitive,
                       rank_of_rows)
+from ._packed import layout, widening
 from .errors import (
     IndexOutOfRange,
     InternalInvariant,
@@ -36,11 +37,11 @@ from .errors import (
     RightModule,
     UnsupportedAmbient,
 )
-from .groebner import FreeVec, buchberger, vres_order
+from .groebner import FreeVec, _Basis, buchberger, vres_order
 from .lattice import make_lattice, reduce_mod_z
 from .modules import LEFT, is_minimal_dimension
 from .scalars import QPoly, RatFunc
-from .weyl import H1, QQ, WeylAlgebra, _product_items, fourier_inverse
+from .weyl import H1, QQ, WeylAlgebra, fourier_inverse
 
 
 # ---------------------------------------------------------------------------
@@ -320,32 +321,31 @@ def _standard_monomials(stairs, rank, w):
     return out
 
 
-def _truncated_nf(expr, lifts, min_weight):
+def _truncated_nf(expr, lifts, min_weight, keys):
     """Reduce to standard monomials, discarding weights below min_weight.
 
-    expr maps terms (comp, (a,), (b,), 0) to Fractions.  Each step takes
-    the largest term in (weight, a + b, -comp), the V-order, and stops
-    once that falls below min_weight.  A term no stair divides moves to
-    the remainder; any other is cancelled by a monomial multiple of the
-    first lift whose stair divides it.  Every subtraction uses the full
-    lift, so lower weight tails propagate correctly before being cut.
+    expr maps packed terms (comp, (a,), (b,), 0) to Fractions, and lifts
+    is a groebner._Basis of the lifts, each led by its stair.  Each step
+    takes the largest term in the V-order (weight, a + b, e, -comp), whose
+    memoized keys lead with the weight b - a, and stops once that falls
+    below min_weight.  A term no stair divides moves to the remainder; any
+    other is cancelled by a monomial multiple of the first lift whose
+    stair divides it.  Every subtraction uses the full lift, so lower
+    weight tails propagate correctly before being cut.
     """
-    key = vres_order(1).key
+    lay = lifts.layout
     expr = dict(expr)
     rem = {}
     while expr:
-        mono = max(expr, key=key)
-        j, (a,), (b,), _e = mono
-        if b - a < min_weight:
+        mono = max(expr, key=keys.__getitem__)
+        if keys[mono][0] < min_weight:
             break
-        for (sj, sa, sb), _w, terms in lifts:
-            if sj == j and a >= sa and b >= sb:
-                break
-        else:
+        hit = lay.divisor(lifts.index, mono)
+        if hit is None:
             rem[mono] = expr.pop(mono)
             continue
-        add_terms(expr, _product_items(
-            {((a - sa,), (b - sb,), 0): -expr[mono]}, terms, False))
+        k, _stair, q = hit
+        lay.mul_into(expr, q, -expr[mono], lifts.rows[k], lifts.envs[k])
     return rem
 
 
@@ -395,10 +395,18 @@ def h_dr_n1(module):
     cod = [m for w in range(k0, k1 + 1)
            for m in _standard_monomials(stairs, rank, w)]
     cod_index = {m: i for i, m in enumerate(cod)}
-    rows = []
-    for j, (a,), bb, _e in dom:
-        nf = _truncated_nf({(j, (a + 1,), bb, 0): Fraction(1)}, lifts, k0)
-        rows.append({cod_index[m]: c for m, c in nf.items()})
+    starts = [{(j, (a + 1,), bb, 0): Fraction(1)} for j, (a,), bb, _e in dom]
+
+    def window(lay):
+        basis = _Basis(lay)
+        for (comp, a, b), _w, terms in lifts:
+            basis.add(lay.pack(terms), lay.enc[(comp, (a,), (b,), 0)])
+        keys = vres_order(1).packed(lay)
+        return [{cod_index[m]: c for m, c in lay.unpack(_truncated_nf(
+            lay.pack(start), basis, k0, keys)).items()}
+            for start in starts]
+
+    rows = widening(window, layout(1, False))
     r = rank_of_rows(rows)
     h0 = len(dom) - r
     h1 = len(cod) - r

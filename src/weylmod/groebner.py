@@ -1,8 +1,15 @@
 """
 Left Groebner bases for submodules of free modules over W_n.
 
-Module monomials are keys (comp, alpha, beta, e).  Orders are realized as
-sort keys: larger key = more leading.  The engine runs Buchberger with the
+Module monomials are keys (comp, alpha, beta, e) on every object this
+module hands out.  Inside the kernel each is one int of a _packed.Layout,
+so that a product is one integer sum, divisibility one guard-bit test
+and an lcm one fieldwise max.  A kernel call starts on the narrowest
+layout; when an exponent would leave its field, _packed.Overflow stops
+it and it reruns on fields twice as wide (_packed.widening), so no
+exponent wraps.  Orders are realized as sort keys on tuple keys, larger
+key = more leading; TermOrder.packed memoizes them per layout on packed
+ints.  The engine runs Buchberger with the
 normal selection strategy and no pair criteria: the product criterion is
 unsound in algebras with nontrivial commutators, and skipping the chain
 criterion keeps every S-pair available for the Schreyer syzygy
@@ -15,17 +22,21 @@ fraction-free: each division step and the cofactors of each S-pair are
 one _linalg.cancel, which scales the remainder instead of dividing, and
 the product of the scales travels with the result.  QZ rows keep RatFunc
 coefficients, are monic, and run the same loop with scale 1.  Rows enter
-the kernel from outside only through GBasis._kernel_rows, and become
-monic Fraction rows only where they leave it (GBasis elements,
-transform, lifts, syzygies and remainders), so over the ZP tag every
-computed object stays z-integral (leading coefficients are rational).
+the kernel from outside only through _clear (GBasis._kernel builds its
+rows so), and become monic Fraction rows on tuple keys only where they
+leave it, through _rational (GBasis elements, transform, lifts, syzygies
+and remainders), so over the ZP tag every computed object stays
+z-integral (leading coefficients are rational).
 
 Each basis element's lead monomial is found once, when it joins the
-basis, and travels with it as GBasis.leads.  Pending pairs wait in a heap
-keyed by the order key of their lcm, with the sequence number of the pair
-as tiebreak; basis elements never change once pushed, so the heap pops
-pairs in exactly the order of a stable sort by lcm, and the transform,
-lifts and syzygies do not depend on how the queue is kept.  Normal forms
+basis, and travels with it as GBasis.leads.  The leads of a kernel basis
+are indexed by component, in basis order, so the divisor search returns
+the first divisor of the basis, as a scan of all leads would.  Pending
+pairs wait in a heap keyed by the order key of their lcm, with the
+sequence number of the pair as tiebreak; basis elements never change
+once pushed, so the heap pops pairs in exactly the order of a stable
+sort by lcm, and the transform, lifts and syzygies do not depend on how
+the queue is kept.  Normal forms
 reduce one mutable sparse dict.  Interreduction is one pass: tail
 reduction never changes a lead monomial, so an element reduced against
 the other leads stays reduced while the rest are.
@@ -37,15 +48,16 @@ of the input to left_normal_form, and raises InternalInvariant otherwise.
 """
 
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from itertools import count
 from math import lcm
-from operator import le
 
 from ._linalg import add_terms, cancel, primitive
+from ._packed import envelope, layout, product, widening
 from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
 from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _Terms,
-                   _one, _product_items, _sub_idx, _zero_index)
+                   _one, _zero_index)
 
 
 class FreeVec(_Terms):
@@ -99,8 +111,8 @@ class FreeVec(_Terms):
     def mul_left(self, w):
         """Product w . self for w a WeylElement of the same algebra."""
         _Terms._check(self, w)
-        return self._like(add_terms({}, _product_items(w.terms, self.terms,
-                                                       self.ring == H1)))
+        return self._like(product(w.terms, self.terms, self.n,
+                                  self.ring == H1))
 
     def mul_monomial(self, a, b, e, coeff):
         """Left multiply by a single monomial coeff * z^e x^a d^b."""
@@ -133,16 +145,31 @@ class FreeVec(_Terms):
 
 
 class TermOrder:
-    __slots__ = ("name", "key")
+    """A term order as a sort key on tuple keys, larger = more leading.
+
+    The order factories below return one shared instance per argument,
+    so the memo behind packed() serves every call under that order.
+    """
+
+    __slots__ = ("name", "key", "_packed")
 
     def __init__(self, name, key):
         self.name = name
         self.key = key
+        self._packed = {}
+
+    def packed(self, lay):
+        """key on the packed monomials of lay, memoized per layout."""
+        keys = self._packed.get(lay)
+        if keys is None:
+            keys = self._packed[lay] = lay.keys(self.key)
+        return keys
 
     def __repr__(self):
         return "TermOrder(%s)" % self.name
 
 
+@cache
 def bernstein_order(n):
     """Graded reverse lex on (x, d) with z-degree tiebreak, term over position."""
     def key(mono):
@@ -152,6 +179,7 @@ def bernstein_order(n):
     return TermOrder("bernstein", key)
 
 
+@cache
 def pot_block_order(n, boundary):
     """Components >= boundary dominate everything below the boundary.
 
@@ -167,6 +195,7 @@ def pot_block_order(n, boundary):
     return TermOrder("pot-block-%d" % boundary, key)
 
 
+@cache
 def vres_order(n):
     """V-order along x for restriction: weight(x) = -1, weight(d) = +1.
 
@@ -186,31 +215,23 @@ def leading_term(v, order):
     return key, v.terms[key]
 
 
-def _divides(m1, m2):
-    """Does monomial m1 divide m2 (same component, smaller exponents)."""
-    c1, a1, b1, e1 = m1
-    c2, a2, b2, e2 = m2
-    return c1 == c2 and e1 <= e2 and all(map(le, a1, a2)) and \
-        all(map(le, b1, b2))
-
-
-def _require_homogeneous(rows):
+def _require_homogeneous(degrees):
     """The V-order is a well-order only on h-homogeneous input."""
-    for row in rows:
-        if len({sum(a) + sum(b) + e for (_c, a, b, e) in row}) > 1:
-            raise InternalInvariant("H1 Groebner input must be "
-                                    "h-homogeneous")
+    if len(set(degrees)) > 1:
+        raise InternalInvariant("H1 Groebner input must be h-homogeneous")
 
 
-def _clear(terms, ring):
-    """An integer row proportional to terms, and the factor that gives it.
+def _clear(terms, ring, lay):
+    """An integer row on packed keys proportional to terms, and the factor.
 
-    terms times the lcm of its denominators; a QZ row stays as it is.
+    terms times the lcm of its denominators; a QZ row keeps its
+    coefficients.
     """
+    enc = lay.enc
     if ring == QZ:
-        return dict(terms), 1
+        return {enc[k]: c for k, c in terms.items()}, 1
     den = lcm(*(c.denominator for c in terms.values()))
-    return {k: c.numerator * (den // c.denominator)
+    return {enc[k]: c.numerator * (den // c.denominator)
             for k, c in terms.items()}, den
 
 
@@ -219,12 +240,13 @@ def _divided(terms, d):
     return terms if d == 1 else {k: c / d for k, c in terms.items()}
 
 
-def _rational(row, den, ring, scales=None):
-    """row / den as a Fraction row, component k also times scales[k].
+def _rational(row, den, ring, lay, scales=None):
+    """row / den as a Fraction row on tuple keys, comp k also times scales[k].
 
-    The one way integer rows leave the kernel.  A QZ row leaves as it is:
+    The one way rows leave the kernel.  A QZ row keeps its coefficients:
     QZ rows are monic, so den and every scale are 1.
     """
+    row = lay.unpack(row)
     if ring == QZ:
         return row
     if scales is None:
@@ -232,57 +254,63 @@ def _rational(row, den, ring, scales=None):
     return {k: Fraction(c * scales[k[0]], den) for k, c in row.items()}
 
 
-def _spoly(ri, qi, ci, rj, qj, cj, homog):
-    """ci qi ri - cj qj rj, for monomials qi, qj given as (a, b, e)."""
-    p = add_terms({}, _product_items({qi: ci}, ri, homog))
-    return add_terms(p, _product_items({qj: -cj}, rj, homog))
+class _Basis:
+    """Kernel rows on one layout, with their leads, envelopes and index.
+
+    index maps a component to the (k, lead) pairs of the leads in it, in
+    basis order.
+    """
+
+    __slots__ = ("layout", "rows", "leads", "envs", "index")
+
+    def __init__(self, lay):
+        self.layout = lay
+        self.rows = []
+        self.leads = []
+        self.envs = []
+        self.index = {}
+
+    def add(self, row, lead):
+        self.index.setdefault(self.layout.comp(lead), []).append(
+            (len(self.rows), lead))
+        self.rows.append(row)
+        self.leads.append(lead)
+        self.envs.append(envelope(row))
 
 
-def _minus_quotients(row, quot, rows, homog):
+def _spoly(lay, ri, qi, ci, rj, qj, cj):
+    """ci qi ri - cj qj rj, for packed monomials qi, qj of comp 0."""
+    p = lay.mul_into({}, qi, ci, ri, envelope(ri))
+    return lay.mul_into(p, qj, -cj, rj, envelope(rj))
+
+
+def _minus_quotients(row, quot, rows, lay):
     """row - sum_k quot_k rows[k], for quot a sparse row over W^len(rows)."""
     out = dict(row)
-    for (k, a, b, e), c in quot.items():
-        add_terms(out, _product_items({(a, b, e): -c}, rows[k], homog))
+    envs = {}
+    for key, c in quot.items():
+        k, q = lay.split(key)
+        env = envs.get(k)
+        if env is None:
+            env = envs[k] = envelope(rows[k])
+        lay.mul_into(out, q, -c, rows[k], env)
     return out
 
 
-def _lcm_multipliers(mi, mj):
-    """The lcm of two lead monomials and the (a, b, e) lifting each to it.
+def _reduce(p, basis, keys, track=False):
+    """Left division of the sparse row p by the rows of basis, fraction-free.
 
-    None when the leads sit in different components: such a pair has no
-    S-polynomial.
-    """
-    ci, ai, bi, ei = mi
-    cj, aj, bj, ej = mj
-    if ci != cj:
-        return None
-    A = tuple(map(max, ai, aj))
-    B = tuple(map(max, bi, bj))
-    E = max(ei, ej)
-    return (ci, A, B, E), (_sub_idx(A, ai), _sub_idx(B, bi), E - ei), \
-        (_sub_idx(A, aj), _sub_idx(B, bj), E - ej)
-
-
-def _reduce(p, rows, monos, order, homog, track=False):
-    """Left division of the sparse row p by rows, free of fractions.
-
-    monos[k] is the lead monomial of rows[k], or None to skip that row.
     Each step divides the current leading monomial by the first lead that
     divides it and cancels its coefficient by _linalg.cancel: on integer
     rows that first scales the running remainder by some m.  Returns the
     remainder r, the product s of those scales (1 on RatFunc rows, which
     are monic) and, with track=True, the quotients as a sparse row over
-    W^len(rows), so that s p = sum_k q_k rows[k] + r.  Order keys are
-    memoized for the call.
+    W^len(basis.rows), so that s p = sum_k q_k rows[k] + r.  keys is the
+    order's memo on the basis layout.
     """
-    keys = {}
-
-    def key(m):
-        k = keys.get(m)
-        if k is None:
-            k = keys[m] = order.key(m)
-        return k
-
+    lay = basis.layout
+    rows, envs, index = basis.rows, basis.envs, basis.index
+    divisor, key = lay.divisor, keys.__getitem__
     p = dict(p)
     rem = {}
     quot = {} if track else None
@@ -290,24 +318,21 @@ def _reduce(p, rows, monos, order, homog, track=False):
     s = 1
     while p:
         mono = max(p, key=key)
-        for hit, lm in enumerate(monos):
-            if lm is not None and _divides(lm, mono):
-                break
-        else:
+        hit = divisor(index, mono)
+        if hit is None:
             rem[mono] = p.pop(mono)
             continue
-        row = rows[hit]
-        m, c = cancel(p[mono], row[lm])
+        k, lead, q = hit
+        row = rows[k]
+        m, c = cancel(p[mono], row[lead])
         if m != 1:
             s *= m
             for terms in scaled:
-                for k in terms:
-                    terms[k] *= m
-        q = (_sub_idx(mono[1], lm[1]), _sub_idx(mono[2], lm[2]),
-             mono[3] - lm[3])
-        add_terms(p, _product_items({q: -c}, row, homog))
+                for t in terms:
+                    terms[t] *= m
+        lay.mul_into(p, q, -c, row, envs[k])
         if track:
-            add_terms(quot, [((hit,) + q, c)])
+            add_terms(quot, [(lay.with_comp(q, k), c)])
     return rem, s, quot
 
 
@@ -326,11 +351,18 @@ def left_normal_form(v, basis, order):
             raise RankMismatch("vector rank %d vs basis rank %d"
                                % (v.rank, g.rank))
     if v.ring == H1:
-        _require_homogeneous([v.terms] + [g.terms for g in basis.elements])
-    row, den = _clear(v.terms, v.ring)
-    rem, s, _q = _reduce(row, basis._kernel_rows(),
-                         [m for m, _c in basis.leads], order, v.ring == H1)
-    return FreeVec(v.n, v.ring, v.rank, _rational(rem, s * den, v.ring))
+        for row in [v.terms] + [g.terms for g in basis.elements]:
+            _require_homogeneous(sum(a) + sum(b) + e for _c, a, b, e in row)
+
+    def run(lay):
+        kernel = basis._kernel(lay)
+        lay = kernel.layout
+        row, den = _clear(v.terms, v.ring, lay)
+        rem, s, _q = _reduce(row, kernel, order.packed(lay))
+        return _rational(rem, s * den, v.ring, lay)
+
+    return FreeVec(v.n, v.ring, v.rank,
+                   widening(run, layout(v.n, v.ring == H1)))
 
 
 class GBasis:
@@ -343,7 +375,7 @@ class GBasis:
     """
 
     __slots__ = ("n", "ring", "rank", "order", "elements", "leads",
-                 "transform", "lifts", "stats", "_rows")
+                 "transform", "lifts", "stats", "_basis")
 
     def __init__(self, n, ring, rank, order, elements, transform=None,
                  lifts=None, stats=None, leads=None):
@@ -357,17 +389,29 @@ class GBasis:
         self.transform = transform
         self.lifts = lifts
         self.stats = stats or {}
-        self._rows = None
+        self._basis = None
+
+    def _kernel(self, lay):
+        """The elements as kernel rows, on a layout at least as wide as lay.
+
+        Primitive integer (or monic RatFunc) rows: buchberger hands over
+        the rows it built, others are made on use, again when a wider
+        layout is asked for.  Clearing a monic element gives back the
+        primitive row it came from.
+        """
+        basis = self._basis
+        if basis is None or basis.layout.width < lay.width:
+            basis = self._basis = _Basis(lay)
+            for g, (m, _c) in zip(self.elements, self.leads):
+                lead = lay.enc[m]
+                basis.add(primitive(_clear(g.terms, self.ring, lay)[0],
+                                    lead)[0], lead)
+        return basis
 
     def _kernel_rows(self):
-        """The elements as primitive integer (or monic RatFunc) rows.
-
-        buchberger hands over the rows it built; others are made on use.
-        """
-        if self._rows is None:
-            self._rows = [primitive(_clear(g.terms, self.ring)[0], m)[0]
-                          for g, (m, _c) in zip(self.elements, self.leads)]
-        return self._rows
+        """The kernel rows on tuple keys."""
+        basis = widening(self._kernel, layout(self.n, self.ring == H1))
+        return [basis.layout.unpack(row) for row in basis.rows]
 
     def contains(self, v):
         return left_normal_form(v, self, self.order).is_zero()
@@ -398,139 +442,167 @@ def buchberger(gens, order, track=False):
     # an empty list names no ambient; W_1 over QQ of rank 1 stands in
     first = gens[0] if gens else FreeVec.zero(1, QQ, 1)
     n, ring, rank = first.n, first.ring, first.rank
-    homog = ring == H1
-    src = len(gens)
+    basis, trans, lifts, stats = widening(
+        lambda lay: _buchberger(gens, order, track, ring, lay),
+        layout(n, ring == H1))
+    lay = basis.layout
+    lcs = [row[m] for row, m in zip(basis.rows, basis.leads)]
+    if track:
+        lifts = [FreeVec(n, ring, len(lcs),
+                         _rational(q, den, ring, lay, lcs))
+                 for q, den in lifts]
+        trans = [FreeVec(n, ring, len(gens), _rational(t, lc, ring, lay))
+                 for t, lc in zip(trans, lcs)]
+    stats["basis_size"] = len(lcs)
+    COUNTERS["spairs"] += stats["spairs"]
+    COUNTERS["basis_elements"] += len(lcs)
+    one = _one(ring)
+    gb = GBasis(n, ring, rank, order,
+                [FreeVec(n, ring, rank, _rational(row, lc, ring, lay))
+                 for row, lc in zip(basis.rows, lcs)],
+                transform=trans, lifts=lifts, stats=stats,
+                leads=[(lay.dec[m], one) for m in basis.leads])
+    gb._basis = basis
+    return gb
 
-    rows = []
-    monos = []
+
+def _buchberger(gens, order, track, ring, lay):
+    """The kernel of buchberger on one layout.
+
+    Returns the interreduced basis, with track the transform rows and,
+    per generator, its quotients and the denominator they come over.
+    """
+    homog = ring == H1
+    keys = order.packed(lay)
+    basis = _Basis(lay)
     trans = [] if track else None
     pairs = []
     seq = count()
 
     def push(row, rep):
         if homog:
-            _require_homogeneous([row])
-        mono = max(row, key=order.key)
-        new = len(rows)
-        for k, m in enumerate(monos):
-            data = _lcm_multipliers(m, mono)
+            _require_homogeneous(map(lay.degree, row))
+        mono = max(row, key=keys.__getitem__)
+        new = len(basis.rows)
+        for k, m in enumerate(basis.leads):
+            data = lay.lcm_multipliers(m, mono)
             if data is not None:
-                heappush(pairs, (order.key(data[0]), next(seq), k, new,
+                heappush(pairs, (keys[data[0]], next(seq), k, new,
                                  data[1], data[2]))
         row, d = primitive(row, mono)
-        rows.append(row)
-        monos.append(mono)
+        basis.add(row, mono)
         if track:
             trans.append(_divided(rep, d))
 
-    z0 = _zero_index(n)
+    z0 = _zero_index(lay.n)
     for i, g in enumerate(gens):
         if g.terms:
-            row, den = _clear(g.terms, ring)
-            push(row, {(i, z0, z0, 0): _one(ring) * den} if track else None)
+            row, den = _clear(g.terms, ring, lay)
+            push(row, {lay.enc[(i, z0, z0, 0)]: _one(ring) * den}
+                 if track else None)
 
     stats = {"spairs": 0, "reductions_to_zero": 0}
+    rows, leads = basis.rows, basis.leads
     while pairs:
         _key, _seq, i, j, qi, qj = heappop(pairs)
-        ci, cj = cancel(rows[i][monos[i]], rows[j][monos[j]])
-        sp = _spoly(rows[i], qi, ci, rows[j], qj, cj, homog)
+        ci, cj = cancel(rows[i][leads[i]], rows[j][leads[j]])
+        sp = _spoly(lay, rows[i], qi, ci, rows[j], qj, cj)
         stats["spairs"] += 1
-        rem, s, q = _reduce(sp, rows, monos, order, homog, track)
+        rem, s, q = _reduce(sp, basis, keys, track)
         if not rem:
             stats["reductions_to_zero"] += 1
             continue
         rep = None
         if track:
-            rep = _minus_quotients(_spoly(trans[i], qi, s * ci, trans[j],
-                                          qj, s * cj, homog), q, trans, homog)
+            rep = _minus_quotients(_spoly(lay, trans[i], qi, s * ci,
+                                          trans[j], qj, s * cj),
+                                   q, trans, lay)
         push(rem, rep)
 
-    rows, monos, trans = _interreduce(rows, monos, trans, order, homog)
+    basis, trans = _interreduce(basis, trans, keys)
 
-    lcs = [row[m] for row, m in zip(rows, monos)]
     lifts = None
     if track:
         lifts = []
         for g in gens:
-            row, den = _clear(g.terms, ring)
-            rem, s, q = _reduce(row, rows, monos, order, homog, True)
+            row, den = _clear(g.terms, ring, lay)
+            rem, s, q = _reduce(row, basis, keys, True)
             if rem:
                 raise InternalInvariant("a generator left a remainder on "
                                         "its own Groebner basis")
-            lifts.append(FreeVec(n, ring, len(rows),
-                                 _rational(q, s * den, ring, lcs)))
-        trans = [FreeVec(n, ring, src, _rational(t, lc, ring))
-                 for t, lc in zip(trans, lcs)]
-    stats["basis_size"] = len(rows)
-    COUNTERS["spairs"] += stats["spairs"]
-    COUNTERS["basis_elements"] += len(rows)
-    one = _one(ring)
-    gb = GBasis(n, ring, rank, order,
-                [FreeVec(n, ring, rank, _rational(row, lc, ring))
-                 for row, lc in zip(rows, lcs)],
-                transform=trans, lifts=lifts, stats=stats,
-                leads=[(m, one) for m in monos])
-    gb._rows = rows
-    return gb
+            lifts.append((q, s * den))
+    return basis, trans, lifts, stats
 
 
-def _interreduce(rows, monos, trans, order, homog):
+def _interreduce(basis, trans, keys):
     """Keep minimal leads, then tail-reduce each row against the rest.
 
     No other kept lead divides a kept lead, so tail reduction leaves every
     lead in place (scaled by the s of _reduce).  The leads never change,
     so a row reduced once stays reduced and one pass suffices.
     """
-    keep = [i for i, mi in enumerate(monos)
-            if not any(j != i and _divides(mj, mi) and (mi != mj or j < i)
-                       for j, mj in enumerate(monos))]
-    rows = [rows[i] for i in keep]
-    monos = [monos[i] for i in keep]
+    lay, leads = basis.layout, basis.leads
+    kept = _Basis(lay)
+    keep = [i for i, mi in enumerate(leads)
+            if not any(j != i and lay.divides(mj, mi) and (mi != mj or j < i)
+                       for j, mj in enumerate(leads))]
+    for i in keep:
+        kept.add(basis.rows[i], leads[i])
     if trans is not None:
         trans = [trans[i] for i in keep]
-    for i, row in enumerate(rows):
-        own, monos[i] = monos[i], None
-        rem, s, q = _reduce(row, rows, monos, order, homog,
-                            trans is not None)
-        rows[i], d = primitive(rem, own)
+    for i, own in enumerate(kept.leads):
+        # reduce row i against the others: its lead leaves the index
+        bucket = kept.index[lay.comp(own)]
+        at = bucket.index((i, own))
+        del bucket[at]
+        rem, s, q = _reduce(kept.rows[i], kept, keys, trans is not None)
+        bucket.insert(at, (i, own))
+        kept.rows[i], d = primitive(rem, own)
+        kept.envs[i] = envelope(kept.rows[i])
         if trans is not None:
             t = trans[i] if s == 1 else {k: c * s
                                          for k, c in trans[i].items()}
-            trans[i] = _divided(_minus_quotients(t, q, trans, homog), d)
-        monos[i] = own
-    return rows, monos, trans
+            trans[i] = _divided(_minus_quotients(t, q, trans, lay), d)
+    return kept, trans
 
 
 def syzygy_module(gb):
     """Schreyer generators of the left syzygies of gb.elements."""
-    rows, monos = gb._kernel_rows(), [m for m, _c in gb.leads]
-    lcs = [row[m] for row, m in zip(rows, monos)]
-    homog = gb.ring == H1
+    ring = gb.ring
     z0 = _zero_index(gb.n)
-    out = []
-    for j in range(len(rows)):
-        for i in range(j):
-            data = _lcm_multipliers(monos[i], monos[j])
-            if data is None:
-                continue
-            _, qi, qj = data
-            ci, cj = cancel(lcs[i], lcs[j])
-            rem, s, q = _reduce(_spoly(rows[i], qi, ci, rows[j], qj, cj,
-                                       homog), rows, monos, gb.order, homog,
-                                True)
-            if rem:
-                raise InternalInvariant("input to syzygy_module was not a "
-                                        "Groebner basis")
-            # s (ci qi e_i - cj qj e_j) - q kills rows; with component k
-            # times lcs[k] it kills the elements, and over s ci lcs[i]
-            # its term qi e_i has coefficient 1
-            syz = _spoly({(i, z0, z0, 0): s}, qi, ci, {(j, z0, z0, 0): s},
-                         qj, cj, homog)
-            add_terms(syz, ((k, -c) for k, c in q.items()))
-            if syz:
-                out.append(FreeVec(gb.n, gb.ring, len(rows), _rational(
-                    syz, s * ci * lcs[i], gb.ring, lcs)))
-    return out
+
+    def run(lay):
+        basis = gb._kernel(lay)
+        lay = basis.layout
+        keys = gb.order.packed(lay)
+        rows, leads = basis.rows, basis.leads
+        lcs = [row[m] for row, m in zip(rows, leads)]
+        out = []
+        for j in range(len(rows)):
+            for i in range(j):
+                data = lay.lcm_multipliers(leads[i], leads[j])
+                if data is None:
+                    continue
+                _, qi, qj = data
+                ci, cj = cancel(lcs[i], lcs[j])
+                rem, s, q = _reduce(_spoly(lay, rows[i], qi, ci, rows[j],
+                                           qj, cj), basis, keys, True)
+                if rem:
+                    raise InternalInvariant("input to syzygy_module was "
+                                            "not a Groebner basis")
+                # s (ci qi e_i - cj qj e_j) - q kills rows; with component
+                # k times lcs[k] it kills the elements, and over
+                # s ci lcs[i] its term qi e_i has coefficient 1
+                syz = _spoly(lay, {lay.enc[(i, z0, z0, 0)]: s}, qi, ci,
+                             {lay.enc[(j, z0, z0, 0)]: s}, qj, cj)
+                add_terms(syz, ((k, -c) for k, c in q.items()))
+                if syz:
+                    out.append(_rational(syz, s * ci * lcs[i], ring, lay,
+                                         lcs))
+        return out
+
+    return [FreeVec(gb.n, ring, len(gb.elements), terms)
+            for terms in widening(run, layout(gb.n, ring == H1))]
 
 
 def syz_of_list(gens):
@@ -544,18 +616,24 @@ def syz_of_list(gens):
     if not gens:
         return []
     n, ring = gens[0].n, gens[0].ring
-    homog = ring == H1
     gb = buchberger(gens, bernstein_order(n), track=True)
     s = len(gens)
-    trans = [t.terms for t in gb.transform]
-    rows = [_minus_quotients({}, {k: -c for k, c in sig.terms.items()},
-                             trans, homog)
-            for sig in syzygy_module(gb)]
+    syz = syzygy_module(gb)
     z0 = _zero_index(n)
-    rows += [_minus_quotients({(i, z0, z0, 0): _one(ring)}, lift.terms,
-                              trans, homog)
-             for i, lift in enumerate(gb.lifts)]
-    return [FreeVec(n, ring, s, row) for row in rows if row]
+
+    def compose(lay):
+        trans = [lay.pack(t.terms) for t in gb.transform]
+        rows = [_minus_quotients({}, {k: -c for k, c in
+                                      lay.pack(sig.terms).items()},
+                                 trans, lay)
+                for sig in syz]
+        rows += [_minus_quotients({lay.enc[(i, z0, z0, 0)]: _one(ring)},
+                                  lay.pack(lift.terms), trans, lay)
+                 for i, lift in enumerate(gb.lifts)]
+        return [lay.unpack(row) for row in rows if row]
+
+    return [FreeVec(n, ring, s, row)
+            for row in widening(compose, layout(n, ring == H1))]
 
 
 class FreeResolution:

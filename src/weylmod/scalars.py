@@ -264,7 +264,9 @@ class RatFunc:
         return RatFunc(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RatFunc):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = RatFunc(other)
         return RatFunc(self.num * other.num, self.den * other.den)
 

@@ -9,22 +9,24 @@ Ring tags:
 
 Elements are stored normal-ordered: a term is (alpha, beta, e) -> coeff,
 meaning coeff * z^e * x^alpha * d^beta (h^e for H1).  All noncommutativity
-lives in the product, which applies the closed-form reordering
+lives in the product, the one loop _packed.Layout.mul_into, which applies
+the closed-form reordering
 
     d^beta x^gamma = sum_nu C(beta,nu) C(gamma,nu) nu! x^(gamma-nu) d^(beta-nu)
 
-termwise instead of iterating single commutators.
+termwise instead of iterating single commutators.  It runs on packed
+integer keys; products here encode their operands and decode the result
+through _packed.product.
 
 WeylElement, XPoly, SymbolPolynomial and groebner.FreeVec share one
 immutable sparse-term value type, _Terms.
 """
 
 from fractions import Fraction
-from itertools import product as _iproduct
-from math import comb, factorial
-from operator import add, mul, sub
+from operator import add
 
 from ._linalg import add_terms
+from ._packed import product
 from .errors import MixedAmbient, UnsupportedAmbient, ZeroElement
 from .scalars import QPoly, RatFunc
 
@@ -47,6 +49,9 @@ def _coerce(ring, c):
             return c
         if isinstance(c, int):
             return Fraction(c)
+        if isinstance(c, RatFunc):
+            raise MixedAmbient("the rational function %s is no scalar of "
+                               "the %s ring" % (c.to_str(), ring))
     raise TypeError("bad scalar %r for ring %s" % (c, ring))
 
 
@@ -60,46 +65,6 @@ def _zero_index(n):
 
 def _add_idx(a, b):
     return tuple(map(add, a, b))
-
-
-def _sub_idx(a, b):
-    return tuple(map(sub, a, b))
-
-
-def _reorder_terms(beta, gamma):
-    """Expansion of d^beta x^gamma: yields (nu, integer multiplier)."""
-    ranges = [range(min(b, g) + 1) for b, g in zip(beta, gamma)]
-    for nu in _iproduct(*ranges):
-        m = 1
-        for b, g, v in zip(beta, gamma, nu):
-            if v:
-                m *= comb(b, v) * comb(g, v) * factorial(v)
-        yield nu, m
-
-
-def _product_items(left, terms, homog):
-    """The terms of left times each term of terms, as (key, coeff) pairs.
-
-    The only product loop.  left maps (alpha, beta, e) to a coefficient;
-    keys of terms end in (alpha, beta, e), and what comes before (the
-    component of a free-module term) is carried over.  homog adds the h^2
-    of each commutator (the H1 tag).  When the left d-exponent and the
-    right x-exponent share no index the two terms commute, and their
-    product is the one term yielded directly.
-    """
-    for (a1, b1, e1), c1 in left.items():
-        for key, c2 in terms.items():
-            head, (a2, b2, e2) = key[:-3], key[-3:]
-            if not any(map(mul, b1, a2)):
-                yield (head + (_add_idx(a1, a2), _add_idx(b1, b2), e1 + e2),
-                       c1 * c2)
-                continue
-            c12 = c1 * c2
-            for nu, m in _reorder_terms(b1, a2):
-                yield (head + (_add_idx(_sub_idx(a2, nu), a1),
-                               _add_idx(_sub_idx(b1, nu), b2),
-                               e1 + e2 + (2 * sum(nu) if homog else 0)),
-                       c12 * m)
 
 
 class _Terms:
@@ -196,15 +161,13 @@ class WeylElement(_Terms):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) or (
-                self.ring == QZ and isinstance(other, RatFunc)):
+        if isinstance(other, (int, Fraction, RatFunc)):
             return self.scale(other)
         self._check(other)
         return normal_product(self, other)
 
     def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)) or (
-                self.ring == QZ and isinstance(other, RatFunc)):
+        if isinstance(other, (int, Fraction, RatFunc)):
             return self.scale(other)
         return NotImplemented
 
@@ -239,10 +202,10 @@ class WeylElement(_Terms):
 
 
 def normal_product(u, v):
-    """Product in normal order, summed from the shared loop _product_items."""
+    """Product in normal order, by the one product loop of _packed."""
     u._check(v)
-    return WeylElement(u.n, u.ring, add_terms(
-        {}, _product_items(u.terms, v.terms, u.ring == H1)))
+    return WeylElement(u.n, u.ring,
+                       product(u.terms, v.terms, u.n, u.ring == H1))
 
 
 class WeylAlgebra:
@@ -377,9 +340,9 @@ def _reordered(u, image):
     for key, c in u.terms.items():
         head, (a, b, e) = key[:-3], key[-3:]
         p, q, sign = image(a, b)
-        add_terms(out, _product_items({(z0, p, e): c * sign},
-                                      {head + (q, z0, 0): one},
-                                      u.ring == H1))
+        add_terms(out, product({(z0, p, e): c * sign},
+                               {head + (q, z0, 0): one}, u.n,
+                               u.ring == H1).items())
     return u._like(out)
 
 

@@ -9,6 +9,9 @@ coefficient field, written with public FreeVec arithmetic only.
 
 The grade is taken by its definition, the least i with Ext^i(M, W) != 0,
 from free resolutions; the engine reads it off the dimension instead.
+
+Products are checked against the Leibniz rule, applied one derivation at
+a time to plain exponent tuples.
 """
 
 from weylmod import (INF, FreeVec, WeylAlgebra, bernstein_degree, ext,
@@ -82,3 +85,42 @@ def field_normal_form(v, basis, order):
             rem = rem + term
             v = v - term
     return rem
+
+
+def _accumulate(out, key, c):
+    s = out.get(key, 0) + c
+    if s:
+        out[key] = s
+    else:
+        out.pop(key, None)
+
+
+def leibniz_product(left, right, homog=False):
+    """left * right on normal-ordered term dicts, by the Leibniz rule alone.
+
+    A key (a, b, e) means z^e x^a d^b, or h^e x^a d^b when homog; keys of
+    right may carry a component in front, which the product keeps.  Each
+    d_i of a left term moves through the right factor one at a time:
+    d_i x^a d^b = x^a d^(b + 1_i) + a_i x^(a - 1_i) d^b, the second term
+    times h^2 when homog.
+    """
+    out = {}
+    for (a1, b1, e1), c1 in left.items():
+        cur = dict(right)
+        for i, times in enumerate(b1):
+            for _ in range(times):
+                nxt = {}
+                for key, c in cur.items():
+                    head, (a, b, e) = key[:-3], key[-3:]
+                    up = tuple(v + (j == i) for j, v in enumerate(b))
+                    _accumulate(nxt, head + (a, up, e), c)
+                    if a[i]:
+                        down = tuple(v - (j == i) for j, v in enumerate(a))
+                        _accumulate(nxt, head + (down, b, e + 2 * homog),
+                                    c * a[i])
+                cur = nxt
+        for key, c in cur.items():
+            head, (a, b, e) = key[:-3], key[-3:]
+            shifted = tuple(s + t for s, t in zip(a1, a))
+            _accumulate(out, head + (shifted, b, e1 + e), c1 * c)
+    return out

@@ -400,3 +400,36 @@ def test_parse_errors_carry_positions():
             err = report["error"]
             assert "line" in err and "col" in err, err
     assert seen > 50
+
+
+# nested powers reach exponents no fixed-width field holds; the reports
+# are those of exact exponent arithmetic
+HUGE = "((((((x1^64)^64)^64)^64)^64)^64)"
+HUGE_SESSIONS = [
+    ("[[%s*d1 - 1]]" % HUGE,
+     [["x1^68719476736*d1 - 1"]],
+     {"basis_elements": 1, "buchberger_calls": 1, "spairs": 0}),
+    ("[[%s*d1 - 1, x1], [%s*d1^2, d1 - 1]]" % (HUGE, HUGE),
+     [["x1^68719476735*d1 - 1/68719476736*d1",
+       "1/68719476736*x1*d1 - 1/68719476736*d1 + 1/34359738368"],
+      ["-x1*d1 + 68719476736", "x1^2*d1 - x1*d1 - 68719476734*x1"]],
+     {"basis_elements": 2, "buchberger_calls": 1, "spairs": 3}),
+    ("[[d1*%s, 1], [%s*x1, d1]]" % (HUGE, HUGE),
+     [["x1^68719476736", "d1^2 - x1"], ["0", "d1^3 - x1*d1 - 2"],
+      ["0", "x1*d1^2 - x1^2 - d1"]],
+     {"basis_elements": 3, "buchberger_calls": 1, "spairs": 4}),
+]
+
+
+@pytest.mark.parametrize("matrix,basis,stats", HUGE_SESSIONS,
+                         ids=["one-row", "two-rows", "d-first"])
+def test_huge_exponent_gb_sessions(matrix, basis, stats):
+    src = "ring W(1) over QQ; module M = coker %s; check M gb --stats" % matrix
+    rep, code = run_stripped(src)
+    assert code == 0
+    assert rep == {
+        "command": {"args": [], "subcommand": "gb", "target": "M"},
+        "ring": {"n": 1, "scalars": "QQ"},
+        "result": {"basis": basis, "size": len(basis),
+                   "is_full_module": False},
+        "stats": stats}

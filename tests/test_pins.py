@@ -4,6 +4,10 @@ perfbench/pins.json holds the result digest of every session any seed of
 the three benchmark workloads can produce.  Replaying them here makes
 report identity under a refactor a tier-1 check.  The perfbench files
 are read, never written.
+
+tests/stats_reports.json holds the full `--stats` report of each of those
+sessions, apart from `timing`, written by tests/record_stats.py; the
+replay pins the engine counters as well as the answer.
 """
 
 import json
@@ -30,6 +34,21 @@ checks = _load("checks")
 child = _load("child")
 workloads = _load("workloads")
 PINS = json.loads((PERFBENCH / "pins.json").read_text())
+STATS = pathlib.Path(__file__).resolve().parent / "stats_reports.json"
+
+
+def stats_reports():
+    """The `--stats` report of every universe session, without `timing`."""
+    out = {}
+    for workload in workloads.WORKLOADS:
+        for s in workloads.universe(workload):
+            report, code = run(s.source, dict(child.DEFAULTS, stats=True))
+            report = _jsonable(report)
+            report.pop("timing", None)
+            out[checks.source_key(s.source)] = {
+                "workload": workload, "name": s.name, "exit": code,
+                "report": report}
+    return out
 
 
 def test_universe_is_pinned():
@@ -47,6 +66,15 @@ def test_pinned_sessions(workload):
         out = {"exit": code, "report": _jsonable(report)}
         if checks.result_digest(out) != PINS[checks.source_key(s.source)]:
             wrong.append(s.name)
+    assert not wrong
+
+
+def test_stats_reports_replay():
+    want = json.loads(STATS.read_text())
+    got = stats_reports()
+    assert len(want) == len(PINS)
+    assert sorted(got) == sorted(want)
+    wrong = [want[k]["name"] for k in sorted(want) if got[k] != want[k]]
     assert not wrong
 
 

@@ -51,22 +51,72 @@ def test_engine_imports_only_the_standard_library():
     assert not found
 
 
-def _names(path, function):
-    """Every name and attribute the body of a top-level function uses."""
-    tree = ast.parse((PACKAGE / path).read_text())
-    node = next(n for n in tree.body
-                if isinstance(n, ast.FunctionDef) and n.name == function)
+def _functions(tree):
+    """(name, node) of each top-level function and method, as Class.name."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    yield node.name + "." + item.name, item
+
+
+def _used(node):
     return {n.id if isinstance(n, ast.Name) else n.attr
             for n in ast.walk(node)
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def _names(path, function):
+    """Every name and attribute the body of a function or method uses."""
+    tree = ast.parse((PACKAGE / path).read_text())
+    return _used(dict(_functions(tree))[function])
+
+
 @pytest.mark.parametrize("path,function", [("groebner.py", "_reduce"),
-                                           ("weyl.py", "_product_items")])
+                                           ("_packed.py", "Layout.mul_into")])
 def test_kernel_loops_name_no_fraction(path, function):
     # the one division loop and the one product loop serve integer rows
     # and RatFunc rows alike; a field-only path would name Fraction
     assert "Fraction" not in _names(path, function)
+
+
+def test_one_product_loop():
+    # the Weyl product is written once: Layout._expansion alone builds
+    # the reordering coefficients and Layout.mul_into alone applies them;
+    # every other product goes through mul_into
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text())):
+            for used in {"comb", "factorial", "_tables", "mul_into"} & \
+                    _used(node):
+                found.setdefault(used, set()).add(path.name + ":" + name)
+    assert found.pop("comb") == found.pop("factorial") == {
+        "_packed.py:Layout._expansion"}
+    assert found.pop("_tables") == {"_packed.py:Layout.__init__",
+                                    "_packed.py:Layout.mul_into"}
+    assert found.pop("mul_into") == {
+        "_packed.py:product", "groebner.py:_spoly", "groebner.py:_reduce",
+        "groebner.py:_minus_quotients", "derham.py:_truncated_nf"}
+
+
+def test_one_module_knows_the_packed_layout():
+    # field widths, guard bits and shifts of packed monomials are known to
+    # _packed.py alone; the rest of the package goes through its methods
+    layout = {"shifts", "cshift", "guard", "spill", "fields", "xmask",
+              "dmask", "_encode", "_decode", "_expansion"}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "_packed.py":
+            continue
+        tree = ast.parse(path.read_text())
+        found += ["%s %s" % (path.name, name)
+                  for name in sorted(layout & _used(tree))]
+        found += ["%s:%d shift" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                  and isinstance(node.op, (ast.LShift, ast.RShift))]
+    assert not found
 
 
 def test_one_module_takes_gcds_of_rows():
@@ -119,7 +169,8 @@ def test_oracle_shares_nothing_with_the_window():
     # the truncation oracle cross-checks h_dr_n1, so it builds its rows
     # from integer shifts of the basis, not from the window algorithm's
     # V-order machinery or the Weyl product
-    shared = {"Fraction", "WeylAlgebra", "mul_monomial", "_product_items",
+    shared = {"Fraction", "WeylAlgebra", "mul_monomial", "product",
+              "mul_into", "divisor", "_Basis",
               "_v_lifts", "_b_data", "_theta_image", "_truncated_nf",
               "_stairs_by_comp", "_standard_monomials",
               "_indicial_polynomial", "vres_order"}

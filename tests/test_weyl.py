@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from weylmod import (H1, QQ, QZ, ZP, FreeVec, MixedAmbient, RankMismatch,
+                     RatFunc,
                      WeylAlgebra, XPoly, apply_to_polynomial,
                      bernstein_degree, convert_ring, fourier,
                      fourier_inverse, principal_symbol,
                      reduce_element_mod_z, to_str, transpose)
 
 from helpers import rand_element
+from oracles import leibniz_product
 
 W1 = WeylAlgebra(1, QQ)
 W2 = WeylAlgebra(2, QQ)
@@ -164,6 +166,17 @@ def test_free_vectors_of_different_algebras_do_not_add():
         u + FreeVec.from_entries([W1.x(1), W1.d(1)])
 
 
+@pytest.mark.parametrize("ring", [QQ, ZP, H1])
+def test_rational_function_is_no_scalar_outside_qz(ring):
+    x = WeylAlgebra(1, ring).x(1)
+    with pytest.raises(MixedAmbient):
+        x * RatFunc.z()
+    with pytest.raises(MixedAmbient):
+        RatFunc.z() * x
+    x = WeylAlgebra(1, QZ).x(1)
+    assert x * RatFunc.z() == RatFunc.z() * x == x.scale(RatFunc.z())
+
+
 def test_mixed_ambient_rejected():
     with pytest.raises(MixedAmbient):
         W1.x(1) + W2.x(1)
@@ -201,3 +214,48 @@ def test_parse_print_round_trip():
                % to_str(u))
         sess = parse(src)
         assert sess.modules["M"][0][0] == u
+
+
+PRODUCT_RINGS = [(1, QQ), (2, QQ), (3, QQ), (1, ZP), (2, ZP), (3, ZP),
+                 (1, QZ), (2, QZ), (1, H1)]
+
+
+@pytest.mark.parametrize("n,ring", PRODUCT_RINGS,
+                         ids=["%s%d" % (r, n) for n, r in PRODUCT_RINGS])
+def test_product_matches_leibniz(n, ring):
+    rng = random.Random(1000 * n + len(ring))
+    W = WeylAlgebra(n, ring)
+    for _ in range(12):
+        u = rand_element(rng, W, deg=3, terms=3)
+        v = rand_element(rng, W, deg=3, terms=3)
+        assert (u * v).terms == leibniz_product(u.terms, v.terms, ring == H1)
+        comp = rng.randint(1, 3)
+        vec = FreeVec.from_entries([W.zero()] * comp + [v])
+        want = leibniz_product(u.terms, vec.terms, ring == H1)
+        assert vec.mul_left(u).terms == want
+
+
+# exponents at and around every power of two a fixed-width field could
+# stop at; the products must come out exact, never wrapped.  The left
+# factors carry small d-exponents, so every expansion (and the oracle's
+# walk of one derivation at a time) stays short.
+@pytest.mark.parametrize("bits", [6, 7, 8, 15, 16, 31, 32, 36, 63, 64, 65])
+def test_products_of_huge_exponents_are_exact(bits):
+    big = 2 ** bits - 1
+    Z1 = WeylAlgebra(1, ZP)
+    cases = [(W1.monomial((big,), (1,)), W1.monomial((big,), (0,))),
+             (W1.d(1), W1.monomial((big + 1,), (big,)) + W1.x(1)),
+             (W2.monomial((big, 1), (2, 1)), W2.monomial((1, 3), (0, big))),
+             (W2.monomial((1, big), (1, 2)), W2.monomial((big, 2), (big, 0))),
+             (Z1.monomial((big,), (1,), big),
+              Z1.monomial((1,), (0,), big + 2))]
+    for u, v in cases:
+        want = leibniz_product(u.terms, v.terms)
+        assert (u * v).terms == want
+        vec = FreeVec.from_entries([WeylAlgebra(u.n, u.ring).zero(), v])
+        assert vec.mul_left(u).terms == {(1,) + k: c
+                                         for k, c in want.items()}
+    x, d = W1.x(1), W1.d(1)
+    u = W1.monomial((big,), (1,))
+    assert transpose(u * x) == transpose(x) * transpose(u)
+    assert fourier_inverse(fourier(u * d)) == u * d
