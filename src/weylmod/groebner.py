@@ -719,29 +719,30 @@ def colon_z(gens, rank):
 
 
 def submodule_equal(gens_a, gens_b):
+    """Equal row spans, as equal reduced bases: a monic one is unique."""
     gens_a = [g for g in gens_a if g.terms]
     gens_b = [g for g in gens_b if g.terms]
-    if not gens_a and not gens_b:
-        return True
     if not gens_a or not gens_b:
-        return False
+        return not gens_a and not gens_b
     order = bernstein_order(gens_a[0].n)
-    gb_a = buchberger(gens_a, order)
-    gb_b = buchberger(gens_b, order)
-    return all(gb_a.contains(g) for g in gens_b) and \
-        all(gb_b.contains(g) for g in gens_a)
+    return set(buchberger(gens_a, order).elements) == \
+        set(buchberger(gens_b, order).elements)
 
 
 def saturate_z(gens, rank):
-    """(N : z^infinity) over ZP, by iterating the colon step to a fixed point."""
+    """(N : z^infinity) over ZP: the colon step iterated to a fixed point.
+
+    colon_z returns the reduced basis of N : z under bernstein_order: the
+    lower block of pot_block_order, which is bernstein_order there, shifted
+    down one power of z, which keeps the order and divisibility.  Reduced
+    bases are unique, so N : z = N exactly when that basis is N's own.
+    """
     current = [g for g in gens if g.terms]
     if not current:
         return []
-    order = bernstein_order(current[0].n)
+    known = set(buchberger(current, bernstein_order(current[0].n)).elements)
     while True:
         nxt = colon_z(current, rank)
-        # N lies in (N : z) always, so one containment decides the fixed point
-        gb = buchberger(current, order)
-        if all(gb.contains(g) for g in nxt):
+        if set(nxt) == known:
             return nxt
-        current = nxt
+        current, known = nxt, set(nxt)

@@ -13,8 +13,8 @@ as a diagnostic, since an operator like z*d1 - 1 becomes invertible after
 completion while staying nonzero over Q(z).
 """
 
-from .errors import InternalInvariant, NonIntegral, NotMinimalDimension, \
-    NotSameModule, NotSaturated, UnsupportedAmbient
+from .errors import IndexOutOfRange, InternalInvariant, NonIntegral, \
+    NotMinimalDimension, NotSameModule, NotSaturated, UnsupportedAmbient
 from .scalars import QPoly, RatFunc
 from .groebner import (FreeVec, bernstein_order, buchberger, colon_z,
                        preimage_rows, saturate_z, submodule_equal)
@@ -245,6 +245,8 @@ def compare_lattices(first, second, zpower=8):
     same relation submodule, and each lattice's generators must land in
     the other lattice up to a z power bounded by zpower.
     """
+    if zpower < 0:
+        raise IndexOutOfRange("z power %d is negative" % zpower)
     if not isinstance(first, Lattice):
         first = Lattice(first)
     if not isinstance(second, Lattice):

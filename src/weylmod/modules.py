@@ -15,12 +15,12 @@ monomial ideals.
 from itertools import combinations
 
 from ._linalg import add_terms
-from .errors import (IndexOutOfRange, InternalInvariant, NotMinimalDimension,
-                     RankMismatch, UnsupportedAmbient, ZeroModule)
+from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
+                     UnsupportedAmbient, ZeroModule)
 from .scalars import INF
 from .groebner import (FreeVec, bernstein_order, buchberger,
                        free_resolution, preimage_rows, syz_of_list)
-from .weyl import QQ, QZ, ZP, transpose
+from .weyl import H1, QQ, QZ, ZP, transpose
 
 LEFT = "left"
 RIGHT = "right"
@@ -169,8 +169,8 @@ class CharCycle:
 
 def _leading_monomials_by_comp(M):
     by_comp = {j: [] for j in range(M.rank)}
-    for (comp, a, b, _e), _c in M.gb().leads:
-        by_comp[comp].append((a, b))
+    for (comp, a, b, e), _c in M.gb().leads:
+        by_comp[comp].append((a, b, e))
     return by_comp
 
 
@@ -195,19 +195,21 @@ def _monomial_ideal_dimension(gens, nvars):
     return -1
 
 
+def _dimension(M):
+    """Krull dimension of gr(M) from its leads; z or h counts as a variable."""
+    z = M.ring in (ZP, H1)
+    return max(_monomial_ideal_dimension(
+        [a + b + ((e,) if z else ()) for a, b, e in gens], 2 * M.n + z)
+        for gens in _leading_monomials_by_comp(M).values())
+
+
 def hilbert_dimension(M):
     """Dimension of the support of gr(M), Bernstein filtration."""
     if M.ring not in (QQ, QZ):
         raise UnsupportedAmbient("dimension theory runs over field scalars")
     if M.is_zero():
         raise ZeroModule("the zero module has empty support")
-    by_comp = _leading_monomials_by_comp(M)
-    best = -1
-    for j in range(M.rank):
-        gens = [a + b for (a, b) in by_comp[j]]
-        d = _monomial_ideal_dimension(gens, 2 * M.n)
-        best = max(best, d)
-    return best
+    return _dimension(M)
 
 
 def char_cycle(M):
@@ -228,11 +230,11 @@ def char_cycle(M):
         if not gens:
             cycle = cycle + CharCycle({("full",): 1})
             continue
-        if any(sum(a) + sum(b) == 0 for (a, b) in gens):
+        if any(sum(a) + sum(b) == 0 for (a, b, _e) in gens):
             continue
         if M.n == 1:
-            ma = min(a[0] for (a, _b) in gens)
-            mb = min(b[0] for (_a, b) in gens)
+            ma = min(a[0] for (a, _b, _e) in gens)
+            mb = min(b[0] for (_a, b, _e) in gens)
             parts = {}
             if ma:
                 parts[("x", 1)] = ma
@@ -244,7 +246,7 @@ def char_cycle(M):
                 raise UnsupportedAmbient(
                     "characteristic cycle for n > 1 needs a principal "
                     "leading ideal")
-            a, b = gens[0]
+            a, b, _e = gens[0]
             parts = {}
             for i, v in enumerate(a):
                 if v:
@@ -314,22 +316,16 @@ def _ext_of_resolution(i, M):
 def grade(M):
     """Least i with Ext^i(M, W) nonzero; +infinity exactly for the zero module.
 
-    Over the fields QQ and Q(z), W_n is Auslander regular, so
-    grade + dimension = 2n for a nonzero module (Bjork, Rings of
-    Differential Operators, ch. 2): the grade is read off the module's own
-    Groebner basis and no Ext is resolved.  Over Q[z] the Ext groups are
-    resolved in order up to the first nonzero one.
+    The ring is Auslander regular and its graded ring regular: K[x, xi] of
+    dimension 2n over K = QQ or Q(z); Q[z][x, xi] or Q[h][x, xi], with z or
+    h in Bernstein degree 0, of dimension 2n + 1 over Q[z] or H1.  So a
+    nonzero module has grade + dimension = that number, z or h counted
+    (Bjork, Rings of Differential Operators, ch. 2; Li and Van Oystaeyen,
+    Zariskian Filtrations, 1996): the grade reads the module's own basis.
     """
     if M.is_zero():
         return INF
-    if M.ring in (QQ, QZ):
-        return 2 * M.n - hilbert_dimension(M)
-    bound = homological_bound(M.n, M.ring)
-    for i in range(bound + 1):
-        if not ext(i, M).is_zero():
-            return i
-    raise InternalInvariant("nonzero module with no Ext in homological "
-                            "range")
+    return 2 * M.n + (M.ring in (ZP, H1)) - _dimension(M)
 
 
 def is_minimal_dimension(M):

@@ -240,6 +240,26 @@ def test_negative_max_degree_is_a_coded_error(tmp_path, capsys):
     assert rep["error"]["code"] == "IndexOutOfRange"
 
 
+def test_negative_zpower_is_a_coded_error(tmp_path, capsys):
+    f = tmp_path / "session.wm"
+    f.write_text("ring W(1) over QZ;\nmodule M = coker [[d1]];\n"
+                 "lattice L = M;\ncheck L compare-lattices L\n")
+    assert main([str(f), "--zpower", "-1"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"]["code"] == "IndexOutOfRange"
+
+
+def test_holonomic_hat_stats_count_saturation_rounds():
+    # three colon rounds and the input's basis, then the reduction's basis
+    rep, code = run_stripped("ring W(1) over QZ; module M = coker "
+                             "[[z^2*x1*d1 - z^3]]; check M holonomic-hat "
+                             "--stats")
+    assert code == 0
+    assert rep["result"] == {"holonomic": True}
+    assert rep["stats"] == {"buchberger_calls": 5, "spairs": 3,
+                            "basis_elements": 9}
+
+
 @pytest.mark.parametrize("name,content,reason", [
     ("missing.wm", None, "No such file or directory"),
     ("latin1.wm", b"ring W(1) over QQ; # caf\xe9\n", "not UTF-8 text")],

@@ -15,9 +15,10 @@ from weylmod import (H1, QQ, QZ, ZP, FreeVec, GBasis, InternalInvariant,
 from weylmod import bernstein_degree, groebner, to_str
 from weylmod._linalg import add_terms
 from weylmod.cli import run
-from weylmod.groebner import colon_z, syzygy_module
+from weylmod.groebner import (colon_z, saturate_z, submodule_equal,
+                              syzygy_module)
 
-from helpers import rand_element
+from helpers import rand_element, rand_scalar
 from oracles import all_monomials, brute_member, field_normal_form
 
 W = WeylAlgebra(1, QQ)
@@ -460,3 +461,54 @@ def test_kernel_huge_exponents_are_exact(bits):
     v = vec(W.monomial((big + 1,), (1,)) + W.monomial((3,), (big,)))
     assert left_normal_form(v, small, small.order) == \
         field_normal_form(v, small.elements, small.order)
+
+
+def random_rows(rng, ring, n, rank, count):
+    A = WeylAlgebra(n, ring)
+    return [FreeVec.from_entries([rand_element(rng, A, deg=1, terms=2)
+                                  for _ in range(rank)], rank=rank)
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("ring,n", [(QQ, 1), (ZP, 1), (QZ, 1),
+                                    (QQ, 2), (ZP, 2), (QZ, 2)])
+def test_submodule_equal_is_two_way_containment(ring, n, rank):
+    # a monic reduced basis is unique, so comparing bases decides what
+    # containment both ways decides.  a: two left multiples of a random
+    # row; pairs equal to it by construction (a scaled row, a row plus a
+    # left multiple of another, a redundant row) and pairs with one row
+    # moved by a random row
+    rng = random.Random("equal/%s/%d/%d" % (ring, n, rank))
+    A = WeylAlgebra(n, ring)
+    order = bernstein_order(n)
+    for _ in range(3):
+        f = random_rows(rng, ring, n, rank, 1)[0]
+        a = [f.mul_left(rand_element(rng, A, deg=1, terms=2))
+             for _ in range(2)]
+        w = rand_element(rng, A, deg=1, terms=2)
+        same = [a[1].scale(rand_scalar(rng, ring)),
+                a[0] + a[1].mul_left(w), a[0].mul_left(w)]
+        moved = [a[0] + random_rows(rng, ring, n, rank, 1)[0], a[1]]
+        for b in (same, moved):
+            ga, gb = buchberger(a, order), buchberger(b, order)
+            both = all(ga.contains(g) for g in b) and \
+                all(gb.contains(g) for g in a)
+            assert submodule_equal(a, b) == both
+            assert both or b is moved
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("n", [1, 2])
+def test_saturation_is_a_reduced_basis(n, rank):
+    # colon_z returns a reduced basis, so the saturation is its own
+    # reduced basis, and its colon by z gives back the same set
+    rng = random.Random("saturate/%d/%d" % (n, rank))
+    z = WeylAlgebra(n, ZP).z()
+    order = bernstein_order(n)
+    for _ in range(3):
+        rows = [r.mul_left(z) if rng.randint(0, 1) else r
+                for r in random_rows(rng, ZP, n, rank, 2)]
+        sat = saturate_z(rows, rank)
+        assert set(buchberger(sat, order).elements) == set(sat)
+        assert set(colon_z(sat, rank)) == set(sat)

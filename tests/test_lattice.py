@@ -4,14 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (LEFT, QQ, QZ, ZP, FreeVec, IntegralPresentation,
-                     Lattice, NonIntegral, NotSameModule, NotSaturated,
+from weylmod import (LEFT, QQ, QZ, ZP, FreeVec, IndexOutOfRange,
+                     IntegralPresentation, Lattice, NonIntegral,
+                     NotSameModule, NotSaturated,
                      PresentedModule, QPoly, RankMismatch, RatFunc,
                      WeylAlgebra, bernstein_order, buchberger,
                      char_cycle, compare_lattices, good_lattice, groebner,
                      kunneth_check, left_normal_form, make_lattice,
                      minimal_dimension_via_reduction, parse,
-                     preimage_rows, reduce_mod_z)
+                     preimage_rows, reduce_mod_z, saturate_z, to_str)
 
 from helpers import battery_avatars, free_avatar
 
@@ -74,6 +75,26 @@ def test_saturation_divides_out_z():
     assert gb.contains(target)
 
 
+def _mixed_torsion():
+    """Rank 2: z^2 d1 e_0 and x1 d1 e_0 + z x1 e_1, torsion of two orders."""
+    x, d, z = Z.x(1), Z.d(1), Z.z()
+    return [FreeVec.from_entries([z * z * d, Z.zero()]),
+            FreeVec.from_entries([x * d, z * x])]
+
+
+# each round is one colon_z; the input's basis is the one more call
+@pytest.mark.parametrize("rows,rank,saturated,calls", [
+    ([FreeVec.from_entries([Z.z() ** 2 * Z.x(1) * Z.d(1) - Z.z() ** 3])], 1,
+     [["x1*d1 - z"]], 4),
+    (_mixed_torsion(), 2, [["d1", "0"], ["0", "x1"]], 5),
+], ids=["z^2*x1*d1 - z^3", "mixed-torsion"])
+def test_saturation_rounds_pinned(rows, rank, saturated, calls):
+    groebner.reset_counters()
+    out = saturate_z(rows, rank)
+    assert [[to_str(w) for w in r.entries()] for r in out] == saturated
+    assert groebner.COUNTERS["buchberger_calls"] == calls
+
+
 def test_reduce_requires_saturation():
     P = pres(A.z() * A.d(1))
     with pytest.raises(NotSaturated):
@@ -117,6 +138,12 @@ def test_compare_rejects_different_modules():
     Q = make_lattice(pres(A.x(1)))
     with pytest.raises(NotSameModule):
         compare_lattices(Lattice(P), Lattice(Q))
+
+
+def test_compare_rejects_a_negative_z_power():
+    L = Lattice(make_lattice(pres(A.d(1))))
+    with pytest.raises(IndexOutOfRange, match="z power -1"):
+        compare_lattices(L, L, zpower=-1)
 
 
 def test_kunneth_zero_pattern_battery():

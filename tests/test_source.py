@@ -177,6 +177,19 @@ def test_oracle_shares_nothing_with_the_window():
     assert not shared & _names("derham.py", "stabilization_oracle")
 
 
+def test_grade_resolves_no_ext():
+    # grade + dimension is 2n, or 2n + 1 over Q[z]: one formula, no Ext
+    assert not {"ext", "InternalInvariant"} & _names("modules.py", "grade")
+
+
+@pytest.mark.parametrize("function", ["saturate_z", "submodule_equal"])
+def test_equality_compares_reduced_bases(function):
+    # reduced bases are unique, so equal spans show as equal bases and
+    # no normal form is taken
+    assert not {"contains", "left_normal_form"} & _names("groebner.py",
+                                                          function)
+
+
 # The public names; a simplification may not drop one.
 PUBLIC = [
     "BFunction", "CharCycle", "CohomologyReport", "CompareReport",
