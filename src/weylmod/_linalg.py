@@ -58,6 +58,18 @@ def primitive(row, key):
     return (row if lc == 1 else {k: c / lc for k, c in row.items()}), lc
 
 
+def lowest_terms(row, den):
+    """(row / g, den / g) for g the gcd of den and the ints of row.
+
+    The least denominator of the row over den; den 1 is already least.
+    """
+    if den == 1:
+        return row, den
+    g = gcd(den, *row.values())
+    return (row, den) if g == 1 else (
+        {k: c // g for k, c in row.items()}, den // g)
+
+
 class Echelon:
     """Online row echelon form: feed rows, read off rank and membership."""
 

@@ -28,6 +28,17 @@ leave it, through _rational (GBasis elements, transform, lifts, syzygies
 and remainders), so over the ZP tag every computed object stays
 z-integral (leading coefficients are rational).
 
+Transforms, lifts and syzygies are integer rows too, each over one
+integer denominator: the tracked row (t, D) stands for t / D.  _combine
+builds every one of them, scaling the rows it sums to the lcm of their
+denominators before the one product loop; over QZ they are RatFunc rows
+over 1.  syz_of_list composes the Schreyer syzygies and the rows of
+Id - lifts . transform on these rows inside the kernel, and each result
+leaves it once, through _rational.  A GBasis from buchberger keeps its
+kernel rows, and with track=True its tracked rows, and builds the
+Fraction rows of its elements, transform and lifts only when they are
+read.
+
 Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  The leads of a kernel basis
 are indexed by component, in basis order, so the divisor search returns
@@ -53,7 +64,7 @@ from heapq import heappop, heappush
 from itertools import count
 from math import lcm
 
-from ._linalg import add_terms, cancel, primitive
+from ._linalg import add_terms, cancel, lowest_terms, primitive
 from ._packed import envelope, layout, product, widening
 from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
 from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _Terms,
@@ -225,19 +236,14 @@ def _clear(terms, ring, lay):
     """An integer row on packed keys proportional to terms, and the factor.
 
     terms times the lcm of its denominators; a QZ row keeps its
-    coefficients.
+    coefficients, and its factor is the RatFunc 1.
     """
     enc = lay.enc
     if ring == QZ:
-        return {enc[k]: c for k, c in terms.items()}, 1
+        return {enc[k]: c for k, c in terms.items()}, _one(ring)
     den = lcm(*(c.denominator for c in terms.values()))
     return {enc[k]: c.numerator * (den // c.denominator)
             for k, c in terms.items()}, den
-
-
-def _divided(terms, d):
-    """The sparse row terms / d, of Fraction or RatFunc coefficients."""
-    return terms if d == 1 else {k: c / d for k, c in terms.items()}
 
 
 def _rational(row, den, ring, lay, scales=None):
@@ -277,6 +283,10 @@ class _Basis:
         self.leads.append(lead)
         self.envs.append(envelope(row))
 
+    def lcs(self):
+        """The lead coefficient of each row."""
+        return [row[m] for row, m in zip(self.rows, self.leads)]
+
 
 def _spoly(lay, ri, qi, ci, rj, qj, cj):
     """ci qi ri - cj qj rj, for packed monomials qi, qj of comp 0."""
@@ -284,17 +294,48 @@ def _spoly(lay, ri, qi, ci, rj, qj, cj):
     return lay.mul_into(p, qj, -cj, rj, envelope(rj))
 
 
-def _minus_quotients(row, quot, rows, lay):
-    """row - sum_k quot_k rows[k], for quot a sparse row over W^len(rows)."""
-    out = dict(row)
+def _units(lay, count):
+    """The unit rows e_0..e_(count-1) as tracked rows (row, 1)."""
+    z0 = _zero_index(lay.n)
+    return [({lay.enc[(i, z0, z0, 0)]: 1}, 1) for i in range(count)]
+
+
+def _pair_row(lay, i, qi, ci, j, qj, cj, s, quot):
+    """s (ci qi e_i - cj qj e_j) - quot, a sparse row over W^len(basis).
+
+    Its product with the basis rows is the remainder _reduce leaves of
+    the S-polynomial ci qi row_i - cj qj row_j, scaled by s, with quot.
+    """
+    return add_terms({lay.with_comp(qi, i): s * ci,
+                      lay.with_comp(qj, j): -s * cj},
+                     ((k, -c) for k, c in quot.items()))
+
+
+def _combine(sigma, tracked, lay, d):
+    """sigma . tracked / d as a tracked row (t, D), meaning t / D.
+
+    sigma is a sparse row over W^len(tracked) and tracked[k] is (t_k,
+    D_k).  Integer rows t_k are scaled by lcm / D_k, so the sum is one
+    integer row over the lcm times d.  RatFunc rows have D_k = 1; a
+    RatFunc d divides each coefficient of sigma instead.
+    """
+    split = lay.split
+    parts = [(split(key), c) for key, c in sigma.items()]
+    ints = type(d) is int
+    den = lcm(*{tracked[k][1] for (k, _q), _c in parts})
+    out = {}
     envs = {}
-    for key, c in quot.items():
-        k, q = lay.split(key)
+    for (k, q), c in parts:
+        t, dk = tracked[k]
         env = envs.get(k)
         if env is None:
-            env = envs[k] = envelope(rows[k])
-        lay.mul_into(out, q, -c, rows[k], env)
-    return out
+            env = envs[k] = envelope(t)
+        if not ints:
+            c = c / d
+        elif dk != den:
+            c *= den // dk
+        lay.mul_into(out, q, c, t, env)
+    return (out, den * d) if ints else (out, 1)
 
 
 def _reduce(p, basis, keys, track=False):
@@ -305,16 +346,16 @@ def _reduce(p, basis, keys, track=False):
     rows that first scales the running remainder by some m.  Returns the
     remainder r, the product s of those scales (1 on RatFunc rows, which
     are monic) and, with track=True, the quotients as a sparse row over
-    W^len(basis.rows), so that s p = sum_k q_k rows[k] + r.  keys is the
-    order's memo on the basis layout.
+    W^len(basis.rows), so that s p = sum_k q_k rows[k] + r.  A quotient
+    term is scaled once, at the end, by the scales that came after it.
+    keys is the order's memo on the basis layout.
     """
     lay = basis.layout
     rows, envs, index = basis.rows, basis.envs, basis.index
     divisor, key = lay.divisor, keys.__getitem__
     p = dict(p)
     rem = {}
-    quot = {} if track else None
-    scaled = (p, rem, quot) if track else (p, rem)
+    steps = [] if track else None
     s = 1
     while p:
         mono = max(p, key=key)
@@ -327,29 +368,32 @@ def _reduce(p, basis, keys, track=False):
         m, c = cancel(p[mono], row[lead])
         if m != 1:
             s *= m
-            for terms in scaled:
+            for terms in (p, rem):
                 for t in terms:
                     terms[t] *= m
         lay.mul_into(p, q, -c, row, envs[k])
         if track:
-            add_terms(quot, [(lay.with_comp(q, k), c)])
+            steps.append((lay.with_comp(q, k), c, s))
+    quot = None
+    if track:
+        quot = add_terms({}, ((qk, c if t == s else c * (s // t))
+                              for qk, c, t in steps))
     return rem, s, quot
 
 
 def left_normal_form(v, basis, order):
     """Remainder of left division of v by the elements of basis.
 
-    basis is a list of FreeVec or a GBasis.  A GBasis computed under order
-    lends its cached leads and kernel rows; anything else becomes a GBasis
-    of its nonzero elements under order.
+    basis is a list of FreeVec or a GBasis, in the ambient of v.  A GBasis
+    computed under order lends its cached leads and kernel rows; anything
+    else becomes a GBasis of its nonzero elements under order.
     """
+    # a GBasis carries n, ring and rank as a FreeVec does
+    for g in [basis] if isinstance(basis, GBasis) else basis:
+        v._check(g)
     if not (isinstance(basis, GBasis) and basis.order is order):
         elements = basis.elements if isinstance(basis, GBasis) else basis
         basis = GBasis(v.n, v.ring, v.rank, order, [g for g in elements if g])
-    for g in basis.elements:
-        if g.rank != v.rank:
-            raise RankMismatch("vector rank %d vs basis rank %d"
-                               % (v.rank, g.rank))
     if v.ring == H1:
         for row in [v.terms] + [g.terms for g in basis.elements]:
             _require_homogeneous(sum(a) + sum(b) + e for _c, a, b, e in row)
@@ -369,27 +413,41 @@ class GBasis:
     """A monic, inter-reduced left Groebner basis with optional transform.
 
     transform[i] expresses elements[i] over the original generator list;
-    lifts[j] expresses original generator j over elements.  leads[i] is
+    lifts[j] expresses original generator j over elements; both are None
+    unless buchberger tracked them.  A basis from buchberger keeps its
+    kernel rows and tracked rows, and builds these Fraction rows, and
+    its elements, only when they are first read.  leads[i] is
     leading_term(elements[i], order), computed once (here when not
     given).  stats carries engine counters for reporting.
     """
 
-    __slots__ = ("n", "ring", "rank", "order", "elements", "leads",
-                 "transform", "lifts", "stats", "_basis")
+    __slots__ = ("n", "ring", "rank", "order", "leads", "stats", "_basis",
+                 "_elements", "_track", "_fractions")
 
-    def __init__(self, n, ring, rank, order, elements, transform=None,
-                 lifts=None, stats=None, leads=None):
+    def __init__(self, n, ring, rank, order, elements, stats=None,
+                 leads=None):
         self.n = n
         self.ring = ring
         self.rank = rank
         self.order = order
-        self.elements = elements
+        self._elements = elements
         self.leads = [leading_term(g, order) for g in elements] \
             if leads is None else leads
-        self.transform = transform
-        self.lifts = lifts
         self.stats = stats or {}
         self._basis = None
+        self._track = None
+        self._fractions = None
+
+    @property
+    def elements(self):
+        """The basis as monic Fraction rows."""
+        if self._elements is None:
+            basis = self._basis
+            self._elements = [
+                FreeVec(self.n, self.ring, self.rank,
+                        _rational(row, row[m], self.ring, basis.layout))
+                for row, m in zip(basis.rows, basis.leads)]
+        return self._elements
 
     def _kernel(self, lay):
         """The elements as kernel rows, on a layout at least as wide as lay.
@@ -401,8 +459,9 @@ class GBasis:
         """
         basis = self._basis
         if basis is None or basis.layout.width < lay.width:
+            elements = self.elements
             basis = self._basis = _Basis(lay)
-            for g, (m, _c) in zip(self.elements, self.leads):
+            for g, (m, _c) in zip(elements, self.leads):
                 lead = lay.enc[m]
                 basis.add(primitive(_clear(g.terms, self.ring, lay)[0],
                                     lead)[0], lead)
@@ -412,6 +471,35 @@ class GBasis:
         """The kernel rows on tuple keys."""
         basis = widening(self._kernel, layout(self.n, self.ring == H1))
         return [basis.layout.unpack(row) for row in basis.rows]
+
+    def _tracked(self, lay):
+        """The tracked transform and lifts of buchberger, on layout lay.
+
+        trans[k] is (t, D) with kernel row k = (t / D) . gens, lifts[j] is
+        (q, D) with D gens[j] = q . kernel rows.
+        """
+        old, trans, lifts = self._track
+        if old is not lay:
+            def move(row):
+                return {lay.enc[old.dec[k]]: c for k, c in row.items()}
+            trans = [(move(t), d) for t, d in trans]
+            lifts = [(move(q), d) for q, d in lifts]
+        return trans, lifts
+
+    def _public(self):
+        """(transform, lifts) as Fraction rows, built on the first read."""
+        if self._fractions is None and self._track is not None:
+            lay, trans, lifts = self._track
+            n, ring, lcs = self.n, self.ring, self._basis.lcs()
+            self._fractions = (
+                [FreeVec(n, ring, len(lifts), _rational(t, d * lc, ring, lay))
+                 for (t, d), lc in zip(trans, lcs)],
+                [FreeVec(n, ring, len(lcs), _rational(q, d, ring, lay, lcs))
+                 for q, d in lifts])
+        return self._fractions or (None, None)
+
+    transform = property(lambda self: self._public()[0])
+    lifts = property(lambda self: self._public()[1])
 
     def contains(self, v):
         return left_normal_form(v, self, self.order).is_zero()
@@ -436,41 +524,38 @@ def reset_counters():
 
 
 def buchberger(gens, order, track=False):
-    """Left Groebner basis of the row span of gens, normal pair selection."""
+    """Left Groebner basis of the row span of gens, normal pair selection.
+
+    Every generator lives in the ambient of the first.
+    """
     COUNTERS["buchberger_calls"] += 1
     gens = list(gens)
     # an empty list names no ambient; W_1 over QQ of rank 1 stands in
     first = gens[0] if gens else FreeVec.zero(1, QQ, 1)
+    for g in gens:
+        first._check(g)
     n, ring, rank = first.n, first.ring, first.rank
     basis, trans, lifts, stats = widening(
         lambda lay: _buchberger(gens, order, track, ring, lay),
         layout(n, ring == H1))
     lay = basis.layout
-    lcs = [row[m] for row, m in zip(basis.rows, basis.leads)]
-    if track:
-        lifts = [FreeVec(n, ring, len(lcs),
-                         _rational(q, den, ring, lay, lcs))
-                 for q, den in lifts]
-        trans = [FreeVec(n, ring, len(gens), _rational(t, lc, ring, lay))
-                 for t, lc in zip(trans, lcs)]
-    stats["basis_size"] = len(lcs)
+    stats["basis_size"] = len(basis.rows)
     COUNTERS["spairs"] += stats["spairs"]
-    COUNTERS["basis_elements"] += len(lcs)
+    COUNTERS["basis_elements"] += len(basis.rows)
     one = _one(ring)
-    gb = GBasis(n, ring, rank, order,
-                [FreeVec(n, ring, rank, _rational(row, lc, ring, lay))
-                 for row, lc in zip(basis.rows, lcs)],
-                transform=trans, lifts=lifts, stats=stats,
+    gb = GBasis(n, ring, rank, order, None, stats=stats,
                 leads=[(lay.dec[m], one) for m in basis.leads])
     gb._basis = basis
+    if track:
+        gb._track = (lay, trans, lifts)
     return gb
 
 
 def _buchberger(gens, order, track, ring, lay):
     """The kernel of buchberger on one layout.
 
-    Returns the interreduced basis, with track the transform rows and,
-    per generator, its quotients and the denominator they come over.
+    Returns the interreduced basis and, with track, its transform and the
+    lifts of the generators as tracked rows (see GBasis._tracked).
     """
     homog = ring == H1
     keys = order.packed(lay)
@@ -479,7 +564,8 @@ def _buchberger(gens, order, track, ring, lay):
     pairs = []
     seq = count()
 
-    def push(row, rep):
+    def push(row, sigma, tracked):
+        # with track, sigma . tracked is row
         if homog:
             _require_homogeneous(map(lay.degree, row))
         mono = max(row, key=keys.__getitem__)
@@ -492,14 +578,16 @@ def _buchberger(gens, order, track, ring, lay):
         row, d = primitive(row, mono)
         basis.add(row, mono)
         if track:
-            trans.append(_divided(rep, d))
+            # kept in lowest terms, so that denominators do not pile up
+            trans.append(lowest_terms(*_combine(sigma, tracked, lay, d)))
 
+    units = _units(lay, len(gens)) if track else None
     z0 = _zero_index(lay.n)
-    for i, g in enumerate(gens):
-        if g.terms:
-            row, den = _clear(g.terms, ring, lay)
-            push(row, {lay.enc[(i, z0, z0, 0)]: _one(ring) * den}
-                 if track else None)
+    cleared = [_clear(g.terms, ring, lay) for g in gens]
+    for i, (row, den) in enumerate(cleared):
+        if row:
+            push(row, {lay.enc[(i, z0, z0, 0)]: den} if track else None,
+                 units)
 
     stats = {"spairs": 0, "reductions_to_zero": 0}
     rows, leads = basis.rows, basis.leads
@@ -512,20 +600,15 @@ def _buchberger(gens, order, track, ring, lay):
         if not rem:
             stats["reductions_to_zero"] += 1
             continue
-        rep = None
-        if track:
-            rep = _minus_quotients(_spoly(lay, trans[i], qi, s * ci,
-                                          trans[j], qj, s * cj),
-                                   q, trans, lay)
-        push(rem, rep)
+        push(rem, _pair_row(lay, i, qi, ci, j, qj, cj, s, q)
+             if track else None, trans)
 
     basis, trans = _interreduce(basis, trans, keys)
 
     lifts = None
     if track:
         lifts = []
-        for g in gens:
-            row, den = _clear(g.terms, ring, lay)
+        for row, den in cleared:
             rem, s, q = _reduce(row, basis, keys, True)
             if rem:
                 raise InternalInvariant("a generator left a remainder on "
@@ -542,10 +625,11 @@ def _interreduce(basis, trans, keys):
     so a row reduced once stays reduced and one pass suffices.
     """
     lay, leads = basis.layout, basis.leads
+    z0 = _zero_index(lay.n)
     kept = _Basis(lay)
     keep = [i for i, mi in enumerate(leads)
             if not any(j != i and lay.divides(mj, mi) and (mi != mj or j < i)
-                       for j, mj in enumerate(leads))]
+                       for j, mj in basis.index[lay.comp(mi)])]
     for i in keep:
         kept.add(basis.rows[i], leads[i])
     if trans is not None:
@@ -560,46 +644,51 @@ def _interreduce(basis, trans, keys):
         kept.rows[i], d = primitive(rem, own)
         kept.envs[i] = envelope(kept.rows[i])
         if trans is not None:
-            t = trans[i] if s == 1 else {k: c * s
-                                         for k, c in trans[i].items()}
-            trans[i] = _divided(_minus_quotients(t, q, trans, lay), d)
+            # s e_i - q: q has no term in component i, whose lead left
+            # the index
+            sigma = {k: -c for k, c in q.items()}
+            sigma[lay.enc[(i, z0, z0, 0)]] = s
+            trans[i] = lowest_terms(*_combine(sigma, trans, lay, d))
     return kept, trans
+
+
+def _syzygies(basis, keys):
+    """(sigma, N) for each nonzero Schreyer syzygy sigma of basis.rows.
+
+    sigma is a sparse row over W^len(basis.rows) with sigma . rows = 0.
+    With component k times the lead coefficient of row k it kills the
+    monic elements, and over N its term qi e_i has coefficient 1.
+    """
+    lay = basis.layout
+    rows, leads, lcs = basis.rows, basis.leads, basis.lcs()
+    out = []
+    for j in range(len(rows)):
+        for i in range(j):
+            data = lay.lcm_multipliers(leads[i], leads[j])
+            if data is None:
+                continue
+            _, qi, qj = data
+            ci, cj = cancel(lcs[i], lcs[j])
+            rem, s, q = _reduce(_spoly(lay, rows[i], qi, ci, rows[j], qj, cj),
+                                basis, keys, True)
+            if rem:
+                raise InternalInvariant("input to syzygy_module was not a "
+                                        "Groebner basis")
+            sigma = _pair_row(lay, i, qi, ci, j, qj, cj, s, q)
+            if sigma:
+                out.append((sigma, s * ci * lcs[i]))
+    return out
 
 
 def syzygy_module(gb):
     """Schreyer generators of the left syzygies of gb.elements."""
     ring = gb.ring
-    z0 = _zero_index(gb.n)
 
     def run(lay):
         basis = gb._kernel(lay)
-        lay = basis.layout
-        keys = gb.order.packed(lay)
-        rows, leads = basis.rows, basis.leads
-        lcs = [row[m] for row, m in zip(rows, leads)]
-        out = []
-        for j in range(len(rows)):
-            for i in range(j):
-                data = lay.lcm_multipliers(leads[i], leads[j])
-                if data is None:
-                    continue
-                _, qi, qj = data
-                ci, cj = cancel(lcs[i], lcs[j])
-                rem, s, q = _reduce(_spoly(lay, rows[i], qi, ci, rows[j],
-                                           qj, cj), basis, keys, True)
-                if rem:
-                    raise InternalInvariant("input to syzygy_module was "
-                                            "not a Groebner basis")
-                # s (ci qi e_i - cj qj e_j) - q kills rows; with component
-                # k times lcs[k] it kills the elements, and over
-                # s ci lcs[i] its term qi e_i has coefficient 1
-                syz = _spoly(lay, {lay.enc[(i, z0, z0, 0)]: s}, qi, ci,
-                             {lay.enc[(j, z0, z0, 0)]: s}, qj, cj)
-                add_terms(syz, ((k, -c) for k, c in q.items()))
-                if syz:
-                    out.append(_rational(syz, s * ci * lcs[i], ring, lay,
-                                         lcs))
-        return out
+        lay, lcs = basis.layout, basis.lcs()
+        return [_rational(sigma, d, ring, lay, lcs)
+                for sigma, d in _syzygies(basis, gb.order.packed(lay))]
 
     return [FreeVec(gb.n, ring, len(gb.elements), terms)
             for terms in widening(run, layout(gb.n, ring == H1))]
@@ -610,30 +699,33 @@ def syz_of_list(gens):
 
     Rows are {sigma . T} for sigma in Syz(basis) together with the rows of
     (Id - lifts . transform); both families vanish on gens and together
-    they generate everything that does.
+    they generate everything that does.  They are composed from the
+    kernel rows of the tracked basis, on a layout wide enough for the
+    products.
     """
     gens = list(gens)
     if not gens:
         return []
     n, ring = gens[0].n, gens[0].ring
     gb = buchberger(gens, bernstein_order(n), track=True)
-    s = len(gens)
-    syz = syzygy_module(gb)
     z0 = _zero_index(n)
 
     def compose(lay):
-        trans = [lay.pack(t.terms) for t in gb.transform]
-        rows = [_minus_quotients({}, {k: -c for k, c in
-                                      lay.pack(sig.terms).items()},
-                                 trans, lay)
-                for sig in syz]
-        rows += [_minus_quotients({lay.enc[(i, z0, z0, 0)]: _one(ring)},
-                                  lay.pack(lift.terms), trans, lay)
-                 for i, lift in enumerate(gb.lifts)]
-        return [lay.unpack(row) for row in rows if row]
+        basis = gb._kernel(lay)
+        lay = basis.layout
+        trans, lifts = gb._tracked(lay)
+        rows = [_combine(sigma, trans, lay, d)
+                for sigma, d in _syzygies(basis, gb.order.packed(lay))]
+        # e_j - lifts_j . T: over trans followed by the unit rows
+        tracked = trans + _units(lay, len(gens))
+        for j, (q, d) in enumerate(lifts):
+            sigma = {k: -c for k, c in q.items()}
+            sigma[lay.enc[(len(trans) + j, z0, z0, 0)]] = d
+            rows.append(_combine(sigma, tracked, lay, d))
+        return [_rational(row, d, ring, lay) for row, d in rows if row]
 
-    return [FreeVec(n, ring, s, row)
-            for row in widening(compose, layout(n, ring == H1))]
+    return [FreeVec(n, ring, len(gens), row)
+            for row in widening(compose, gb._basis.layout)]
 
 
 class FreeResolution:
@@ -724,6 +816,7 @@ def submodule_equal(gens_a, gens_b):
     gens_b = [g for g in gens_b if g.terms]
     if not gens_a or not gens_b:
         return not gens_a and not gens_b
+    gens_a[0]._check(gens_b[0])
     order = bernstein_order(gens_a[0].n)
     return set(buchberger(gens_a, order).elements) == \
         set(buchberger(gens_b, order).elements)

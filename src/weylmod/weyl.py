@@ -26,7 +26,7 @@ from fractions import Fraction
 from operator import add
 
 from ._linalg import add_terms
-from ._packed import product
+from ._packed import layout, product, widening
 from .errors import MixedAmbient, UnsupportedAmbient, ZeroElement
 from .scalars import QPoly, RatFunc
 
@@ -332,18 +332,25 @@ def _reordered(u, image):
     image maps (a, b) to (p, q, sign); the Fourier pair and the transpose
     differ only in it.  Keys of u end in (a, b, e), and what comes before
     (the component of a free-module term) is carried over, so a FreeVec
-    is mapped entrywise.
+    is mapped entrywise.  The whole of u goes through the product loop in
+    one pass on packed keys.
     """
+    if not u.terms:
+        return u
     z0 = _zero_index(u.n)
-    one = _one(u.ring)
-    out = {}
-    for key, c in u.terms.items():
-        head, (a, b, e) = key[:-3], key[-3:]
-        p, q, sign = image(a, b)
-        add_terms(out, product({(z0, p, e): c * sign},
-                               {head + (q, z0, 0): one}, u.n,
-                               u.ring == H1).items())
-    return u._like(out)
+    comps = len(next(iter(u.terms))) == 4
+
+    def run(lay):
+        enc = lay.enc
+        out = {}
+        for key, c in u.terms.items():
+            head, (a, b, e) = key[:-3], key[-3:]
+            p, q, sign = image(a, b)
+            t = enc[head + (q, z0, 0)]
+            lay.mul_into(out, enc[(z0, p, e)], c * sign, {t: 1}, t)
+        return lay.unpack(out, comps)
+
+    return u._like(widening(run, layout(u.n, u.ring == H1)))
 
 
 def fourier(u):

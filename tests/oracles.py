@@ -11,7 +11,8 @@ The grade is taken by its definition, the least i with Ext^i(M, W) != 0,
 from free resolutions; the engine reads it off the dimension instead.
 
 Products are checked against the Leibniz rule, applied one derivation at
-a time to plain exponent tuples.
+a time to plain exponent tuples; so are the linear combinations of rows
+and the transposes built from those products.
 """
 
 from weylmod import (INF, FreeVec, WeylAlgebra, bernstein_degree, ext,
@@ -123,4 +124,34 @@ def leibniz_product(left, right, homog=False):
             head, (a, b, e) = key[:-3], key[-3:]
             shifted = tuple(s + t for s, t in zip(a1, a))
             _accumulate(out, head + (shifted, b, e1 + e), c1 * c)
+    return out
+
+
+def leibniz_combination(coeffs, rows, homog=False):
+    """sum_k coeffs_k rows[k] as a term dict, each product by leibniz_product.
+
+    coeffs is a FreeVec over W^len(rows) and rows a list of FreeVec.
+    """
+    out = {}
+    for (k, a, b, e), c in coeffs.terms.items():
+        for key, v in leibniz_product({(a, b, e): c}, rows[k].terms,
+                                      homog).items():
+            _accumulate(out, key, v)
+    return out
+
+
+def leibniz_transpose(v, homog=False):
+    """transpose of a term dict: each z^e x^a d^b becomes (-1)^|b| d^b x^a.
+
+    The reordering of d^b past x^a is leibniz_product's; what comes
+    before (a, b, e) in a key is carried over.
+    """
+    out = {}
+    for key, c in v.items():
+        head, (a, b, e) = key[:-3], key[-3:]
+        z0 = (0,) * len(a)
+        sign = -1 if sum(b) % 2 else 1
+        for k, w in leibniz_product({(z0, b, e): c * sign},
+                                    {head + (a, z0, 0): 1}, homog).items():
+            _accumulate(out, k, w)
     return out

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from weylmod import (H1, QQ, QZ, ZP, FreeVec, GBasis, InternalInvariant,
-                     QPoly, RankMismatch, RatFunc, UnsupportedAmbient,
+                     MixedAmbient, QPoly, RankMismatch, RatFunc,
+                     UnsupportedAmbient,
                      WeylAlgebra, WeylElement,
                      bernstein_order, buchberger, free_resolution,
                      leading_term, left_normal_form, pot_block_order,
@@ -19,7 +20,8 @@ from weylmod.groebner import (colon_z, saturate_z, submodule_equal,
                               syzygy_module)
 
 from helpers import rand_element, rand_scalar
-from oracles import all_monomials, brute_member, field_normal_form
+from oracles import (all_monomials, brute_member, field_normal_form,
+                     leibniz_combination)
 
 W = WeylAlgebra(1, QQ)
 
@@ -210,6 +212,29 @@ def test_gb_transform_and_lifts_random(ring, rank):
         assert all(type(c) is scalar for v in out for c in v.terms.values())
 
 
+TRACKED = [(QQ, 1), (ZP, 1), (QZ, 1), (H1, 1), (QQ, 2), (ZP, 2), (QZ, 2)]
+
+
+@pytest.mark.parametrize("ring,n", TRACKED,
+                         ids=["%s%d" % (r, n) for r, n in TRACKED])
+def test_tracked_outputs_match_leibniz(ring, n):
+    # every product of the check is taken by the Leibniz rule, so the
+    # kernel's combination of tracked rows is checked by code it does
+    # not share
+    rng = random.Random("tracked/%s/%d" % (ring, n))
+    order = vres_order(1) if ring == H1 else bernstein_order(n)
+    homog = ring == H1
+    for rank in (1, 2):
+        gens = random_gens(rng, ring, rank, order, n)
+        gb = buchberger(gens, order, track=True)
+        for g, t in zip(gb.elements, gb.transform):
+            assert leibniz_combination(t, gens, homog) == g.terms
+        for g, lift in zip(gens, gb.lifts):
+            assert leibniz_combination(lift, gb.elements, homog) == g.terms
+        for s in syz_of_list(gens):
+            assert not leibniz_combination(s, gens, homog)
+
+
 @pytest.mark.parametrize("ring,n", [(QQ, 1), (ZP, 1), (QZ, 1), (H1, 1),
                                     (QQ, 2), (ZP, 2), (QZ, 2)])
 def test_normal_form_matches_field_division(ring, n):
@@ -302,6 +327,54 @@ def test_rank_mismatch_rejected():
     with pytest.raises(RankMismatch):
         left_normal_form(vec(W.x(1)),
                          [FreeVec.from_entries([W.x(1), W.d(1)], rank=2)],
+                         bernstein_order(1))
+
+
+def _mixed_ranks():
+    x, d = W.x(1), W.d(1)
+    return [FreeVec.from_entries([x]), FreeVec.from_entries([x, d])]
+
+
+def _mixed_algebras():
+    return [vec(W.x(1)), vec(WeylAlgebra(2, QQ).x(2))]
+
+
+def _mixed_rings():
+    return [vec(W.x(1)), vec(WeylAlgebra(1, QZ).x(1))]
+
+
+@pytest.mark.parametrize("make,error", [(_mixed_ranks, RankMismatch),
+                                        (_mixed_algebras, MixedAmbient),
+                                        (_mixed_rings, MixedAmbient)],
+                         ids=["ranks", "algebras", "rings"])
+def test_mixed_ambients_are_rejected(make, error):
+    # each generator must live in the ambient of the first: a mixed list
+    # gave a basis with a component beyond its rank, the unit basis of
+    # x1 and x2, or an AttributeError
+    rows = make()
+    with pytest.raises(error):
+        buchberger(rows, bernstein_order(1))
+    with pytest.raises(error):
+        syz_of_list(rows)
+    with pytest.raises(error):
+        preimage_rows(rows[:1], rows[1:])
+    with pytest.raises(error):
+        submodule_equal(rows, rows[:1])
+    with pytest.raises(error):
+        submodule_equal(rows[:1], rows[1:])
+
+
+def test_normal_form_rejects_another_algebra():
+    # a W_2 vector divided by W_1 rows was reduced as if x2 were x1
+    A = WeylAlgebra(2, QQ)
+    v = vec(A.x(2) * A.d(1))
+    gb = buchberger([vec(W.x(1))], bernstein_order(1))
+    empty = buchberger([vec(W.zero())], bernstein_order(1))
+    for basis in (gb, gb.elements, empty):
+        with pytest.raises(MixedAmbient):
+            left_normal_form(v, basis, bernstein_order(1))
+    with pytest.raises(MixedAmbient):
+        left_normal_form(vec(WeylAlgebra(1, QZ).x(1)), gb,
                          bernstein_order(1))
 
 

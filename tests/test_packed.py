@@ -5,11 +5,13 @@ import random
 
 import pytest
 
-from weylmod import (QQ, FreeVec, InternalInvariant, WeylAlgebra,
-                     WeylmodError, bernstein_order, buchberger)
-from weylmod._packed import Overflow, envelope, layout, product, widening
+from weylmod import (QQ, ZP, FreeVec, InternalInvariant, WeylAlgebra,
+                     WeylmodError, bernstein_order, buchberger, syz_of_list,
+                     transpose)
+from weylmod._packed import (MIN_WIDTH, Overflow, envelope, layout, product,
+                             widening)
 
-from oracles import leibniz_product
+from oracles import leibniz_combination, leibniz_product, leibniz_transpose
 
 
 def rand_key(rng, n, top):
@@ -136,3 +138,60 @@ def test_kernel_widens_in_the_middle_of_a_run():
     assert hashlib.sha256(got).hexdigest() == (
         "f1d2a27f2fec885a3fb98c92736dbcbb7efa417094168e0187f276ad804eca87")
     assert any(k[1] == (65,) for g in gb.elements for k in g.terms)
+
+
+def _lifted_unit():
+    # the basis is {x1}, tracked as e_1 - x1^5 e_2; the lift x1^59 of
+    # x1^60 times it reaches x1^64 in the row e_3 - x1^59 (e_1 - x1^5 e_2)
+    W = WeylAlgebra(1, QQ)
+    return [FreeVec.from_entries([W.monomial((10,), (0,)) + W.x(1)]),
+            FreeVec.from_entries([W.monomial((5,), (0,))]),
+            FreeVec.from_entries([W.monomial((60,), (0,))])]
+
+
+def _schreyer_pair():
+    # the basis is {x2^60, x1}, x1 tracked as e_1 - x2^5 e_2; their
+    # Schreyer syzygy x2^60 e_x1 - x1 e_x2^60 composes to x2^65
+    W = WeylAlgebra(2, QQ)
+    return [FreeVec.from_entries([W.monomial((1, 6), (0, 0)) + W.x(1)]),
+            FreeVec.from_entries([W.monomial((1, 1), (0, 0))]),
+            FreeVec.from_entries([W.monomial((0, 60), (0, 0))])]
+
+
+# sha256 of repr(syz_of_list(gens)), recorded with the Fraction-row
+# composition this kernel replaced
+WIDE_SYZYGIES = [
+    (_lifted_unit,
+     "06100996c83f32faabc6176f0cf2834fb8b4d696002e210809cd4215caa943af"),
+    (_schreyer_pair,
+     "4686a7e0bf32643f50cbbff57ff7e25b12fcf618a9bab114e358bebe58c28dc7"),
+]
+
+
+@pytest.mark.parametrize("make,digest", WIDE_SYZYGIES,
+                         ids=["lifts", "schreyer"])
+def test_syzygies_widen_past_the_basis_layout(make, digest):
+    # Buchberger fits the narrowest fields; composing its transform with
+    # the lifts or the Schreyer syzygies does not, so the composition
+    # reruns wider instead of raising Overflow
+    gens = make()
+    gb = buchberger(gens, bernstein_order(gens[0].n), track=True)
+    assert gb._basis.layout.width == MIN_WIDTH
+    syz = syz_of_list(gens)
+    assert hashlib.sha256(repr(syz).encode()).hexdigest() == digest
+    assert max(v for s in syz for _c, a, b, _e in s.terms
+               for v in a + b) >= 64
+    for s in syz:
+        assert not leibniz_combination(s, gens)
+
+
+def test_transpose_widens_in_one_pass():
+    W = WeylAlgebra(2, ZP)
+    M = W.monomial
+    v = FreeVec.from_entries([M((70, 1), (2, 0), 1, 3)
+                              + M((1, 0), (0, 65), 0, -2), W.zero(),
+                              M((0, 3), (64, 1), 2, 5)])
+    got = transpose(v)
+    assert got.terms == leibniz_transpose(v.terms)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == (
+        "98d31d23398807b23f42896612caa7dc5e206da8074adf0b51001bdb4f45b456")

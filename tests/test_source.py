@@ -98,7 +98,23 @@ def test_one_product_loop():
                                     "_packed.py:Layout.mul_into"}
     assert found.pop("mul_into") == {
         "_packed.py:product", "groebner.py:_spoly", "groebner.py:_reduce",
-        "groebner.py:_minus_quotients", "derham.py:_truncated_nf"}
+        "groebner.py:_combine", "weyl.py:_reordered",
+        "derham.py:_truncated_nf"}
+
+
+@pytest.mark.parametrize("function", ["_buchberger", "_interreduce",
+                                      "syz_of_list"])
+def test_tracking_is_fraction_free(function):
+    # transforms, lifts and syzygies are integer rows over one denominator
+    # inside the kernel; they become Fraction rows only through _rational
+    assert not {"Fraction", "_divided"} & _names("groebner.py", function)
+
+
+def test_one_combine_step():
+    # tracked rows are combined by _combine alone
+    names = dict(_functions(ast.parse((PACKAGE / "groebner.py").read_text())))
+    assert "_combine" in names
+    assert not {"_minus_quotients", "_divided"} & set(names)
 
 
 def test_one_module_knows_the_packed_layout():

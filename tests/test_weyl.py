@@ -13,7 +13,7 @@ from weylmod import (H1, QQ, QZ, ZP, FreeVec, MixedAmbient, RankMismatch,
                      reduce_element_mod_z, to_str, transpose)
 
 from helpers import rand_element
-from oracles import leibniz_product
+from oracles import leibniz_product, leibniz_transpose
 
 W1 = WeylAlgebra(1, QQ)
 W2 = WeylAlgebra(2, QQ)
@@ -233,6 +233,19 @@ def test_product_matches_leibniz(n, ring):
         vec = FreeVec.from_entries([W.zero()] * comp + [v])
         want = leibniz_product(u.terms, vec.terms, ring == H1)
         assert vec.mul_left(u).terms == want
+
+
+@pytest.mark.parametrize("n,ring", PRODUCT_RINGS,
+                         ids=["%s%d" % (r, n) for n, r in PRODUCT_RINGS])
+def test_transpose_matches_leibniz(n, ring):
+    rng = random.Random("transpose/%s/%d" % (ring, n))
+    W = WeylAlgebra(n, ring)
+    for _ in range(6):
+        entries = [rand_element(rng, W, deg=4, terms=3) for _ in range(3)]
+        v = FreeVec.from_entries(entries, rank=4)
+        assert transpose(v).terms == leibniz_transpose(v.terms, ring == H1)
+        assert transpose(entries[0]).terms == leibniz_transpose(
+            entries[0].terms, ring == H1)
 
 
 # exponents at and around every power of two a fixed-width field could
