@@ -37,7 +37,7 @@ from .errors import (
     RightModule,
     UnsupportedAmbient,
 )
-from .groebner import FreeVec, _Basis, buchberger, vres_order
+from .groebner import FreeVec, _Basis, _reduce, buchberger, vres_order
 from .lattice import make_lattice, reduce_mod_z
 from .modules import LEFT, is_minimal_dimension
 from .scalars import QPoly, RatFunc
@@ -321,34 +321,6 @@ def _standard_monomials(stairs, rank, w):
     return out
 
 
-def _truncated_nf(expr, lifts, min_weight, keys):
-    """Reduce to standard monomials, discarding weights below min_weight.
-
-    expr maps packed terms (comp, (a,), (b,), 0) to Fractions, and lifts
-    is a groebner._Basis of the lifts, each led by its stair.  Each step
-    takes the largest term in the V-order (weight, a + b, e, -comp), whose
-    memoized keys lead with the weight b - a, and stops once that falls
-    below min_weight.  A term no stair divides moves to the remainder; any
-    other is cancelled by a monomial multiple of the first lift whose
-    stair divides it.  Every subtraction uses the full lift, so lower
-    weight tails propagate correctly before being cut.
-    """
-    lay = lifts.layout
-    expr = dict(expr)
-    rem = {}
-    while expr:
-        mono = max(expr, key=keys.__getitem__)
-        if keys[mono][0] < min_weight:
-            break
-        hit = lay.divisor(lifts.index, mono)
-        if hit is None:
-            rem[mono] = expr.pop(mono)
-            continue
-        k, _stair, q = hit
-        lay.mul_into(expr, q, -expr[mono], lifts.rows[k], lifts.envs[k])
-    return rem
-
-
 class CohomologyReport:
     """Dimensions and Euler characteristic with their provenance."""
 
@@ -397,13 +369,16 @@ def h_dr_n1(module):
     cod_index = {m: i for i, m in enumerate(cod)}
     starts = [{(j, (a + 1,), bb, 0): Fraction(1)} for j, (a,), bb, _e in dom]
 
+    # the monic lifts divide with scale 1; a V-order key (b - a, a + b, e,
+    # -comp) is below (k0,) exactly at weights below k0, and whole lifts
+    # are subtracted, so lower tails are cut only once nothing above is left
     def window(lay):
         basis = _Basis(lay)
         for (comp, a, b), _w, terms in lifts:
             basis.add(lay.pack(terms), lay.enc[(comp, (a,), (b,), 0)])
         keys = vres_order(1).packed(lay)
-        return [{cod_index[m]: c for m, c in lay.unpack(_truncated_nf(
-            lay.pack(start), basis, k0, keys)).items()}
+        return [{cod_index[m]: c for m, c in lay.unpack(_reduce(
+            lay.pack(start), basis, keys, floor=(k0,))[0]).items()}
             for start in starts]
 
     rows = widening(window, layout(1, False))

@@ -47,8 +47,10 @@ pairs wait in a heap keyed by the order key of their lcm, with the
 sequence number of the pair as tiebreak; basis elements never change
 once pushed, so the heap pops pairs in exactly the order of a stable
 sort by lcm, and the transform, lifts and syzygies do not depend on how
-the queue is kept.  Normal forms
-reduce one mutable sparse dict.  Interreduction is one pass: tail
+the queue is kept.  Normal forms reduce one mutable sparse dict in
+_reduce, the one division loop; its private floor, an order key, stops
+at the first lead below it and drops the rest, which is how the de Rham
+window cuts weights below k0.  Interreduction is one pass: tail
 reduction never changes a lead monomial, so an element reduced against
 the other leads stays reduced while the rest are.
 
@@ -66,7 +68,8 @@ from math import lcm
 
 from ._linalg import add_terms, cancel, lowest_terms, primitive
 from ._packed import envelope, layout, product, widening
-from .errors import InternalInvariant, RankMismatch, UnsupportedAmbient
+from .errors import (InternalInvariant, RankMismatch, UnsupportedAmbient,
+                     ZeroElement)
 from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _Terms,
                    _one, _zero_index)
 
@@ -222,6 +225,8 @@ def vres_order(n):
 
 
 def leading_term(v, order):
+    if not v.terms:
+        raise ZeroElement("the zero vector has no leading term")
     key = max(v.terms, key=order.key)
     return key, v.terms[key]
 
@@ -338,7 +343,7 @@ def _combine(sigma, tracked, lay, d):
     return (out, den * d) if ints else (out, 1)
 
 
-def _reduce(p, basis, keys, track=False):
+def _reduce(p, basis, keys, track=False, floor=()):
     """Left division of the sparse row p by the rows of basis, fraction-free.
 
     Each step divides the current leading monomial by the first lead that
@@ -348,7 +353,9 @@ def _reduce(p, basis, keys, track=False):
     are monic) and, with track=True, the quotients as a sparse row over
     W^len(basis.rows), so that s p = sum_k q_k rows[k] + r.  A quotient
     term is scaled once, at the end, by the scales that came after it.
-    keys is the order's memo on the basis layout.
+    keys is the order's memo on the basis layout.  Division stops at the
+    first leading monomial whose key is below floor and drops the terms
+    still left to divide; the default () is below every key.
     """
     lay = basis.layout
     rows, envs, index = basis.rows, basis.envs, basis.index
@@ -359,6 +366,8 @@ def _reduce(p, basis, keys, track=False):
     s = 1
     while p:
         mono = max(p, key=key)
+        if floor and key(mono) < floor:
+            break
         hit = divisor(index, mono)
         if hit is None:
             rem[mono] = p.pop(mono)
@@ -782,9 +791,18 @@ def preimage_rows(arows, brows):
     return out
 
 
+def _nonzero_rows(rows, rank):
+    """The nonzero rows, each of rank rank, else RankMismatch."""
+    rows = [r for r in rows if r.terms]
+    for r in rows:
+        if r.rank != rank:
+            raise RankMismatch("relation rank %d vs %d" % (r.rank, rank))
+    return rows
+
+
 def colon_z(gens, rank):
     """One colon step (N : z) over ZP: intersect with z F, divide by z."""
-    gens = list(gens)
+    gens = _nonzero_rows(gens, rank)
     if not gens:
         return []
     n, ring = gens[0].n, gens[0].ring
@@ -830,7 +848,7 @@ def saturate_z(gens, rank):
     down one power of z, which keeps the order and divisibility.  Reduced
     bases are unique, so N : z = N exactly when that basis is N's own.
     """
-    current = [g for g in gens if g.terms]
+    current = _nonzero_rows(gens, rank)
     if not current:
         return []
     known = set(buchberger(current, bernstein_order(current[0].n)).elements)

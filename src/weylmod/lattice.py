@@ -16,8 +16,8 @@ completion while staying nonzero over Q(z).
 from .errors import IndexOutOfRange, InternalInvariant, NonIntegral, \
     NotMinimalDimension, NotSameModule, NotSaturated, UnsupportedAmbient
 from .scalars import QPoly, RatFunc
-from .groebner import (FreeVec, bernstein_order, buchberger, colon_z,
-                       preimage_rows, saturate_z, submodule_equal)
+from .groebner import (FreeVec, _nonzero_rows, bernstein_order, buchberger,
+                       colon_z, preimage_rows, saturate_z, submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
                       is_minimal_dimension, matrix_rows)
 from .weyl import (QQ, QZ, ZP, WeylAlgebra, convert_ring,
@@ -31,7 +31,7 @@ class IntegralPresentation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rows", [r for r in rows if r.terms])
+        object.__setattr__(self, "rows", _nonzero_rows(rows, rank))
         object.__setattr__(self, "saturated", saturated)
 
     def __setattr__(self, name, value):

@@ -18,7 +18,7 @@ from ._linalg import add_terms
 from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
                      UnsupportedAmbient, ZeroModule)
 from .scalars import INF
-from .groebner import (FreeVec, bernstein_order, buchberger,
+from .groebner import (FreeVec, _nonzero_rows, bernstein_order, buchberger,
                        free_resolution, preimage_rows, syz_of_list)
 from .weyl import H1, QQ, QZ, ZP, transpose
 
@@ -51,10 +51,7 @@ class PresentedModule:
     __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext")
 
     def __init__(self, n, ring, side, rank, rows):
-        rows = [r for r in rows if r.terms]
-        for r in rows:
-            if r.rank != rank:
-                raise RankMismatch("relation rank %d vs %d" % (r.rank, rank))
+        rows = _nonzero_rows(rows, rank)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "side", side)

@@ -27,7 +27,8 @@ from operator import add
 
 from ._linalg import add_terms
 from ._packed import layout, product, widening
-from .errors import MixedAmbient, UnsupportedAmbient, ZeroElement
+from .errors import (DivisionByZero, MixedAmbient, UnsupportedAmbient,
+                     ZeroElement)
 from .scalars import QPoly, RatFunc
 
 QQ = "QQ"
@@ -172,8 +173,10 @@ class WeylElement(_Terms):
         return NotImplemented
 
     def __truediv__(self, c):
-        one = _one(self.ring)
-        return self.scale(one / _coerce(self.ring, c))
+        c = _coerce(self.ring, c)
+        if not c:
+            raise DivisionByZero("division of a Weyl element by zero")
+        return self.scale(_one(self.ring) / c)
 
     def __pow__(self, k):
         if k < 0:

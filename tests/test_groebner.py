@@ -9,12 +9,13 @@ import pytest
 from weylmod import (H1, QQ, QZ, ZP, FreeVec, GBasis, InternalInvariant,
                      MixedAmbient, QPoly, RankMismatch, RatFunc,
                      UnsupportedAmbient,
-                     WeylAlgebra, WeylElement,
+                     WeylAlgebra, WeylElement, ZeroElement,
                      bernstein_order, buchberger, free_resolution,
                      leading_term, left_normal_form, pot_block_order,
                      preimage_rows, syz_of_list, vres_order)
 from weylmod import bernstein_degree, groebner, to_str
 from weylmod._linalg import add_terms
+from weylmod._packed import layout, widening
 from weylmod.cli import run
 from weylmod.groebner import (colon_z, saturate_z, submodule_equal,
                               syzygy_module)
@@ -257,6 +258,50 @@ def test_normal_form_matches_field_division(ring, n):
                 field_normal_form(v, plain, order)
 
 
+FLOORED = [(QQ, 1), (ZP, 1), (QZ, 1), (QQ, 2), (ZP, 2), (QZ, 2)]
+
+
+@pytest.mark.parametrize("ring,n", FLOORED,
+                         ids=["%s%d" % (r, n) for r, n in FLOORED])
+def test_reduce_floor_keeps_the_remainder_above_it(ring, n):
+    # division cut at a floor keeps exactly the full remainder's terms of
+    # key >= floor: steps after the cut only add terms below it, and their
+    # scales multiply the kept terms, so the two agree up to the scales.
+    # The basis is the generator list itself: division by any list ends
+    # under a well-order, and the cuts fall between its many steps
+    rng = random.Random("floor/%s/%d" % (ring, n))
+    order = bernstein_order(n)
+    for rank in (1, 2):
+        for _ in range(2):
+            gens = random_gens(rng, ring, rank, order, n)
+            basis = GBasis(n, ring, rank, order, gens)
+            v = sum(random_gens(rng, ring, rank, order, n, deg=3)[1:],
+                    gens[0])
+
+            def check(lay):
+                kernel = basis._kernel(lay)
+                lay = kernel.layout
+                # a fresh memo: afterwards it holds every monomial the
+                # full division compared
+                keys = lay.keys(order.key)
+                p, den = groebner._clear(v.terms, ring, lay)
+                full, s, _q = groebner._reduce(p, kernel, keys)
+                assert groebner._reduce(p, kernel, keys, floor=()) == \
+                    (full, s, None)
+                assert groebner._rational(full, s * den, ring, lay) == \
+                    field_normal_form(v, gens, order).terms
+                floors = {k[:cut] for k in list(keys.values())
+                          for cut in (1, len(k))}
+                for floor in sorted(floors):
+                    rem, s_floor, _q = groebner._reduce(p, kernel, keys,
+                                                        floor=floor)
+                    assert {m: c * s for m, c in rem.items()} == \
+                        {m: c * s_floor for m, c in full.items()
+                         if keys[m] >= floor}
+
+            widening(check, layout(n, False))
+
+
 def test_syzygies_kill_generators():
     x, d = W.x(1), W.d(1)
     gens = [d * d - x, x * d + 2, x * x]
@@ -492,6 +537,15 @@ def test_leads_computed_once(monkeypatch):
     pushed = len(gens) + gb.stats["spairs"] - gb.stats["reductions_to_zero"]
     assert len(calls) <= 2 * pushed
     assert gb.leads == [real(g, order) for g in gb.elements]
+
+
+def test_zero_vector_has_no_leading_term():
+    # max() of no terms raised a bare ValueError
+    zero = FreeVec.zero(1, QQ, 1)
+    with pytest.raises(ZeroElement):
+        leading_term(zero, bernstein_order(1))
+    with pytest.raises(ZeroElement):
+        GBasis(1, QQ, 1, bernstein_order(1), [zero])
 
 
 def test_h1_input_must_be_homogeneous():

@@ -54,6 +54,18 @@ def test_rows_of_another_width_raise(width, rank):
                                             rank=rank)
 
 
+def test_presentation_rows_of_another_rank_raise():
+    # a rank-3 row in a rank-2 presentation was kept, and saturation then
+    # returned [], the free module, as if no relation had been given
+    row = FreeVec.from_entries([Z.d(1), Z.x(1), Z.one()])
+    with pytest.raises(RankMismatch):
+        IntegralPresentation(1, LEFT, 2, [row])
+    with pytest.raises(RankMismatch):
+        saturate_z([row], 2)
+    with pytest.raises(RankMismatch):
+        groebner.colon_z([row], 2)
+
+
 def test_make_lattice_idempotent():
     P = make_lattice(pres(A.z() * A.d(1) - A.z()))
     Q = make_lattice(P)

@@ -98,8 +98,19 @@ def test_one_product_loop():
                                     "_packed.py:Layout.mul_into"}
     assert found.pop("mul_into") == {
         "_packed.py:product", "groebner.py:_spoly", "groebner.py:_reduce",
-        "groebner.py:_combine", "weyl.py:_reordered",
-        "derham.py:_truncated_nf"}
+        "groebner.py:_combine", "weyl.py:_reordered"}
+
+
+def test_one_division_loop():
+    # division by a basis is written once: the de Rham window cuts it at
+    # weight k0 through the floor of _reduce, and outside _packed.py only
+    # _reduce asks a layout for the divisor of a monomial
+    found = {path.name + ":" + name
+             for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "_packed.py"
+             for name, node in _functions(ast.parse(path.read_text()))
+             if "divisor" in _used(node)}
+    assert found == {"groebner.py:_reduce"}
 
 
 @pytest.mark.parametrize("function", ["_buchberger", "_interreduce",
@@ -187,7 +198,7 @@ def test_oracle_shares_nothing_with_the_window():
     # V-order machinery or the Weyl product
     shared = {"Fraction", "WeylAlgebra", "mul_monomial", "product",
               "mul_into", "divisor", "_Basis",
-              "_v_lifts", "_b_data", "_theta_image", "_truncated_nf",
+              "_v_lifts", "_b_data", "_theta_image", "_reduce",
               "_stairs_by_comp", "_standard_monomials",
               "_indicial_polynomial", "vres_order"}
     assert not shared & _names("derham.py", "stabilization_oracle")

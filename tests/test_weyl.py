@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (H1, QQ, QZ, ZP, FreeVec, MixedAmbient, RankMismatch,
-                     RatFunc,
+from weylmod import (H1, QQ, QZ, ZP, DivisionByZero, FreeVec, MixedAmbient,
+                     RankMismatch, RatFunc,
                      WeylAlgebra, XPoly, apply_to_polynomial,
                      bernstein_degree, convert_ring, fourier,
                      fourier_inverse, principal_symbol,
@@ -164,6 +164,15 @@ def test_free_vectors_of_different_algebras_do_not_add():
         u.mul_left(WeylAlgebra(2, ZP).z())
     with pytest.raises(RankMismatch, match="^rank 1 vs 2$"):
         u + FreeVec.from_entries([W1.x(1), W1.d(1)])
+
+
+@pytest.mark.parametrize("ring", [QQ, ZP, QZ, H1])
+def test_division_by_zero_is_typed(ring):
+    # over QQ, ZP and H1 the Fraction division raised ZeroDivisionError
+    x = WeylAlgebra(1, ring).x(1)
+    for zero in (0, Fraction(0)) + ((RatFunc(0),) if ring == QZ else ()):
+        with pytest.raises(DivisionByZero):
+            x / zero
 
 
 @pytest.mark.parametrize("ring", [QQ, ZP, H1])
