@@ -25,6 +25,9 @@ runs under `widening`: it starts on the narrowest layout (or on the one
 a basis it reuses was built on) and reruns on a layout twice as wide
 after an Overflow, so the width comes from the data and nothing wraps.
 
+Order keys are read off the packed int itself (Layout.graded and
+Layout.degrees), so an order never decodes a monomial to rank it.
+
 Layouts are shared per (n, homog, width) and carry memos: key encoding
 and decoding, and the expansion
 
@@ -56,7 +59,7 @@ class Overflow(InternalInvariant):
         self.layout = lay
 
 
-class _Memo(dict):
+class Memo(dict):
     """A dict that fills a missing key from fn: a hit runs no Python code."""
 
     __slots__ = ("fn",)
@@ -128,8 +131,9 @@ class Layout:
     encoded on the way into the next.
     """
 
-    __slots__ = ("n", "homog", "width", "shifts", "cshift", "guard", "spill",
-                 "fields", "xmask", "dmask", "enc", "dec", "dec3", "_tables")
+    __slots__ = ("n", "homog", "width", "shifts", "pairsum", "cshift",
+                 "guard", "spill", "fields", "xmask", "dmask", "xdmask", "enc",
+                 "dec", "dec3", "_tables")
 
     def __init__(self, n, homog, width):
         self.n = n
@@ -139,6 +143,14 @@ class Layout:
         nf = 2 * n + 1
         # bit offsets of the fields e, a_1..a_n, b_1..b_n
         self.shifts = [f * s for f in range(nf)]
+        # |a| + |b| of graded(): adjacent x/d fields are added into slots
+        # 2s wide, and one product sums the n slots into the top one;
+        # fields below 2^(width - 1) keep every slot sum below n 2^width,
+        # which fits 2s bits for any n below 2^(width + 2)
+        pair = 2 * s
+        self.pairsum = (sum(((1 << width) - 1) << (k * pair) for k in range(n)),
+                        sum(1 << (k * pair) for k in range(n)),
+                        (n - 1) * pair, (1 << pair) - 1)
         self.cshift = nf * s
         self.guard = sum(1 << (f * s + width) for f in range(nf))
         # the guard bit and the top bit of each field: clear in a key
@@ -147,10 +159,11 @@ class Layout:
         self.fields = [((1 << width) - 1) << (f * s) for f in range(nf)]
         self.xmask = sum(self.fields[1:n + 1])
         self.dmask = sum(self.fields[n + 1:])
-        self.enc = _Memo(self._encode)
-        self.dec = _Memo(self._decode)
-        self.dec3 = _Memo(self._decode3)
-        self._tables = _Memo(self._expansion)
+        self.xdmask = self.xmask | self.dmask
+        self.enc = Memo(self._encode)
+        self.dec = Memo(self._decode)
+        self.dec3 = Memo(self._decode3)
+        self._tables = Memo(self._expansion)
 
     def _encode(self, key):
         if len(key) == 4:
@@ -192,12 +205,49 @@ class Layout:
         return {dec[k]: c for k, c in row.items()}
 
     def keys(self, key):
-        """The order key function key, memoized on packed monomials."""
+        """The tuple-key function key, memoized on packed monomials."""
         dec = self.dec
-        return _Memo(lambda m: key(dec[m]))
+        return Memo(lambda m: key(dec[m]))
+
+    def graded(self, m):
+        """The Bernstein key of m: |a| + |b|, e, reverse lex, -comp.
+
+        One int holds the first three: above the fields sits |a| + |b|,
+        then e, then each x- and d-field complemented, the last d-field
+        highest.  Comparing two such ints compares |a| + |b|, then e, then
+        the last differing exponent of a + b, the smaller one ranking
+        higher.
+        """
+        s, (even, ones, top, wide) = self.shifts[1], self.pairsum
+        xd = m & self.xdmask
+        y = xd >> s
+        deg = ((y & even) + (y >> s & even)) * ones >> top & wide
+        return (deg << self.cshift | (m & self.fields[0]) << self.cshift - s
+                | (xd ^ self.xdmask) >> s, -(m >> self.cshift))
+
+    def degrees(self, m):
+        """(|a|, |b|, e) of m."""
+        mask, n = self.fields[0], self.n
+        vals = [m >> i & mask for i in self.shifts]
+        return sum(vals[1:n + 1]), sum(vals[n + 1:]), vals[0]
+
+    def moved(self, row, old):
+        """row, on the packed keys of layout old, on the keys of this one."""
+        enc, dec = self.enc, old.dec
+        return {enc[dec[k]]: c for k, c in row.items()}
 
     def comp(self, m):
         return m >> self.cshift
+
+    def parts(self, m):
+        """(x^a, d^b, z^e) of m, each a monomial of comp 0."""
+        return m & self.xmask, m & self.dmask, m & self.fields[0]
+
+    def swapped(self, m):
+        """m, of comp 0, with the exponents of x and d exchanged."""
+        s = self.n * self.shifts[1]
+        return ((m & self.xmask) << s | (m & self.dmask) >> s
+                | m & self.fields[0])
 
     def degree(self, m):
         """|a| + |b| + e of m: the sum of its fields."""

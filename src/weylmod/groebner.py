@@ -7,9 +7,11 @@ so that a product is one integer sum, divisibility one guard-bit test
 and an lcm one fieldwise max.  A kernel call starts on the narrowest
 layout; when an exponent would leave its field, _packed.Overflow stops
 it and it reruns on fields twice as wide (_packed.widening), so no
-exponent wraps.  Orders are realized as sort keys on tuple keys, larger
-key = more leading; TermOrder.packed memoizes them per layout on packed
-ints.  The engine runs Buchberger with the
+exponent wraps.  Orders are realized as sort keys, larger key = more
+leading: TermOrder.key on tuple keys, and inside the kernel a key of the
+same order read off the packed int itself (Layout.graded and
+Layout.degrees), memoized per layout by TermOrder.packed, so that no
+monomial is decoded to be ranked.  The engine runs Buchberger with the
 normal selection strategy and no pair criteria: the product criterion is
 unsound in algebras with nontrivial commutators, and skipping the chain
 criterion keeps every S-pair available for the Schreyer syzygy
@@ -32,12 +34,19 @@ Transforms, lifts and syzygies are integer rows too, each over one
 integer denominator: the tracked row (t, D) stands for t / D.  _combine
 builds every one of them, scaling the rows it sums to the lcm of their
 denominators before the one product loop; over QZ they are RatFunc rows
-over 1.  syz_of_list composes the Schreyer syzygies and the rows of
-Id - lifts . transform on these rows inside the kernel, and each result
-leaves it once, through _rational.  A GBasis from buchberger keeps its
-kernel rows, and with track=True its tracked rows, and builds the
-Fraction rows of its elements, transform and lifts only when they are
-read.
+over 1.  _syz composes the Schreyer syzygies and the rows of
+Id - lifts . transform on these rows inside the kernel.  A GBasis from
+buchberger keeps its kernel rows, and with track=True its tracked rows,
+and builds the Fraction rows of its elements, transform and lifts only
+when they are read.
+
+Resolutions and Ext stay in the kernel from step to step: a stage, its
+tau-dual, the kernel of the dual map and the preimage rows are _Rows,
+kernel rows over their least positive denominator on one layout.
+_gb, _syz, FreeResolution.extend and _preimage take and give _Rows;
+buchberger, syz_of_list, free_resolution and preimage_rows are those
+same functions with FreeVecs at their edges, cleared on the way in and
+made Fraction rows once on the way out.
 
 Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  The leads of a kernel basis
@@ -58,6 +67,9 @@ Termination note: the V-order used for restriction is not a well-order on
 all monomials, only on the h-homogeneous elements the caller feeds it; the
 engine checks homogeneity of each basis element as its lead is cached, and
 of the input to left_normal_form, and raises InternalInvariant otherwise.
+In a resolution or its dual, generator j of a free module counts the
+degree of the row it stands for (_Rows.offsets), so each stage is
+homogeneous in that grading.
 """
 
 from fractions import Fraction
@@ -67,11 +79,11 @@ from itertools import count
 from math import lcm
 
 from ._linalg import add_terms, cancel, lowest_terms, primitive
-from ._packed import envelope, layout, product, widening
+from ._packed import Memo, envelope, layout, product, widening
 from .errors import (InternalInvariant, RankMismatch, UnsupportedAmbient,
                      ZeroElement)
-from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _Terms,
-                   _one, _zero_index)
+from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _one,
+                   _reordered, _Terms, _transposed, _zero_index)
 
 
 class FreeVec(_Terms):
@@ -133,15 +145,6 @@ class FreeVec(_Terms):
         w = WeylAlgebra(self.n, self.ring).monomial(a, b, e, coeff)
         return self.mul_left(w)
 
-    def project(self, comps):
-        """Restrict to the listed components, renumbering to 0..len-1."""
-        index = {c: i for i, c in enumerate(comps)}
-        out = {}
-        for (comp, a, b, e), c in self.terms.items():
-            if comp in index:
-                out[(index[comp], a, b, e)] = c
-        return FreeVec(self.n, self.ring, len(comps), out)
-
     def embed(self, rank, offset):
         return FreeVec(self.n, self.ring, rank,
                        {(comp + offset, a, b, e): c
@@ -159,24 +162,30 @@ class FreeVec(_Terms):
 
 
 class TermOrder:
-    """A term order as a sort key on tuple keys, larger = more leading.
+    """A term order as sort keys, larger = more leading.
 
-    The order factories below return one shared instance per argument,
-    so the memo behind packed() serves every call under that order.
+    key sorts tuple keys; pack(lay) gives the key of the same order on the
+    packed monomials of lay, read off the int itself.  The two agree in
+    sign on every pair of monomials of one layout.  Without pack, packed
+    monomials are decoded and given to key.  The order factories
+    below return one shared instance per argument, so the memo behind
+    packed() serves every call under that order.
     """
 
-    __slots__ = ("name", "key", "_packed")
+    __slots__ = ("name", "key", "_pack", "_packed")
 
-    def __init__(self, name, key):
+    def __init__(self, name, key, pack=None):
         self.name = name
         self.key = key
+        self._pack = pack
         self._packed = {}
 
     def packed(self, lay):
-        """key on the packed monomials of lay, memoized per layout."""
+        """The packed key on lay, memoized per layout."""
         keys = self._packed.get(lay)
         if keys is None:
-            keys = self._packed[lay] = lay.keys(self.key)
+            keys = self._packed[lay] = lay.keys(self.key) \
+                if self._pack is None else Memo(self._pack(lay))
         return keys
 
     def __repr__(self):
@@ -190,7 +199,8 @@ def bernstein_order(n):
         comp, a, b, e = mono
         rev = tuple(-v for v in reversed(a + b))
         return (sum(a) + sum(b), e, rev, -comp)
-    return TermOrder("bernstein", key)
+
+    return TermOrder("bernstein", key, lambda lay: lay.graded)
 
 
 @cache
@@ -206,7 +216,11 @@ def pot_block_order(n, boundary):
         rev = tuple(-v for v in reversed(a + b))
         return (1 if comp >= boundary else 0,
                 sum(a) + sum(b), e, rev, -comp)
-    return TermOrder("pot-block-%d" % boundary, key)
+
+    def pack(lay):
+        graded = lay.graded
+        return lambda m: (lay.comp(m) >= boundary,) + graded(m)
+    return TermOrder("pot-block-%d" % boundary, key, pack)
 
 
 @cache
@@ -221,7 +235,15 @@ def vres_order(n):
     def key(mono):
         comp, a, b, e = mono
         return (b[0] - a[0], a[0] + b[0], e, -comp)
-    return TermOrder("vres", key)
+
+    def pack(lay):
+        degrees, comp = lay.degrees, lay.comp
+
+        def packed(m):
+            a, b, e = degrees(m)
+            return (b - a, a + b, e, -comp(m))
+        return packed
+    return TermOrder("vres", key, pack)
 
 
 def leading_term(v, order):
@@ -263,6 +285,124 @@ def _rational(row, den, ring, lay, scales=None):
     if scales is None:
         return {k: Fraction(c, den) for k, c in row.items()}
     return {k: Fraction(c * scales[k[0]], den) for k, c in row.items()}
+
+
+def _canonical(row, den, ring):
+    """row / den over its least positive denominator; QZ rows over 1.
+
+    Two such pairs are equal exactly when the rows they stand for are.
+    """
+    if ring == QZ:
+        return row, _one(ring)
+    row, den = lowest_terms(row, den)
+    return (row, den) if den > 0 else ({k: -c for k, c in row.items()}, -den)
+
+
+class _Rows:
+    """Kernel rows (row, den), each standing for row / den, on one layout.
+
+    How the stages of a resolution, their tau-duals and the preimages of
+    Ext pass from one step to the next: the rows stay packed integer rows
+    (RatFunc rows over QZ) and become FreeVecs once, in vecs(), when a
+    public caller reads them.  rank is that of the free module the rows
+    lie in; over H1, offsets[j] is the degree of its generator j (None:
+    all 0), so that a row is homogeneous when degree(term) + offsets[comp]
+    is the same on all its terms.
+    """
+
+    __slots__ = ("n", "ring", "rank", "layout", "rows", "offsets", "_vecs",
+                 "_degrees")
+
+    def __init__(self, n, ring, rank, lay, rows, offsets=None, vecs=None,
+                 degrees=None):
+        self.n = n
+        self.ring = ring
+        self.rank = rank
+        self.layout = lay
+        self.rows = rows
+        self.offsets = offsets
+        self._vecs = vecs
+        self._degrees = degrees
+
+    @staticmethod
+    def of(vecs, offsets=None):
+        """FreeVecs as kernel rows, on the narrowest layout that holds them.
+
+        Every vector lives in the ambient of the first; an empty list names
+        W_1 over QQ of rank 1.
+        """
+        first = vecs[0] if vecs else FreeVec.zero(1, QQ, 1)
+        for g in vecs:
+            first._check(g)
+        n, ring = first.n, first.ring
+        return widening(lambda lay: _Rows(
+            n, ring, first.rank, lay,
+            [_clear(g.terms, ring, lay) for g in vecs], offsets, vecs),
+            layout(n, ring == H1))
+
+    def on(self, lay):
+        """The rows on layout lay, moved there from a narrower one."""
+        old = self.layout
+        if lay is old:
+            return self.rows
+        return [(lay.moved(row, old), d) for row, d in self.rows]
+
+    def tau_dual(self, source_rank):
+        """The tau-transpose of the stage map these rows present.
+
+        The dual of (u -> u . A) on column vectors becomes, in transposed
+        coordinates, the left-module map v -> v . C with
+        C[j][i] = tau(A[i][j]).  The rows of C come from one packed pass
+        over the rows of A, scaled to one denominator.  Over H1 generator
+        i of their free module has minus the degree of row i of A, and
+        row j of C minus that of generator j of A's: a zero row of C has
+        it too.
+        """
+        ring, offsets, degrees = self.ring, None, None
+        if ring == H1:
+            offsets = [-d for d in self.degrees()]
+            degrees = [-d for d in self.offsets or [0] * source_rank]
+
+        def run(lay):
+            rows = self.on(lay)
+            # QZ rows are all over the RatFunc 1
+            den = _one(ring) if ring == QZ else lcm(*(d for _r, d in rows))
+            terms = ((j, i, m, c if d == den else c * (den // d))
+                     for i, (row, d) in enumerate(rows)
+                     for k, c in row.items() for j, m in [lay.split(k)])
+            outs = _reordered(lay, _transposed, terms,
+                              [{} for _ in range(source_rank)])
+            return _Rows(self.n, ring, len(rows), lay,
+                         [_canonical(out, den, ring) for out in outs],
+                         offsets, degrees=degrees)
+
+        return widening(run, self.layout)
+
+    def stacked(self, other):
+        """These rows, then the nonzero rows of other, on the wider layout."""
+        lay = max(self.layout, other.layout, key=lambda lay: lay.width)
+        return _Rows(self.n, self.ring, self.rank, lay, self.on(lay) + [
+            (row, d) for row, d in other.on(lay) if row], self.offsets)
+
+    def degrees(self):
+        """The degree of each row over H1, offsets counted.
+
+        Read off a term of each row, unless given: a zero row has the
+        degree it was given, else 0.
+        """
+        if self._degrees is not None:
+            return self._degrees
+        lay, offsets = self.layout, self.offsets or [0] * self.rank
+        return [lay.degree(m) + offsets[lay.comp(m)] if row else 0
+                for row, _d in self.rows for m in [next(iter(row), 0)]]
+
+    def vecs(self):
+        """The rows as FreeVecs, built on the first call."""
+        if self._vecs is None:
+            self._vecs = [FreeVec(self.n, self.ring, self.rank,
+                                  _rational(row, d, self.ring, self.layout))
+                          for row, d in self.rows]
+        return self._vecs
 
 
 class _Basis:
@@ -489,10 +629,8 @@ class GBasis:
         """
         old, trans, lifts = self._track
         if old is not lay:
-            def move(row):
-                return {lay.enc[old.dec[k]]: c for k, c in row.items()}
-            trans = [(move(t), d) for t, d in trans]
-            lifts = [(move(q), d) for q, d in lifts]
+            trans = [(lay.moved(t, old), d) for t, d in trans]
+            lifts = [(lay.moved(q, old), d) for q, d in lifts]
         return trans, lifts
 
     def _public(self):
@@ -537,22 +675,23 @@ def buchberger(gens, order, track=False):
 
     Every generator lives in the ambient of the first.
     """
+    return _gb(_Rows.of(list(gens)), order, track)
+
+
+def _gb(gens, order, track=False):
+    """buchberger on kernel rows: the one implementation behind it."""
     COUNTERS["buchberger_calls"] += 1
-    gens = list(gens)
-    # an empty list names no ambient; W_1 over QQ of rank 1 stands in
-    first = gens[0] if gens else FreeVec.zero(1, QQ, 1)
-    for g in gens:
-        first._check(g)
-    n, ring, rank = first.n, first.ring, first.rank
+    ring = gens.ring
     basis, trans, lifts, stats = widening(
-        lambda lay: _buchberger(gens, order, track, ring, lay),
-        layout(n, ring == H1))
+        lambda lay: _buchberger(gens.on(lay), order, track, ring, lay,
+                                gens.offsets),
+        gens.layout)
     lay = basis.layout
     stats["basis_size"] = len(basis.rows)
     COUNTERS["spairs"] += stats["spairs"]
     COUNTERS["basis_elements"] += len(basis.rows)
     one = _one(ring)
-    gb = GBasis(n, ring, rank, order, None, stats=stats,
+    gb = GBasis(gens.n, ring, gens.rank, order, None, stats=stats,
                 leads=[(lay.dec[m], one) for m in basis.leads])
     gb._basis = basis
     if track:
@@ -560,13 +699,19 @@ def buchberger(gens, order, track=False):
     return gb
 
 
-def _buchberger(gens, order, track, ring, lay):
-    """The kernel of buchberger on one layout.
+def _buchberger(cleared, order, track, ring, lay, offsets=None):
+    """The kernel of buchberger on one layout, on the kernel rows cleared.
 
     Returns the interreduced basis and, with track, its transform and the
-    lifts of the generators as tracked rows (see GBasis._tracked).
+    lifts of the generators as tracked rows (see GBasis._tracked).  Over
+    H1 each basis row must be homogeneous, component j counted offsets[j]
+    higher.
     """
     homog = ring == H1
+    degree = lay.degree
+    if offsets:
+        def degree(t):
+            return lay.degree(t) + offsets[lay.comp(t)]
     keys = order.packed(lay)
     basis = _Basis(lay)
     trans = [] if track else None
@@ -576,7 +721,7 @@ def _buchberger(gens, order, track, ring, lay):
     def push(row, sigma, tracked):
         # with track, sigma . tracked is row
         if homog:
-            _require_homogeneous(map(lay.degree, row))
+            _require_homogeneous(map(degree, row))
         mono = max(row, key=keys.__getitem__)
         new = len(basis.rows)
         for k, m in enumerate(basis.leads):
@@ -590,9 +735,8 @@ def _buchberger(gens, order, track, ring, lay):
             # kept in lowest terms, so that denominators do not pile up
             trans.append(lowest_terms(*_combine(sigma, tracked, lay, d)))
 
-    units = _units(lay, len(gens)) if track else None
+    units = _units(lay, len(cleared)) if track else None
     z0 = _zero_index(lay.n)
-    cleared = [_clear(g.terms, ring, lay) for g in gens]
     for i, (row, den) in enumerate(cleared):
         if row:
             push(row, {lay.enc[(i, z0, z0, 0)]: den} if track else None,
@@ -704,19 +848,26 @@ def syzygy_module(gb):
 
 
 def syz_of_list(gens):
-    """Syzygies of an arbitrary generator list, via a tracked basis.
+    """Syzygies of an arbitrary generator list, via a tracked basis."""
+    gens = list(gens)
+    return _syz(_Rows.of(gens)).vecs() if gens else []
+
+
+def _syz(gens):
+    """The syzygies of kernel rows as kernel rows: the one implementation.
 
     Rows are {sigma . T} for sigma in Syz(basis) together with the rows of
     (Id - lifts . transform); both families vanish on gens and together
     they generate everything that does.  They are composed from the
     kernel rows of the tracked basis, on a layout wide enough for the
-    products.
+    products.  Over H1 generator j of the syzygy module has the degree of
+    row j.
     """
-    gens = list(gens)
-    if not gens:
-        return []
-    n, ring = gens[0].n, gens[0].ring
-    gb = buchberger(gens, bernstein_order(n), track=True)
+    n, ring, count = gens.n, gens.ring, len(gens.rows)
+    offsets = gens.degrees() if ring == H1 else None
+    if not count:
+        return _Rows(n, ring, 0, gens.layout, [], offsets)
+    gb = _gb(gens, bernstein_order(n), track=True)
     z0 = _zero_index(n)
 
     def compose(lay):
@@ -726,15 +877,16 @@ def syz_of_list(gens):
         rows = [_combine(sigma, trans, lay, d)
                 for sigma, d in _syzygies(basis, gb.order.packed(lay))]
         # e_j - lifts_j . T: over trans followed by the unit rows
-        tracked = trans + _units(lay, len(gens))
+        tracked = trans + _units(lay, count)
         for j, (q, d) in enumerate(lifts):
             sigma = {k: -c for k, c in q.items()}
             sigma[lay.enc[(len(trans) + j, z0, z0, 0)]] = d
             rows.append(_combine(sigma, tracked, lay, d))
-        return [_rational(row, d, ring, lay) for row, d in rows if row]
+        return _Rows(n, ring, count, lay,
+                     [_canonical(row, d, ring) for row, d in rows if row],
+                     offsets)
 
-    return [FreeVec(n, ring, len(gens), row)
-            for row in widening(compose, gb._basis.layout)]
+    return widening(compose, gb._basis.layout)
 
 
 class FreeResolution:
@@ -743,52 +895,67 @@ class FreeResolution:
     ranks[k] is the rank of the k-th free module; matrices[k] has rows of
     rank ranks[k] and there are ranks[k+1] of them.  complete is True once
     the last stage has a zero kernel, so that no later stage exists.
+    stages[k] holds matrices[k] as kernel rows, which is how each stage
+    passes to the next; matrices builds the FreeVecs of a stage once.
     """
 
-    __slots__ = ("matrices", "ranks", "complete")
+    __slots__ = ("stages", "ranks", "complete")
 
-    def __init__(self, matrices, ranks, complete):
-        self.matrices = matrices
+    def __init__(self, stages, ranks, complete):
+        self.stages = stages
         self.ranks = ranks
         self.complete = complete
 
+    @property
+    def matrices(self):
+        return [stage.vecs() for stage in self.stages]
+
     def extend(self, max_length):
         """Resolve further, through stage max_length or to the zero kernel."""
-        while not self.complete and len(self.matrices) <= max_length:
-            current = self.matrices[-1]
-            syz = syz_of_list(current) if any(r.terms for r in current) else []
-            self.complete = not syz
-            if syz:
-                self.matrices.append(syz)
-                self.ranks.append(len(syz))
+        while not self.complete and len(self.stages) <= max_length:
+            current = self.stages[-1]
+            syz = _syz(current) if any(row for row, _d in current.rows) \
+                else None
+            self.complete = syz is None or not syz.rows
+            if not self.complete:
+                self.stages.append(syz)
+                self.ranks.append(len(syz.rows))
         return self
 
 
 def free_resolution(rows, rank, max_length):
     """Iterated syzygies of a presentation, through stage max_length."""
-    return FreeResolution([list(rows)], [rank, len(rows)],
+    rows = list(rows)
+    return FreeResolution([_Rows.of(rows)], [rank, len(rows)],
                           False).extend(max_length)
 
 
 def preimage_rows(arows, brows):
-    """Generators of {u : u . arows lies in the row span of brows}.
-
-    Computed from syzygies of the stacked list: a relation
-    u . A + v . B = 0 exactly exhibits u . A inside span(B).
-    """
+    """Generators of {u : u . arows lies in the row span of brows}."""
     arows = list(arows)
-    brows = list(brows)
     if not arows:
         return []
-    stacked = arows + brows
-    out = []
-    seen = set()
-    for syz in syz_of_list(stacked):
-        u = syz.project(list(range(len(arows))))
-        if u.terms and u not in seen:
-            seen.add(u)
-            out.append(u)
-    return out
+    return _preimage(_Rows.of(arows + list(brows)), len(arows)).vecs()
+
+
+def _preimage(stacked, m):
+    """Preimage generators, as kernel rows over W^m: the one implementation.
+
+    The first m stacked rows are the a-rows, the rest the b-rows.
+    Computed from syzygies of the stacked list: a relation
+    u . A + v . B = 0 exactly exhibits u . A inside span(B).  Each u is
+    kept in canonical form, so a repeat is an equal pair and is dropped.
+    """
+    syz = _syz(stacked)
+    ring, comp = syz.ring, syz.layout.comp
+    out = {}
+    for row, den in syz.rows:
+        u = {k: c for k, c in row.items() if comp(k) < m}
+        if u:
+            u, den = _canonical(u, den, ring)
+            out.setdefault((frozenset(u.items()), den), (u, den))
+    return _Rows(syz.n, ring, m, syz.layout, list(out.values()),
+                 syz.offsets and syz.offsets[:m])
 
 
 def _nonzero_rows(rows, rank):
@@ -851,7 +1018,17 @@ def saturate_z(gens, rank):
     current = _nonzero_rows(gens, rank)
     if not current:
         return []
-    known = set(buchberger(current, bernstein_order(current[0].n)).elements)
+    return _saturate(current, rank,
+                     buchberger(current, bernstein_order(current[0].n)))
+
+
+def _saturate(current, rank, gb):
+    """saturate_z of the nonzero rows current, given their basis gb.
+
+    gb is buchberger(current, bernstein_order(n)), which a module that
+    already holds it lends instead of computing it again.
+    """
+    known = set(gb.elements)
     while True:
         nxt = colon_z(current, rank)
         if set(nxt) == known:

@@ -16,8 +16,9 @@ completion while staying nonzero over Q(z).
 from .errors import IndexOutOfRange, InternalInvariant, NonIntegral, \
     NotMinimalDimension, NotSameModule, NotSaturated, UnsupportedAmbient
 from .scalars import QPoly, RatFunc
-from .groebner import (FreeVec, _nonzero_rows, bernstein_order, buchberger,
-                       colon_z, preimage_rows, saturate_z, submodule_equal)
+from .groebner import (FreeVec, _nonzero_rows, _saturate, bernstein_order,
+                       buchberger, colon_z, preimage_rows, saturate_z,
+                       submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
                       is_minimal_dimension, matrix_rows)
 from .weyl import (QQ, QZ, ZP, WeylAlgebra, convert_ring,
@@ -145,7 +146,8 @@ def good_lattice(P):
     its z-torsion (saturation of the presentation) is the construction the
     torsion submodule T was introduced for.  Dualizing back and saturating
     again yields a presentation whose reduction is checked to be of
-    minimal dimension.
+    minimal dimension.  Each saturation starts from the basis the zero
+    test of its dual already built.
     """
     base = make_lattice(P)
     if not minimal_dimension_via_reduction(base):
@@ -156,12 +158,12 @@ def good_lattice(P):
     E1 = ext(n, M)
     if E1.is_zero():
         raise InternalInvariant("integral dual of a holonomic avatar vanished")
-    rows1 = saturate_z(E1.rows, E1.rank)
+    rows1 = _saturate(E1.rows, E1.rank, E1.gb())
     V = PresentedModule(n, ZP, E1.side, E1.rank, rows1)
     E2 = ext(n, V)
     if E2.is_zero():
         raise InternalInvariant("integral double dual vanished")
-    rows2 = saturate_z(E2.rows, E2.rank)
+    rows2 = _saturate(E2.rows, E2.rank, E2.gb())
     out = IntegralPresentation(n, P.side, E2.rank, rows2, saturated=True)
     if not minimal_dimension_via_reduction(out):
         raise InternalInvariant("good lattice reduction lost minimal "

@@ -18,8 +18,9 @@ from ._linalg import add_terms
 from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
                      UnsupportedAmbient, ZeroModule)
 from .scalars import INF
-from .groebner import (FreeVec, _nonzero_rows, bernstein_order, buchberger,
-                       free_resolution, preimage_rows, syz_of_list)
+from .groebner import (FreeVec, _gb, _nonzero_rows, _preimage, _Rows, _syz,
+                       bernstein_order, buchberger, free_resolution,
+                       preimage_rows)
 from .weyl import H1, QQ, QZ, ZP, transpose
 
 LEFT = "left"
@@ -27,7 +28,13 @@ RIGHT = "right"
 
 
 def homological_bound(n, ring):
-    """Global dimension of the coefficient choice: n over a field, n+1 over Q[z]."""
+    """Global dimension of the coefficient choice: n over a field, n+1 over Q[z].
+
+    The homogenized W_n, where h^2 is the commutator [d, x], is a graded
+    algebra of global dimension 2n + 1, as is its graded ring Q[h][x, xi].
+    """
+    if ring == H1:
+        return 2 * n + 1
     return n + 1 if ring == ZP else n
 
 
@@ -48,7 +55,16 @@ def matrix_rows(entries, rank=None):
 
 
 class PresentedModule:
-    __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext")
+    """Relations rows of a module over W_n, with what is known of it.
+
+    Its basis, its resolution and each Ext^i are computed once and kept.
+    An Ext module also keeps its relations as the kernel rows they were
+    computed as (_kernel), and its basis starts from those: over H1 they
+    carry the degree of each generator.
+    """
+
+    __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext",
+                 "_kernel")
 
     def __init__(self, n, ring, side, rank, rows):
         rows = _nonzero_rows(rows, rank)
@@ -60,6 +76,7 @@ class PresentedModule:
         object.__setattr__(self, "_gb", None)
         object.__setattr__(self, "_res", None)
         object.__setattr__(self, "_ext", {})
+        object.__setattr__(self, "_kernel", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedModule is immutable")
@@ -75,10 +92,14 @@ class PresentedModule:
 
     def gb(self):
         if self._gb is None:
-            # with no relations a zero row names the ambient for buchberger
-            rows = self.rows or [FreeVec.zero(self.n, self.ring, self.rank)]
-            object.__setattr__(self, "_gb",
-                               buchberger(rows, bernstein_order(self.n)))
+            order = bernstein_order(self.n)
+            if self._kernel is not None:
+                gb = _gb(self._kernel, order)
+            else:
+                # with no relations a zero row names the ambient
+                gb = buchberger(self.rows or [
+                    FreeVec.zero(self.n, self.ring, self.rank)], order)
+            object.__setattr__(self, "_gb", gb)
         return self._gb
 
     def is_zero(self):
@@ -255,22 +276,6 @@ def char_cycle(M):
     return cycle
 
 
-def _tau_dual_rows(matrix_rows, source_rank):
-    """Transpose a stage map and push it through the anti-automorphism.
-
-    The dual of (u -> u . A) on column vectors becomes, in transposed
-    coordinates, the left-module map v -> v . C with C[j][i] = tau(A[i][j]).
-    """
-    if not matrix_rows:
-        return []
-    out = [{} for _ in range(source_rank)]
-    for i, row in enumerate(matrix_rows):
-        for (j, a, b, e), c in transpose(row).terms.items():
-            out[j][(i, a, b, e)] = c
-    n, ring = matrix_rows[0].n, matrix_rows[0].ring
-    return [FreeVec(n, ring, len(matrix_rows), t) for t in out]
-
-
 def ext(i, M):
     """Ext^i(M, W) as a presented module of the opposite side.
 
@@ -291,23 +296,24 @@ def ext(i, M):
 
 def _ext_of_resolution(i, M):
     res = M.resolution(i)
-    ranks = res.ranks
+    ranks, stages = res.ranks, res.stages
     # a resolution complete before stage i has no free module there
     s_i = ranks[i] if i < len(ranks) else 0
     if s_i == 0:
         return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
-    out_rows = _tau_dual_rows(res.matrices[i], s_i) \
-        if i < len(res.matrices) else []
-    image_rows = _tau_dual_rows(res.matrices[i - 1], ranks[i - 1]) \
-        if i >= 1 else []
-    image_rows = [r for r in image_rows if r.terms]
-    if out_rows and any(r.terms for r in out_rows):
-        kernel = syz_of_list(out_rows)
+    image = stages[i - 1].tau_dual(ranks[i - 1]) if i >= 1 else None
+    out = stages[i].tau_dual(s_i) if i < len(stages) else None
+    if out is not None and any(row for row, _d in out.rows):
+        kernel = _syz(out)
     else:
-        kernel = [FreeVec.unit(M.n, M.ring, s_i, j) for j in range(s_i)]
-    relations = preimage_rows(kernel, image_rows)
-    return PresentedModule(M.n, M.ring, M.opposite_side(),
-                           len(kernel), relations)
+        kernel = _Rows.of([FreeVec.unit(M.n, M.ring, s_i, j)
+                           for j in range(s_i)], image and image.offsets)
+    m = len(kernel.rows)
+    relations = _preimage(kernel if image is None else kernel.stacked(image),
+                          m)
+    E = PresentedModule(M.n, M.ring, M.opposite_side(), m, relations.vecs())
+    object.__setattr__(E, "_kernel", relations)
+    return E
 
 
 def grade(M):

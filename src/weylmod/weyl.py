@@ -16,7 +16,10 @@ the closed-form reordering
 
 termwise instead of iterating single commutators.  It runs on packed
 integer keys; products here encode their operands and decode the result
-through _packed.product.
+through _packed.product.  transpose and the Fourier pair map every term
+to a product left * right of packed monomials and run them through the
+loop in one pass, one product per left factor (_reordered); the Ext
+path transposes its packed stage rows through the same pass.
 
 WeylElement, XPoly, SymbolPolynomial and groebner.FreeVec share one
 immutable sparse-term value type, _Terms.
@@ -26,7 +29,7 @@ from fractions import Fraction
 from operator import add
 
 from ._linalg import add_terms
-from ._packed import layout, product, widening
+from ._packed import envelope, layout, product, widening
 from .errors import (DivisionByZero, MixedAmbient, UnsupportedAmbient,
                      ZeroElement)
 from .scalars import QPoly, RatFunc
@@ -329,46 +332,73 @@ def principal_symbol(u):
     return SymbolPolynomial(u.n, u.ring, terms)
 
 
-def _reordered(u, image):
-    """Sum of sign * c * z^e d^p x^q over the terms c z^e x^a d^b of u.
+def _reordered(lay, image, terms, outs):
+    """outs[j] += c image(m) in component head, over terms (j, head, m, c).
 
-    image maps (a, b) to (p, q, sign); the Fourier pair and the transpose
-    differ only in it.  Keys of u end in (a, b, e), and what comes before
-    (the component of a free-module term) is carried over, so a FreeVec
-    is mapped entrywise.  The whole of u goes through the product loop in
-    one pass on packed keys.
+    image(lay, m) gives (left, right, odd) for a monomial m of comp 0: the
+    image is the product left right, negated when odd.  Terms are grouped
+    by their row j and left factor, and each group goes through the
+    product loop once.  Returns outs.
+    """
+    groups = {}
+    for j, head, m, c in terms:
+        left, right, odd = image(lay, m)
+        groups.setdefault((j, left), {})[lay.with_comp(right, head)] = \
+            -c if odd else c
+    for (j, left), row in groups.items():
+        lay.mul_into(outs[j], left, 1, row, envelope(row))
+    return outs
+
+
+def _transposed(lay, m):
+    """z^e x^a d^b to (-1)^|b| z^e d^b x^a."""
+    x, d, e = lay.parts(m)
+    return d + e, x, lay.degree(d) & 1
+
+
+def _fourier(lay, m):
+    """z^e x^a d^b to (-1)^|b| z^e d^a x^b."""
+    x, d, e = lay.parts(m)
+    return lay.swapped(x) + e, lay.swapped(d), lay.degree(d) & 1
+
+
+def _fourier_inverse(lay, m):
+    """z^e x^a d^b to (-1)^|a| z^e d^a x^b."""
+    x, d, e = lay.parts(m)
+    return lay.swapped(x) + e, lay.swapped(d), lay.degree(x) & 1
+
+
+def _reordered_terms(u, image):
+    """u with each term mapped by image, in one packed pass.
+
+    Keys of u end in (a, b, e), and a component in front of them (a
+    FreeVec's) is carried over, so a FreeVec is mapped entrywise.
     """
     if not u.terms:
         return u
-    z0 = _zero_index(u.n)
     comps = len(next(iter(u.terms))) == 4
 
     def run(lay):
-        enc = lay.enc
-        out = {}
-        for key, c in u.terms.items():
-            head, (a, b, e) = key[:-3], key[-3:]
-            p, q, sign = image(a, b)
-            t = enc[head + (q, z0, 0)]
-            lay.mul_into(out, enc[(z0, p, e)], c * sign, {t: 1}, t)
-        return lay.unpack(out, comps)
+        terms = ((0,) + lay.split(k) + (c,)
+                 for k, c in lay.pack(u.terms).items())
+        return lay.unpack(_reordered(lay, image, terms, [{}])[0], comps)
 
     return u._like(widening(run, layout(u.n, u.ring == H1)))
 
 
 def fourier(u):
     """The automorphism x_i -> d_i, d_i -> -x_i, renormalized; order four."""
-    return _reordered(u, lambda a, b: (a, b, (-1) ** sum(b)))
+    return _reordered_terms(u, _fourier)
 
 
 def fourier_inverse(u):
     """The inverse automorphism x_i -> -d_i, d_i -> x_i."""
-    return _reordered(u, lambda a, b: (a, b, (-1) ** sum(a)))
+    return _reordered_terms(u, _fourier_inverse)
 
 
 def transpose(u):
     """The anti-automorphism x -> x, d -> -d; transpose(uv) = transpose(v)transpose(u)."""
-    return _reordered(u, lambda a, b: (b, a, (-1) ** sum(b)))
+    return _reordered_terms(u, _transposed)
 
 
 class XPoly(_Terms):

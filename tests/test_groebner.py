@@ -327,6 +327,26 @@ def test_free_resolution_composes_to_zero():
             assert acc.is_zero()
 
 
+def test_h1_resolution_offsets_its_components():
+    # x and d^2 have degrees 1 and 2, so the syzygies are homogeneous only
+    # with component j counted the degree of row j higher, and so on
+    H = WeylAlgebra(1, H1)
+    res = free_resolution(ideal_rows(H.x(1), H.d(1) ** 2), 1, 3)
+    assert len(res.matrices) == 3
+    offsets = [0]
+    for step, nxt in zip(res.matrices, res.matrices[1:]):
+        degrees = []
+        for row in step:
+            found = {sum(a) + sum(b) + e + offsets[comp]
+                     for comp, a, b, e in row.terms}
+            assert len(found) == 1
+            degrees += found
+        assert len(set(degrees)) > 1
+        for s in nxt:
+            assert not leibniz_combination(s, step, homog=True)
+        offsets = degrees
+
+
 def test_free_resolution_extends_in_steps():
     x, d = W.x(1), W.d(1)
     rows = ideal_rows(d * d - x, x * d + 2)

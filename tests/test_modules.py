@@ -6,17 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (INF, LEFT, QQ, QZ, RIGHT, ZP, CharCycle,
+from weylmod import (H1, INF, LEFT, QQ, QZ, RIGHT, ZP, CharCycle, FreeVec,
                      IntegralPresentation, NotMinimalDimension,
                      PresentedModule, UnsupportedAmbient, WeylAlgebra,
                      ZeroModule, char_cycle, dual_star, ext, free_resolution,
                      grade, groebner, hilbert_dimension, is_minimal_dimension,
                      make_lattice, quotient_presentation, saturate_z,
                      submodule_presentation, to_str)
+from weylmod import modules
+from weylmod.modules import homological_bound
 from weylmod.parser import parse
 
 from helpers import rand_element
-from oracles import ext_grade
+from oracles import ext_grade, leibniz_combination, leibniz_transpose
 
 W = WeylAlgebra(1, QQ)
 W2 = WeylAlgebra(2, QQ)
@@ -332,14 +334,18 @@ def test_ext_presentations_pinned(make, digests, descending):
 
 
 def _syz_inputs(monkeypatch):
-    """Log the generator list of every syz_of_list call from groebner."""
+    """Log the generator list of every syzygy computation from groebner.
+
+    Resolution stages pass as kernel rows to groebner._syz, the one
+    implementation behind syz_of_list; each input is logged as FreeVecs.
+    """
     calls = []
-    real = groebner.syz_of_list
+    real = groebner._syz
 
     def spy(gens):
-        calls.append(tuple(gens))
+        calls.append(tuple(gens.vecs()))
         return real(gens)
-    monkeypatch.setattr(groebner, "syz_of_list", spy)
+    monkeypatch.setattr(groebner, "_syz", spy)
     return calls
 
 
@@ -364,3 +370,119 @@ def test_ext_resolves_each_stage_once(monkeypatch, ring, resolved):
         ext(i, M)
         seen.append(calls.count(tuple(M.rows)))
     assert seen == resolved
+
+
+def _seeded_modules(ring, n, count):
+    rng = random.Random("stages/%s/%d" % (ring, n))
+    A = WeylAlgebra(n, ring)
+    for _ in range(count):
+        rank = rng.randint(1, 2)
+        yield PresentedModule.from_matrix(n, ring, [
+            [rand_element(rng, A, deg=2, terms=2) for _ in range(rank)]
+            for _ in range(rng.randint(1, 2))])
+
+
+def _perturbed(v, comps):
+    """v with the coefficient of its first term in comps doubled."""
+    terms = dict(v.terms)
+    key = min(k for k in terms if k[0] in comps)
+    terms[key] = terms[key] * 2
+    return FreeVec(v.n, v.ring, v.rank, terms)
+
+
+def _oracle_tau_dual(rows, source_rank):
+    """C[j][i] = tau(A[i][j]), each entry by oracles.leibniz_transpose."""
+    out = [{} for _ in range(source_rank)]
+    for i, row in enumerate(rows):
+        for (j, a, b, e), c in leibniz_transpose(row.terms).items():
+            out[j][(i, a, b, e)] = c
+    return [FreeVec(row.n, row.ring, len(rows), t) for t in out]
+
+
+STAGE_RINGS = [(QQ, 1), (ZP, 1), (QZ, 1), (QQ, 2), (ZP, 2), (QZ, 2)]
+
+
+@pytest.mark.parametrize("ring,n", STAGE_RINGS,
+                         ids=["%s%d" % p for p in STAGE_RINGS])
+def test_stage_maps_compose_to_zero(monkeypatch, ring, n):
+    # every product is taken by the Leibniz oracle, which shares no code
+    # with the packed product loop; a doubled coefficient must show
+    kernels = []
+    real = modules._syz
+
+    def spy(gens):
+        out = real(gens)
+        kernels.append((gens.vecs(), out.vecs()))
+        return out
+    monkeypatch.setattr(modules, "_syz", spy)
+    composed = killed = 0
+    for M in _seeded_modules(ring, n, 5):
+        bound = homological_bound(n, ring)
+        res = M.resolution(bound + 1)
+        for step, nxt in zip(res.matrices, res.matrices[1:]):
+            for s in nxt:
+                assert not leibniz_combination(s, step)
+                assert leibniz_combination(_perturbed(s, range(len(step))),
+                                           step)
+                composed += 1
+        for i in range(bound + 1):
+            del kernels[:]
+            ext(i, M)
+            if i >= len(res.matrices):
+                continue
+            dual = _oracle_tau_dual(res.matrices[i], res.ranks[i])
+            for out, kernel in kernels:
+                assert out == dual
+                live = [j for j, row in enumerate(dual) if row]
+                for k in kernel:
+                    assert not leibniz_combination(k, dual)
+                    if any(key[0] in live for key in k.terms):
+                        assert leibniz_combination(_perturbed(k, live), dual)
+                    killed += 1
+    assert composed and killed
+
+
+def _h1_rows_of_two_degrees():
+    # rows of degree 3 and 4: the dual stage map is homogeneous only with
+    # its components counted -3 and -4
+    H = WeylAlgebra(1, H1)
+    h, x, d = H.h(), H.x(1), H.d(1)
+    return PresentedModule.from_matrix(1, H1, [
+        [h ** 2 * d, -5 * h * x ** 2 - h * x * d],
+        [-2 * h ** 2 * d ** 2,
+         -9 * h ** 2 * x * d + Fraction(3, 2) * h ** 3 * x]])
+
+
+def test_h1_ext_of_rows_of_different_degrees():
+    M = _h1_rows_of_two_degrees()
+    assert [ext(i, M).is_zero() for i in range(4)] == \
+        [True, False, True, True]
+    assert grade(M) == ext_grade(M) == 1
+
+
+def _homogenized(u, degree):
+    """u with each term z^e x^a d^b given h^(degree - |a| - |b|)."""
+    H = WeylAlgebra(u.n, H1)
+    return sum((H.monomial(a, b, degree - sum(a) - sum(b), c)
+                for (a, b, _e), c in u.terms.items()), H.zero())
+
+
+def test_h1_grade_is_the_ext_grade():
+    """H1 is graded of global dimension 3: grade + dimension = 3.
+
+    Each row is homogeneous of a degree of its own, so every stage after
+    the first, and every dual stage, has components of different degrees.
+    """
+    rng = random.Random("h1-grade")
+    H = WeylAlgebra(1, H1)
+    grades, mixed = set(), 0
+    for _ in range(40):
+        rank = rng.randint(1, 2)
+        degrees = [rng.randint(1, 3) for _ in range(rng.randint(1, 2))]
+        mixed += len(set(degrees)) > 1
+        M = PresentedModule.from_matrix(1, H1, [
+            [_homogenized(rand_element(rng, H, deg=deg, terms=3), deg)
+             for _ in range(rank)] for deg in degrees])
+        grades.add(grade(M))
+        assert grade(M) == ext_grade(M)
+    assert grades >= {0, 1, 2, 3} and mixed >= 5

@@ -6,8 +6,8 @@ import random
 import pytest
 
 from weylmod import (QQ, ZP, FreeVec, InternalInvariant, WeylAlgebra,
-                     WeylmodError, bernstein_order, buchberger, syz_of_list,
-                     transpose)
+                     WeylmodError, bernstein_order, buchberger,
+                     pot_block_order, syz_of_list, transpose, vres_order)
 from weylmod._packed import (MIN_WIDTH, Overflow, envelope, layout, product,
                              widening)
 
@@ -61,6 +61,45 @@ def test_monomial_operations_match_tuples(n, width):
                tuple(map(max, k1[2], k2[2])), max(k1[3], k2[3]))
         assert lay.dec[data[0]] == lcm
         assert data[0] == lay.with_comp(data[1], 0) + m1 == data[2] + m2
+
+
+def _sign(u, v):
+    return (u > v) - (u < v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("width", [MIN_WIDTH, 2 * MIN_WIDTH])
+def test_packed_keys_order_monomials_as_tuple_keys(n, width):
+    # each order's key on packed ints, read off the fields, ranks every
+    # pair of monomials of one layout as its key on tuple keys does.
+    # Exponents below 3 make ties in |a| + |b| and e common, so reverse
+    # lex decides often and on every field
+    rng = random.Random("keys/%d/%d" % (n, width))
+    lay = layout(n, False, width)
+    top = 1 << (width - 1)
+    orders = [bernstein_order(n)] + [pot_block_order(n, b) for b in (1, 2, 3)]
+    if n == 1:
+        orders.append(vres_order(1))
+    monos = []
+    for _ in range(120):
+        bound = rng.choice([3, 3, top])
+        monos.append((rng.randint(0, 5),
+                      tuple(rng.randrange(bound) for _ in range(n)),
+                      tuple(rng.randrange(bound) for _ in range(n)),
+                      rng.randrange(bound)))
+    for order in orders:
+        keys = order.packed(lay)
+        packed = [(mono, keys[lay.enc[mono]]) for mono in monos]
+        for m1, k1 in packed:
+            for m2, k2 in packed:
+                assert _sign(k1, k2) == _sign(order.key(m1), order.key(m2))
+    if n == 1:
+        # the de Rham window cuts at weight k0 through the floor (k0,)
+        keys = vres_order(1).packed(lay)
+        for mono in monos:
+            _c, (a,), (b,), _e = mono
+            for k0 in range(-4, 5):
+                assert (keys[lay.enc[mono]] < (k0,)) == (b - a < k0)
 
 
 def test_divisor_returns_the_first_divisor_in_basis_order():
