@@ -204,11 +204,6 @@ class Layout:
         dec = self.dec if comps else self.dec3
         return {dec[k]: c for k, c in row.items()}
 
-    def keys(self, key):
-        """The tuple-key function key, memoized on packed monomials."""
-        dec = self.dec
-        return Memo(lambda m: key(dec[m]))
-
     def graded(self, m):
         """The Bernstein key of m: |a| + |b|, e, reverse lex, -comp.
 

@@ -24,11 +24,11 @@ fraction-free: each division step and the cofactors of each S-pair are
 one _linalg.cancel, which scales the remainder instead of dividing, and
 the product of the scales travels with the result.  QZ rows keep RatFunc
 coefficients, are monic, and run the same loop with scale 1.  Rows enter
-the kernel from outside only through _clear (GBasis._kernel builds its
-rows so), and become monic Fraction rows on tuple keys only where they
-leave it, through _rational (GBasis elements, transform, lifts, syzygies
-and remainders), so over the ZP tag every computed object stays
-z-integral (leading coefficients are rational).
+the kernel from outside only through _Rows.of, which clears them, and
+become monic Fraction rows on tuple keys only where they leave it,
+through _rational (GBasis elements, transform, lifts, syzygies and
+remainders), so over the ZP tag every computed object stays z-integral
+(leading coefficients are rational).
 
 Transforms, lifts and syzygies are integer rows too, each over one
 integer denominator: the tracked row (t, D) stands for t / D.  _combine
@@ -36,17 +36,20 @@ builds every one of them, scaling the rows it sums to the lcm of their
 denominators before the one product loop; over QZ they are RatFunc rows
 over 1.  _syz composes the Schreyer syzygies and the rows of
 Id - lifts . transform on these rows inside the kernel.  A GBasis from
-buchberger keeps its kernel rows, and with track=True its tracked rows,
-and builds the Fraction rows of its elements, transform and lifts only
-when they are read.
+buchberger keeps its kernel rows, and with track=True its transform and
+lifts as _Rows, and builds the Fraction rows of its elements, transform
+and lifts only when they are read.
 
-Resolutions and Ext stay in the kernel from step to step: a stage, its
-tau-dual, the kernel of the dual map and the preimage rows are _Rows,
-kernel rows over their least positive denominator on one layout.
-_gb, _syz, FreeResolution.extend and _preimage take and give _Rows;
-buchberger, syz_of_list, free_resolution and preimage_rows are those
-same functions with FreeVecs at their edges, cleared on the way in and
-made Fraction rows once on the way out.
+Relation rows are held once, as _Rows: kernel rows over their least
+positive denominator on one layout, in a named ambient (n, ring, rank).
+A module's relations, its resolution's stages, their tau-duals, the
+kernel of the dual map and the preimage rows of Ext are _Rows; _Rows.on
+is the one move of rows to a wider layout, as GBasis._kernel is of a
+basis.  _gb, _syz, FreeResolution.extend and _preimage take and give
+_Rows; buchberger, syz_of_list, free_resolution and preimage_rows are
+those same functions with FreeVecs at their edges, cleared on the way
+in and made Fraction rows once on the way out (given no rows,
+buchberger and free_resolution work in W_1 over QQ).
 
 Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  The leads of a kernel basis
@@ -166,15 +169,14 @@ class TermOrder:
 
     key sorts tuple keys; pack(lay) gives the key of the same order on the
     packed monomials of lay, read off the int itself.  The two agree in
-    sign on every pair of monomials of one layout.  Without pack, packed
-    monomials are decoded and given to key.  The order factories
+    sign on every pair of monomials of one layout.  The order factories
     below return one shared instance per argument, so the memo behind
     packed() serves every call under that order.
     """
 
     __slots__ = ("name", "key", "_pack", "_packed")
 
-    def __init__(self, name, key, pack=None):
+    def __init__(self, name, key, pack):
         self.name = name
         self.key = key
         self._pack = pack
@@ -184,8 +186,7 @@ class TermOrder:
         """The packed key on lay, memoized per layout."""
         keys = self._packed.get(lay)
         if keys is None:
-            keys = self._packed[lay] = lay.keys(self.key) \
-                if self._pack is None else Memo(self._pack(lay))
+            keys = self._packed[lay] = Memo(self._pack(lay))
         return keys
 
     def __repr__(self):
@@ -301,13 +302,16 @@ def _canonical(row, den, ring):
 class _Rows:
     """Kernel rows (row, den), each standing for row / den, on one layout.
 
-    How the stages of a resolution, their tau-duals and the preimages of
-    Ext pass from one step to the next: the rows stay packed integer rows
-    (RatFunc rows over QZ) and become FreeVecs once, in vecs(), when a
-    public caller reads them.  rank is that of the free module the rows
-    lie in; over H1, offsets[j] is the degree of its generator j (None:
-    all 0), so that a row is homogeneous when degree(term) + offsets[comp]
-    is the same on all its terms.
+    The one form in which relation rows enter the kernel and stay there:
+    the relations of a module, the stages of its resolution, their
+    tau-duals, the preimages of Ext and the tracked transform and lifts
+    of a basis.  Rows stay packed integer rows (RatFunc rows over QZ),
+    move to a wider layout only through on(), and become FreeVecs once,
+    in vecs(), when a public caller reads them.  The ambient is named:
+    rank is that of the free module W_n^rank the rows lie in, with or
+    without rows.  Over H1, offsets[j] is the degree of its generator j
+    (None: all 0), so that a row is homogeneous when degree(term) +
+    offsets[comp] is the same on all its terms.
     """
 
     __slots__ = ("n", "ring", "rank", "layout", "rows", "offsets", "_vecs",
@@ -325,20 +329,17 @@ class _Rows:
         self._degrees = degrees
 
     @staticmethod
-    def of(vecs, offsets=None):
-        """FreeVecs as kernel rows, on the narrowest layout that holds them.
+    def of(n, ring, rank, vecs, offsets=None):
+        """FreeVecs of W_n^rank as kernel rows, on the narrowest layout.
 
-        Every vector lives in the ambient of the first; an empty list names
-        W_1 over QQ of rank 1.
+        The one way rows enter the kernel.
         """
-        first = vecs[0] if vecs else FreeVec.zero(1, QQ, 1)
+        ambient = FreeVec.zero(n, ring, rank)
         for g in vecs:
-            first._check(g)
-        n, ring = first.n, first.ring
+            ambient._check(g)
         return widening(lambda lay: _Rows(
-            n, ring, first.rank, lay,
-            [_clear(g.terms, ring, lay) for g in vecs], offsets, vecs),
-            layout(n, ring == H1))
+            n, ring, rank, lay, [_clear(g.terms, ring, lay) for g in vecs],
+            offsets, vecs), layout(n, ring == H1))
 
     def on(self, lay):
         """The rows on layout lay, moved there from a narrower one."""
@@ -347,7 +348,7 @@ class _Rows:
             return self.rows
         return [(lay.moved(row, old), d) for row, d in self.rows]
 
-    def tau_dual(self, source_rank):
+    def tau_dual(self):
         """The tau-transpose of the stage map these rows present.
 
         The dual of (u -> u . A) on column vectors becomes, in transposed
@@ -358,10 +359,10 @@ class _Rows:
         row j of C minus that of generator j of A's: a zero row of C has
         it too.
         """
-        ring, offsets, degrees = self.ring, None, None
+        ring, rank, offsets, degrees = self.ring, self.rank, None, None
         if ring == H1:
             offsets = [-d for d in self.degrees()]
-            degrees = [-d for d in self.offsets or [0] * source_rank]
+            degrees = [-d for d in self.offsets or [0] * rank]
 
         def run(lay):
             rows = self.on(lay)
@@ -371,7 +372,7 @@ class _Rows:
                      for i, (row, d) in enumerate(rows)
                      for k, c in row.items() for j, m in [lay.split(k)])
             outs = _reordered(lay, _transposed, terms,
-                              [{} for _ in range(source_rank)])
+                              [{} for _ in range(rank)])
             return _Rows(self.n, ring, len(rows), lay,
                          [_canonical(out, den, ring) for out in outs],
                          offsets, degrees=degrees)
@@ -441,8 +442,7 @@ def _spoly(lay, ri, qi, ci, rj, qj, cj):
 
 def _units(lay, count):
     """The unit rows e_0..e_(count-1) as tracked rows (row, 1)."""
-    z0 = _zero_index(lay.n)
-    return [({lay.enc[(i, z0, z0, 0)]: 1}, 1) for i in range(count)]
+    return [({lay.with_comp(0, i): 1}, 1) for i in range(count)]
 
 
 def _pair_row(lay, i, qi, ci, j, qj, cj, s, quot):
@@ -547,15 +547,16 @@ def left_normal_form(v, basis, order):
         for row in [v.terms] + [g.terms for g in basis.elements]:
             _require_homogeneous(sum(a) + sum(b) + e for _c, a, b, e in row)
 
+    cleared = _Rows.of(v.n, v.ring, v.rank, [v])
+
     def run(lay):
         kernel = basis._kernel(lay)
         lay = kernel.layout
-        row, den = _clear(v.terms, v.ring, lay)
+        (row, den), = cleared.on(lay)
         rem, s, _q = _reduce(row, kernel, order.packed(lay))
         return _rational(rem, s * den, v.ring, lay)
 
-    return FreeVec(v.n, v.ring, v.rank,
-                   widening(run, layout(v.n, v.ring == H1)))
+    return FreeVec(v.n, v.ring, v.rank, widening(run, cleared.layout))
 
 
 class GBasis:
@@ -564,8 +565,9 @@ class GBasis:
     transform[i] expresses elements[i] over the original generator list;
     lifts[j] expresses original generator j over elements; both are None
     unless buchberger tracked them.  A basis from buchberger keeps its
-    kernel rows and tracked rows, and builds these Fraction rows, and
-    its elements, only when they are first read.  leads[i] is
+    kernel rows, and its tracked transform and lifts as _Rows, and builds
+    these Fraction rows, and its elements, only when they are first
+    read.  leads[i] is
     leading_term(elements[i], order), computed once (here when not
     given).  stats carries engine counters for reporting.
     """
@@ -602,18 +604,21 @@ class GBasis:
         """The elements as kernel rows, on a layout at least as wide as lay.
 
         Primitive integer (or monic RatFunc) rows: buchberger hands over
-        the rows it built, others are made on use, again when a wider
-        layout is asked for.  Clearing a monic element gives back the
-        primitive row it came from.
+        the rows it built, others are cleared once, on first use.  When a
+        wider layout is asked for, the same rows are moved there.
         """
         basis = self._basis
-        if basis is None or basis.layout.width < lay.width:
-            elements = self.elements
+        if basis is None:
+            cleared = _Rows.of(self.n, self.ring, self.rank, self.elements)
+            enc = cleared.layout.enc
+            basis = self._basis = _Basis(cleared.layout)
+            for (row, _d), (m, _c) in zip(cleared.rows, self.leads):
+                basis.add(primitive(row, enc[m])[0], enc[m])
+        if basis.layout.width < lay.width:
+            old, dec = basis, basis.layout.dec
             basis = self._basis = _Basis(lay)
-            for g, (m, _c) in zip(elements, self.leads):
-                lead = lay.enc[m]
-                basis.add(primitive(_clear(g.terms, self.ring, lay)[0],
-                                    lead)[0], lead)
+            for row, m in zip(old.rows, old.leads):
+                basis.add(lay.moved(row, old.layout), lay.enc[dec[m]])
         return basis
 
     def _kernel_rows(self):
@@ -621,28 +626,22 @@ class GBasis:
         basis = widening(self._kernel, layout(self.n, self.ring == H1))
         return [basis.layout.unpack(row) for row in basis.rows]
 
-    def _tracked(self, lay):
-        """The tracked transform and lifts of buchberger, on layout lay.
-
-        trans[k] is (t, D) with kernel row k = (t / D) . gens, lifts[j] is
-        (q, D) with D gens[j] = q . kernel rows.
-        """
-        old, trans, lifts = self._track
-        if old is not lay:
-            trans = [(lay.moved(t, old), d) for t, d in trans]
-            lifts = [(lay.moved(q, old), d) for q, d in lifts]
-        return trans, lifts
-
     def _public(self):
-        """(transform, lifts) as Fraction rows, built on the first read."""
+        """(transform, lifts) as Fraction rows, built on the first read.
+
+        _track holds them as _Rows: transform row (t, D) gives kernel row
+        k = (t / D) . gens, lift (q, D) gives D gens[j] = q . kernel rows.
+        """
         if self._fractions is None and self._track is not None:
-            lay, trans, lifts = self._track
+            trans, lifts = self._track
             n, ring, lcs = self.n, self.ring, self._basis.lcs()
+            lay = trans.layout
             self._fractions = (
-                [FreeVec(n, ring, len(lifts), _rational(t, d * lc, ring, lay))
-                 for (t, d), lc in zip(trans, lcs)],
-                [FreeVec(n, ring, len(lcs), _rational(q, d, ring, lay, lcs))
-                 for q, d in lifts])
+                [FreeVec(n, ring, trans.rank,
+                         _rational(t, d * lc, ring, lay))
+                 for (t, d), lc in zip(trans.rows, lcs)],
+                [FreeVec(n, ring, lifts.rank, _rational(q, d, ring, lay, lcs))
+                 for q, d in lifts.rows])
         return self._fractions or (None, None)
 
     transform = property(lambda self: self._public()[0])
@@ -673,9 +672,12 @@ def reset_counters():
 def buchberger(gens, order, track=False):
     """Left Groebner basis of the row span of gens, normal pair selection.
 
-    Every generator lives in the ambient of the first.
+    Every generator lives in the ambient of the first; no generators name
+    W_1 over QQ of rank 1.
     """
-    return _gb(_Rows.of(list(gens)), order, track)
+    gens = list(gens)
+    ambient = gens[0]._ambient() if gens else (1, QQ, 1)
+    return _gb(_Rows.of(*ambient, gens), order, track)
 
 
 def _gb(gens, order, track=False):
@@ -695,7 +697,8 @@ def _gb(gens, order, track=False):
                 leads=[(lay.dec[m], one) for m in basis.leads])
     gb._basis = basis
     if track:
-        gb._track = (lay, trans, lifts)
+        gb._track = (_Rows(gens.n, ring, len(gens.rows), lay, trans),
+                     _Rows(gens.n, ring, len(basis.rows), lay, lifts))
     return gb
 
 
@@ -703,7 +706,7 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
     """The kernel of buchberger on one layout, on the kernel rows cleared.
 
     Returns the interreduced basis and, with track, its transform and the
-    lifts of the generators as tracked rows (see GBasis._tracked).  Over
+    lifts of the generators as tracked rows (see GBasis._public).  Over
     H1 each basis row must be homogeneous, component j counted offsets[j]
     higher.
     """
@@ -736,11 +739,9 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
             trans.append(lowest_terms(*_combine(sigma, tracked, lay, d)))
 
     units = _units(lay, len(cleared)) if track else None
-    z0 = _zero_index(lay.n)
     for i, (row, den) in enumerate(cleared):
         if row:
-            push(row, {lay.enc[(i, z0, z0, 0)]: den} if track else None,
-                 units)
+            push(row, {lay.with_comp(0, i): den} if track else None, units)
 
     stats = {"spairs": 0, "reductions_to_zero": 0}
     rows, leads = basis.rows, basis.leads
@@ -778,7 +779,6 @@ def _interreduce(basis, trans, keys):
     so a row reduced once stays reduced and one pass suffices.
     """
     lay, leads = basis.layout, basis.leads
-    z0 = _zero_index(lay.n)
     kept = _Basis(lay)
     keep = [i for i, mi in enumerate(leads)
             if not any(j != i and lay.divides(mj, mi) and (mi != mj or j < i)
@@ -800,7 +800,7 @@ def _interreduce(basis, trans, keys):
             # s e_i - q: q has no term in component i, whose lead left
             # the index
             sigma = {k: -c for k, c in q.items()}
-            sigma[lay.enc[(i, z0, z0, 0)]] = s
+            sigma[lay.with_comp(0, i)] = s
             trans[i] = lowest_terms(*_combine(sigma, trans, lay, d))
     return kept, trans
 
@@ -825,32 +825,18 @@ def _syzygies(basis, keys):
             rem, s, q = _reduce(_spoly(lay, rows[i], qi, ci, rows[j], qj, cj),
                                 basis, keys, True)
             if rem:
-                raise InternalInvariant("input to syzygy_module was not a "
-                                        "Groebner basis")
+                raise InternalInvariant("Schreyer syzygies of rows that "
+                                        "are not a Groebner basis")
             sigma = _pair_row(lay, i, qi, ci, j, qj, cj, s, q)
             if sigma:
                 out.append((sigma, s * ci * lcs[i]))
     return out
 
 
-def syzygy_module(gb):
-    """Schreyer generators of the left syzygies of gb.elements."""
-    ring = gb.ring
-
-    def run(lay):
-        basis = gb._kernel(lay)
-        lay, lcs = basis.layout, basis.lcs()
-        return [_rational(sigma, d, ring, lay, lcs)
-                for sigma, d in _syzygies(basis, gb.order.packed(lay))]
-
-    return [FreeVec(gb.n, ring, len(gb.elements), terms)
-            for terms in widening(run, layout(gb.n, ring == H1))]
-
-
 def syz_of_list(gens):
     """Syzygies of an arbitrary generator list, via a tracked basis."""
     gens = list(gens)
-    return _syz(_Rows.of(gens)).vecs() if gens else []
+    return _syz(_Rows.of(*gens[0]._ambient(), gens)).vecs() if gens else []
 
 
 def _syz(gens):
@@ -868,19 +854,18 @@ def _syz(gens):
     if not count:
         return _Rows(n, ring, 0, gens.layout, [], offsets)
     gb = _gb(gens, bernstein_order(n), track=True)
-    z0 = _zero_index(n)
 
     def compose(lay):
         basis = gb._kernel(lay)
         lay = basis.layout
-        trans, lifts = gb._tracked(lay)
+        trans, lifts = (rows.on(lay) for rows in gb._track)
         rows = [_combine(sigma, trans, lay, d)
                 for sigma, d in _syzygies(basis, gb.order.packed(lay))]
         # e_j - lifts_j . T: over trans followed by the unit rows
         tracked = trans + _units(lay, count)
         for j, (q, d) in enumerate(lifts):
             sigma = {k: -c for k, c in q.items()}
-            sigma[lay.enc[(len(trans) + j, z0, z0, 0)]] = d
+            sigma[lay.with_comp(0, len(trans) + j)] = d
             rows.append(_combine(sigma, tracked, lay, d))
         return _Rows(n, ring, count, lay,
                      [_canonical(row, d, ring) for row, d in rows if row],
@@ -890,21 +875,23 @@ def _syz(gens):
 
 
 class FreeResolution:
-    """matrices[k]: rows presenting the kernel of the previous stage.
+    """stages[k]: kernel rows presenting the kernel of the previous stage.
 
-    ranks[k] is the rank of the k-th free module; matrices[k] has rows of
-    rank ranks[k] and there are ranks[k+1] of them.  complete is True once
-    the last stage has a zero kernel, so that no later stage exists.
-    stages[k] holds matrices[k] as kernel rows, which is how each stage
-    passes to the next; matrices builds the FreeVecs of a stage once.
+    stages[0] presents the module.  complete is True once the last stage
+    has a zero kernel, so that no later stage exists.  ranks and matrices
+    are read off the stages: ranks[k] is the rank of the k-th free module,
+    matrices[k] the rows of stages[k] as FreeVecs, built once.
     """
 
-    __slots__ = ("stages", "ranks", "complete")
+    __slots__ = ("stages", "complete")
 
-    def __init__(self, stages, ranks, complete):
+    def __init__(self, stages, complete):
         self.stages = stages
-        self.ranks = ranks
         self.complete = complete
+
+    @property
+    def ranks(self):
+        return [self.stages[0].rank] + [len(s.rows) for s in self.stages]
 
     @property
     def matrices(self):
@@ -919,14 +906,18 @@ class FreeResolution:
             self.complete = syz is None or not syz.rows
             if not self.complete:
                 self.stages.append(syz)
-                self.ranks.append(len(syz.rows))
         return self
 
 
 def free_resolution(rows, rank, max_length):
-    """Iterated syzygies of a presentation, through stage max_length."""
+    """Iterated syzygies of a presentation, through stage max_length.
+
+    The rows lie in W^rank over the algebra of the first; no rows name
+    W_1 over QQ.
+    """
     rows = list(rows)
-    return FreeResolution([_Rows.of(rows)], [rank, len(rows)],
+    n, ring = (rows[0].n, rows[0].ring) if rows else (1, QQ)
+    return FreeResolution([_Rows.of(n, ring, rank, rows)],
                           False).extend(max_length)
 
 
@@ -935,7 +926,8 @@ def preimage_rows(arows, brows):
     arows = list(arows)
     if not arows:
         return []
-    return _preimage(_Rows.of(arows + list(brows)), len(arows)).vecs()
+    return _preimage(_Rows.of(*arows[0]._ambient(), arows + list(brows)),
+                     len(arows)).vecs()
 
 
 def _preimage(stacked, m):

@@ -18,9 +18,8 @@ from ._linalg import add_terms
 from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
                      UnsupportedAmbient, ZeroModule)
 from .scalars import INF
-from .groebner import (FreeVec, _gb, _nonzero_rows, _preimage, _Rows, _syz,
-                       bernstein_order, buchberger, free_resolution,
-                       preimage_rows)
+from .groebner import (FreeResolution, FreeVec, _gb, _nonzero_rows,
+                       _preimage, _Rows, _syz, bernstein_order, preimage_rows)
 from .weyl import H1, QQ, QZ, ZP, transpose
 
 LEFT = "left"
@@ -57,10 +56,12 @@ def matrix_rows(entries, rank=None):
 class PresentedModule:
     """Relations rows of a module over W_n, with what is known of it.
 
-    Its basis, its resolution and each Ext^i are computed once and kept.
-    An Ext module also keeps its relations as the kernel rows they were
-    computed as (_kernel), and its basis starts from those: over H1 they
-    carry the degree of each generator.
+    The relations enter the Groebner kernel once, as _Rows (_kernel):
+    cleared from rows on first use, or, for an Ext module, handed over as
+    the kernel rows they were computed as, which over H1 carry the degree
+    of each generator.  Its basis and its resolution both start from
+    them; the basis, the resolution and each Ext^i are computed once and
+    kept.
     """
 
     __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext",
@@ -90,16 +91,17 @@ class PresentedModule:
         rows = [FreeVec.from_entries(row, rank=rank) for row in entries]
         return PresentedModule(n, ring, side, rank, rows)
 
+    def _relations(self):
+        """The relations as kernel rows, built on the first call."""
+        if self._kernel is None:
+            object.__setattr__(self, "_kernel", _Rows.of(
+                self.n, self.ring, self.rank, self.rows))
+        return self._kernel
+
     def gb(self):
         if self._gb is None:
-            order = bernstein_order(self.n)
-            if self._kernel is not None:
-                gb = _gb(self._kernel, order)
-            else:
-                # with no relations a zero row names the ambient
-                gb = buchberger(self.rows or [
-                    FreeVec.zero(self.n, self.ring, self.rank)], order)
-            object.__setattr__(self, "_gb", gb)
+            object.__setattr__(self, "_gb", _gb(self._relations(),
+                                                bernstein_order(self.n)))
         return self._gb
 
     def is_zero(self):
@@ -112,11 +114,9 @@ class PresentedModule:
         last one known.
         """
         if self._res is None:
-            object.__setattr__(self, "_res", free_resolution(
-                self.rows, self.rank, stage))
-        else:
-            self._res.extend(stage)
-        return self._res
+            object.__setattr__(self, "_res", FreeResolution(
+                [self._relations()], False))
+        return self._res.extend(stage)
 
     def opposite_side(self):
         return RIGHT if self.side == LEFT else LEFT
@@ -301,12 +301,13 @@ def _ext_of_resolution(i, M):
     s_i = ranks[i] if i < len(ranks) else 0
     if s_i == 0:
         return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
-    image = stages[i - 1].tau_dual(ranks[i - 1]) if i >= 1 else None
-    out = stages[i].tau_dual(s_i) if i < len(stages) else None
+    image = stages[i - 1].tau_dual() if i >= 1 else None
+    out = stages[i].tau_dual() if i < len(stages) else None
     if out is not None and any(row for row, _d in out.rows):
         kernel = _syz(out)
     else:
-        kernel = _Rows.of([FreeVec.unit(M.n, M.ring, s_i, j)
+        kernel = _Rows.of(M.n, M.ring, s_i,
+                          [FreeVec.unit(M.n, M.ring, s_i, j)
                            for j in range(s_i)], image and image.offsets)
     m = len(kernel.rows)
     relations = _preimage(kernel if image is None else kernel.stacked(image),

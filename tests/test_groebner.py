@@ -15,10 +15,9 @@ from weylmod import (H1, QQ, QZ, ZP, FreeVec, GBasis, InternalInvariant,
                      preimage_rows, syz_of_list, vres_order)
 from weylmod import bernstein_degree, groebner, to_str
 from weylmod._linalg import add_terms
-from weylmod._packed import layout, widening
+from weylmod._packed import Memo, layout, widening
 from weylmod.cli import run
-from weylmod.groebner import (colon_z, saturate_z, submodule_equal,
-                              syzygy_module)
+from weylmod.groebner import colon_z, saturate_z, submodule_equal
 
 from helpers import rand_element, rand_scalar
 from oracles import (all_monomials, brute_member, field_normal_form,
@@ -130,16 +129,20 @@ def combine(coeffs, rows, zero):
 
 
 def check_tracked(gens, order):
-    """The tracked outputs of buchberger and the syzygies of its basis."""
+    """The tracked outputs of buchberger and the syzygies of gens.
+
+    syz_of_list composes the Schreyer syzygies of the tracked basis with
+    its transform, so its rows check both.
+    """
     gb = buchberger(gens, order, track=True)
     zero = FreeVec.zero(gens[0].n, gens[0].ring, gens[0].rank)
     for g, t in zip(gb.elements, gb.transform):
         assert combine(t, gens, zero) == g
     for r, lift in zip(gens, gb.lifts):
         assert combine(lift, gb.elements, zero) == r
-    syz = syzygy_module(gb)
+    syz = syz_of_list(gens)
     for sig in syz:
-        assert combine(sig, gb.elements, zero).is_zero()
+        assert combine(sig, gens, zero).is_zero()
     assert all(leading_term(g, order)[1] == 1 for g in gb.elements)
     return gb, syz
 
@@ -208,8 +211,7 @@ def test_gb_transform_and_lifts_random(ring, rank):
         assert left_normal_form(member, gb, order).is_zero()
         rem = left_normal_form(random_gens(rng, ring, rank, order)[0], gb,
                                order)
-        out = (gb.elements + gb.transform + gb.lifts + syz + [rem]
-               + syz_of_list(gens))
+        out = gb.elements + gb.transform + gb.lifts + syz + [rem]
         assert all(type(c) is scalar for v in out for c in v.terms.values())
 
 
@@ -244,7 +246,7 @@ def test_normal_form_matches_field_division(ring, n):
     # object become a GBasis whose rows are made on the fly
     rng = random.Random("nf/%s/%d" % (ring, n))
     order = vres_order(1) if ring == H1 else bernstein_order(n)
-    other = groebner.TermOrder("copy", order.key)
+    other = groebner.TermOrder("copy", order.key, order._pack)
     for _ in range(3):
         gens = random_gens(rng, ring, 1, order, n)
         gb = buchberger(gens, order)
@@ -283,15 +285,19 @@ def test_reduce_floor_keeps_the_remainder_above_it(ring, n):
                 lay = kernel.layout
                 # a fresh memo: afterwards it holds every monomial the
                 # full division compared
-                keys = lay.keys(order.key)
+                keys = Memo(order._pack(lay))
                 p, den = groebner._clear(v.terms, ring, lay)
                 full, s, _q = groebner._reduce(p, kernel, keys)
                 assert groebner._reduce(p, kernel, keys, floor=()) == \
                     (full, s, None)
                 assert groebner._rational(full, s * den, ring, lay) == \
                     field_normal_form(v, gens, order).terms
-                floors = {k[:cut] for k in list(keys.values())
-                          for cut in (1, len(k))}
+                # cuts at each compared key, without and with its comp,
+                # and at its whole Bernstein degree: the bits of the
+                # packed key from cshift up
+                whole = lay.cshift
+                floors = {f for k in list(keys.values())
+                          for f in (k[:1], k, (k[0] >> whole << whole,))}
                 for floor in sorted(floors):
                     rem, s_floor, _q = groebner._reduce(p, kernel, keys,
                                                         floor=floor)
@@ -577,12 +583,16 @@ def test_h1_input_must_be_homogeneous():
         left_normal_form(h, [], vres_order(1))
 
 
-def test_syzygy_module_rejects_a_non_basis():
+def test_syzygies_reject_a_non_basis():
     x, d = W.x(1), W.d(1)
     # d*x - x*d = 1 does not reduce to zero on {x, d}
     fake = GBasis(1, QQ, 1, bernstein_order(1), ideal_rows(x, d))
+
+    def run(lay):
+        basis = fake._kernel(lay)
+        return groebner._syzygies(basis, fake.order.packed(basis.layout))
     with pytest.raises(InternalInvariant):
-        syzygy_module(fake)
+        widening(run, layout(1, False))
 
 
 def test_colon_z_needs_zp():

@@ -460,6 +460,24 @@ def test_h1_ext_of_rows_of_different_degrees():
     assert grade(M) == ext_grade(M) == 1
 
 
+def test_h1_ext_of_an_ext_module():
+    # Ext^1(M) keeps the kernel rows it was computed as, with the degree
+    # of each generator; its resolution starts from them, so its stages
+    # stay homogeneous although its rows have different degrees
+    E = ext(1, _h1_rows_of_two_degrees())
+    assert [ext(j, E).is_zero() for j in range(4)] == \
+        [True, False, True, True]
+    assert grade(E) == ext_grade(E) == 1
+
+
+@pytest.mark.parametrize("n,ring", [(2, QZ), (1, H1)])
+def test_no_relations_resolve_in_their_own_ambient(n, ring):
+    res = PresentedModule(n, ring, LEFT, 2, []).resolution(3)
+    stage = res.stages[0]
+    assert (stage.n, stage.ring, stage.rank) == (n, ring, 2)
+    assert res.ranks == [2, 0] and res.complete
+
+
 def _homogenized(u, degree):
     """u with each term z^e x^a d^b given h^(degree - |a| - |b|)."""
     H = WeylAlgebra(u.n, H1)

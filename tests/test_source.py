@@ -113,6 +113,34 @@ def test_one_division_loop():
     assert found == {"groebner.py:_reduce"}
 
 
+def test_rows_enter_and_widen_one_way():
+    # FreeVecs become kernel rows through _Rows.of alone, and kernel rows
+    # move to a wider layout through _Rows.on, apart from the basis a
+    # GBasis moves in _kernel; tracked rows are _Rows, with no mover of
+    # their own
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node in _functions(ast.parse(path.read_text())):
+            for used in {"_clear", "moved", "_tracked"} & \
+                    (_used(node) | {name.split(".")[-1]}):
+                found.setdefault(used, set()).add(path.name + ":" + name)
+    assert found.pop("_clear") == {"groebner.py:_clear",
+                                   "groebner.py:_Rows.of"}
+    assert found.pop("moved") == {"_packed.py:Layout.moved",
+                                  "groebner.py:_Rows.on",
+                                  "groebner.py:GBasis._kernel"}
+    assert not found
+
+
+@pytest.mark.parametrize("function", ["gb", "resolution"])
+def test_a_module_resolves_its_own_rows(function):
+    # a module's basis and resolution start from its kernel rows, which
+    # keep the degree of each generator of an Ext module over H1; the
+    # public wrappers would clear its FreeVecs again
+    assert not {"buchberger", "free_resolution"} & _names(
+        "modules.py", "PresentedModule." + function)
+
+
 @pytest.mark.parametrize("function", ["_buchberger", "_interreduce",
                                       "syz_of_list"])
 def test_tracking_is_fraction_free(function):
