@@ -15,13 +15,13 @@ Also here: the algebraic de Rham complex in any number of variables
 perfect complexes over the power series coordinate, and a truncation
 oracle used to cross-check the window computation.  The oracle shares
 no code with the window: it cuts the module at growing total degree and
-grows two echelon forms of integer rows, keyed degree first, one degree
-at a time.
+grows two echelon forms of integer rows one degree at a time, of the
+relations and of their images modulo d1 W.
 """
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import lcm, perm
 
 from ._linalg import (Echelon, add_terms, cancel, dense_rank, primitive,
                       rank_of_rows)
@@ -423,6 +423,20 @@ def _d_times(row):
     return out
 
 
+def _mod_d(row):
+    """row modulo d1 W, keyed (a, comp) by the terms x^a e_comp it leaves.
+
+    x^a d^b = (-1)^b a!/(a-b)! x^(a-b) + d1 h with h in F_(a+b-1), and
+    x^a d^b lies in d1 F_(a+b-1) when b > a.
+    """
+    out = {}
+    for (deg, comp, a), c in row.items():
+        b = deg - a
+        if b <= a:
+            add_terms(out, [((a - b, comp), (-1) ** b * perm(a, b) * c)])
+    return out
+
+
 def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     """Kernel and cokernel of the derivative by brute force truncation.
 
@@ -441,19 +455,31 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     module is decided by linear algebra over those monomial multiples.
 
     Every one of these spans grows with d, so each row is built once, at
-    its own degree, and two echelon forms only grow: `rel` spans N and
-    `span` spans N + d1 F, which at degree t is the image span of degree
-    t and the cokernel span S of degree t - pad.  Rows are keyed
-    (degree, comp, a) and Echelon pivots on the largest key, so a vector
-    of the span lies in F_d exactly when the pivot rows it combines all
-    have degree <= d: dim(S cap F_d) is the number of pivots of degree
-    at most d.
+    its own degree, and two echelon forms only grow.  `rel` spans N.
+    `span` stands for N + d1 F, which at degree t is the image span of
+    degree t and the cokernel span S of degree t - pad: it spans the
+    relations modulo d1 W.  Modulo d1 F_(a+b-1), x^a d^b is
+    (-1)^b a!/(a-b)! x^(a-b), and zero when b > a (_mod_d), so
+    F_(t+1) / d1 F_t has the basis x^a e_j, a <= t + 1, and as d1 is
+    injective
+
+        dim(N_(t+1) + d1 F_t) = rank (t+1)(t+2)/2 + rank of span.
+
+    Rows of `rel` are keyed (degree, comp, a), rows of `span` (a, comp),
+    and Echelon pivots on the largest key.  So a vector of S lies in F_d
+    exactly when the pivot rows it combines all have degree <= d, and
+    the pivots of N_(t+1) + d1 F_t are those of d1 F_t, every x^a d^b e_j
+    with b >= 1 of degree <= t + 1, and those of `span`: modulo d1 W a
+    term with b >= 1 drops in degree, so a lead x^a e_j stays.  Hence
+
+        dim F_d - dim(S cap F_d) = rank (d+1) - #{pivots of span, a <= d}.
 
     Rows are integer rows: each basis element g is the primitive row the
     Groebner kernel keeps, and x^i d^j g is built from rows already made,
     as x (x^(i-1) d^j g) by shifting every key (t, j, a) to (t+1, j, a+1),
-    or for i = 0 as d (d^(j-1) g) by _d_times.  Only the span of each
-    echelon form is read, so integer multiples change nothing.
+    or for i = 0 as d (d^(j-1) g) by _d_times; _mod_d keeps them integer.
+    Only the span of each echelon form is read, so integer multiples
+    change nothing.
     """
     if module.n != 1 or module.ring != QQ:
         raise UnsupportedAmbient("oracle requires W(1) over QQ")
@@ -500,11 +526,8 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
         while len(rows) <= t + 1:
             rows.append(relations(len(rows)))
             for row in rows[-1]:
-                span.add(row)
-        for j in range(rank):
-            for a in range(t + 1):
-                span.add(_d_times({(t, j, a): 1}))
-        span_rank.append(span.rank())
+                span.add(_mod_d(row))
+        span_rank.append(rank * (t + 1) * (t + 2) // 2 + span.rank())
         d = t - pad
         if d < 0:
             continue
@@ -514,7 +537,8 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
             rel_rank.append(rel.rank())
         size = rank * (d + 1) * (d + 2) // 2
         ker_dim = size - rel_rank[d] - (span_rank[d] - rel_rank[d + 1])
-        cok_dim = size - sum(1 for key in span.pivots if key[0] <= d)
+        cok_dim = rank * (d + 1) - sum(1 for key in span.pivots
+                                       if key[0] <= d)
         history.append((ker_dim, cok_dim))
         if len(history) >= window and len(set(history[-window:])) == 1:
             return {"dims": history[-1], "stabilized": True, "degree": d}

@@ -13,6 +13,10 @@ from free resolutions; the engine reads it off the dimension instead.
 Products are checked against the Leibniz rule, applied one derivation at
 a time to plain exponent tuples; so are the linear combinations of rows
 and the transposes built from those products.
+
+The de Rham truncation oracle, which reads N + d1 F modulo d1 W, is
+checked against the span it stands for: relation rows and derivative
+rows d1 x^a d^b e_j in one echelon form, all built by the Leibniz rule.
 """
 
 from weylmod import (INF, FreeVec, WeylAlgebra, bernstein_degree, ext,
@@ -155,3 +159,62 @@ def leibniz_transpose(v, homog=False):
                                     {head + (a, z0, 0): 1}, homog).items():
             _accumulate(out, k, w)
     return out
+
+
+def _by_degree(terms):
+    """A W_1 term dict keyed (a + b, comp, a), as the de Rham oracle keys."""
+    return {(a[0] + b[0], comp, a[0]): c
+            for (comp, a, b, _e), c in terms.items()}
+
+
+def derivative_row_oracle(module, window=5, max_degree=40, pad=None):
+    """(dims, stabilized, degree) of stabilization_oracle, from d1 F as rows.
+
+    The counts of stabilization_oracle, with every span taken as it is
+    defined: `span` at degree t holds the relation rows x^i d^j g of
+    degree <= t + 1, for g in the Groebner basis, and the derivative
+    rows d1 x^a d^b e_j with a + b <= t; `rel` the relation rows alone.
+    Each row is a product by leibniz_product.
+    """
+    if pad is None:
+        pad = window
+    rank = module.rank
+    basis = module.gb().elements
+    d1 = {((0,), (1,), 0): 1}
+
+    def relations(deg):
+        out = []
+        for g in basis:
+            room = deg - max(a[0] + b[0] for _comp, a, b, _e in g.terms)
+            out += [_by_degree(leibniz_product({((i,), (room - i,), 0): 1},
+                                               g.terms))
+                    for i in range(room + 1)]
+        return out
+
+    rel, span = Echelon(), Echelon()
+    built = 0        # relation rows of degree < built are in span
+    rel_rank, span_rank, history = [], [], []
+    for t in range(max_degree + pad + 1):
+        while built <= t + 1:
+            for row in relations(built):
+                span.add(row)
+            built += 1
+        for j in range(rank):
+            for a in range(t + 1):
+                span.add(_by_degree(leibniz_product(
+                    d1, {(j, (a,), (t - a,), 0): 1})))
+        span_rank.append(span.rank())
+        d = t - pad
+        if d < 0:
+            continue
+        while len(rel_rank) <= d + 1:
+            for row in relations(len(rel_rank)):
+                rel.add(row)
+            rel_rank.append(rel.rank())
+        size = rank * (d + 1) * (d + 2) // 2
+        ker_dim = size - rel_rank[d] - (span_rank[d] - rel_rank[d + 1])
+        cok_dim = size - sum(1 for key in span.pivots if key[0] <= d)
+        history.append((ker_dim, cok_dim))
+        if len(history) >= window and len(set(history[-window:])) == 1:
+            return history[-1], True, d
+    return history[-1], False, max_degree

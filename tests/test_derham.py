@@ -8,7 +8,7 @@ no code path with the window algorithm.
 import random
 import time
 from fractions import Fraction
-from math import comb
+from math import comb, perm
 
 import pytest
 
@@ -20,9 +20,10 @@ from weylmod import (LEFT, QQ, QZ, RIGHT, DeRhamComplex, IndexOutOfRange,
                      euler_check_perfect, h_dr_n1, normal_product,
                      stabilization_oracle)
 from weylmod.cli import run
-from weylmod.derham import _integer_roots, _theta_image
+from weylmod.derham import _integer_roots, _mod_d, _theta_image
 
 from helpers import battery_avatars, rand_element
+from oracles import derivative_row_oracle, leibniz_product
 
 W = WeylAlgebra(1, QQ)
 X, D = W.x(1), W.d(1)
@@ -114,6 +115,9 @@ FAMILY_PINS = [
     (11, 5, ((0, 0), True, 4), False), (11, 12, ((1, 1), True, 25), True),
     (12, 5, ((0, 0), True, 4), False), (12, 12, ((0, 0), True, 11), False),
 ]
+# window 8, recorded while the oracle still kept d1 F as rows
+FAMILY_PINS += [(k, 8, ((1, 1), True, 10 + k), True) for k in range(1, 8)]
+FAMILY_PINS += [(k, 8, ((0, 0), True, 7), False) for k in range(8, 13)]
 ORACLE_PINS += [("family-%d-w%d" % (k, window),
                  [[theta_product(k, -k - 1)]], {"window": window}, pinned,
                  agrees)
@@ -141,6 +145,47 @@ def test_oracle_rejects_out_of_range(opts):
     # pad raised a bare ValueError
     with pytest.raises(IndexOutOfRange):
         stabilization_oracle(module(theta_product(1, -2)), **opts)
+
+
+def test_quotient_by_d1_in_closed_form():
+    # x^a d^b = d1 h + (-1)^b a!/(a-b)! x^(a-b) for the h below, the
+    # second term zero when b > a: that is x^a d^b modulo d1 W, and
+    # _mod_d maps the term to it
+    for a in range(9):
+        for b in range(9):
+            h = {((a - k,), (b - 1 - k,), 0): (-1) ** k * perm(a, k)
+                 for k in range(min(a, b - 1) + 1)}
+            image = {(a - b, 0): (-1) ** b * perm(a, b)} if b <= a else {}
+            total = leibniz_product({((0,), (1,), 0): 1}, h)
+            for (x, _comp), c in image.items():
+                key = ((x,), (0,), 0)
+                total[key] = total.get(key, 0) + c
+            assert {k: c for k, c in total.items() if c} == {
+                ((a,), (b,), 0): 1}
+            assert _mod_d({(a + b, 0, a): 1}) == image
+
+
+def _random_module(rng):
+    # right factors D, X and X D + 1 give the module kernels and
+    # cokernels the oracle has to find
+    factors = [W.one(), D, X, X * D + W.one()]
+    rank = rng.randint(1, 2)
+    rows = [[rand_element(rng, W, deg=2, terms=3) * rng.choice(factors)
+             for _ in range(rank)] for _ in range(rng.randint(1, rank))]
+    return PresentedModule.from_matrix(1, QQ, rows)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_oracle_matches_derivative_rows(seed):
+    # the oracle reads N + d1 F modulo d1 W; the reference keeps every
+    # derivative row d1 x^a d^b e_j in its echelon form
+    M = _random_module(random.Random(seed))
+    for window, pad in [(1, 0), (3, 1), (5, None), (2, 6)]:
+        oracle = stabilization_oracle(M, window=window, max_degree=14,
+                                      pad=pad)
+        assert (tuple(oracle["dims"]), oracle["stabilized"],
+                oracle["degree"]) == derivative_row_oracle(
+            M, window=window, max_degree=14, pad=pad)
 
 
 def falling_factorial(k):

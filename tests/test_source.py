@@ -221,15 +221,33 @@ def test_oracle_reads_the_kernel_rows():
 
 
 def test_oracle_shares_nothing_with_the_window():
-    # the truncation oracle cross-checks h_dr_n1, so it builds its rows
-    # from integer shifts of the basis, not from the window algorithm's
-    # V-order machinery or the Weyl product
+    # the truncation oracle cross-checks h_dr_n1, so it and its helpers
+    # build rows from integer shifts of the basis, not from the window
+    # algorithm's V-order machinery or the Weyl product
     shared = {"Fraction", "WeylAlgebra", "mul_monomial", "product",
               "mul_into", "divisor", "_Basis",
               "_v_lifts", "_b_data", "_theta_image", "_reduce",
               "_stairs_by_comp", "_standard_monomials",
               "_indicial_polynomial", "vres_order"}
-    assert not shared & _names("derham.py", "stabilization_oracle")
+    for function in ("stabilization_oracle", "_d_times", "_mod_d"):
+        assert not shared & _names("derham.py", function), function
+
+
+def test_oracle_builds_no_derivative_rows():
+    # d1 F is read modulo d1 W in closed form (_mod_d), so the oracle
+    # takes d times a row only in the i = 0 step of the relation rows
+    # x^i d^j g, where d (d^(j-1) g) comes from the row of d^(j-1) g
+    oracle = dict(_functions(ast.parse(
+        (PACKAGE / "derham.py").read_text())))["stabilization_oracle"]
+    named = [node for node in ast.walk(oracle)
+             if isinstance(node, ast.Name) and node.id == "_d_times"]
+    calls = [ast.unparse(node) for node in ast.walk(oracle)
+             if isinstance(node, ast.Call) and node.func in named]
+    relations = [node for node in ast.walk(oracle)
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == "relations"]
+    assert len(named) == 1 and calls == ["_d_times(rows[0])"]
+    assert named[0] in ast.walk(relations[0])
 
 
 def test_grade_resolves_no_ext():
