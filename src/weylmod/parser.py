@@ -8,12 +8,15 @@ Input language: ring and object declarations plus one check command.
     check M holonomic-hat
 
 Elements use x1..xn, d1..dn, z (in ring QZ), integers, + - * ^ and
-division by scalar subexpressions; # starts a comment.  Every expression
-is normal-ordered while parsing, so printing and reparsing an element is
-the identity on normal forms.
+division by scalar subexpressions; # starts a comment.  Integers and
+variable indices are ASCII digits; any other number character is a
+ParseError.  Every expression is normal-ordered while parsing, so
+printing and reparsing an element is the identity on normal forms.
 """
 
+import re
 from fractions import Fraction
+from unicodedata import category
 
 from .errors import (ParseError, RingMismatch, UndeclaredName,
                      UnsupportedAmbient, UnsupportedTarget)
@@ -47,6 +50,25 @@ FLAGS = {"stats": bool, "max-degree": int, "zpower": int}
 
 _PUNCT = "()[]{},;=+-*/^"
 
+# One token pattern; the first alternative that matches is the token.  A
+# flag is "--" and a FLAGS name not followed by a letter, digit or "-"
+# (any other "--" is two minus signs, as in d1--x1).  Integers are ASCII
+# digits; a name is a letter or "_", then letters, ASCII digits and "_".
+# Blanks and comments are unnamed: they make no token.  The end token sits
+# where the input ends, or where a comment running to the end starts: a
+# comment never advances the column.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n) | [ \t\r]+ | (?P<end>(?=\#.*\Z)|\Z)
+  | \#.* | --(?P<flag>%s)(?![^\W_]|-) | (?P<int>[0-9]+)
+  | (?P<name>[^\W\d](?:[^\W\d]|[0-9])*) | (?P<punct>[%s]) | (?P<bad>.)
+""" % ("|".join(map(re.escape, FLAGS)), re.escape(_PUNCT)), re.VERBOSE)
+
+# An object name of this form is taken by a variable of the ring.
+_VARIABLE = re.compile(r"(?P<letter>[xd])(?P<index>[0-9]+)")
+
+_RESERVED = ("ring", "module", "lattice", "complex", "check", "coker",
+             "over", "with", "z", "W")
+
 
 class Token:
     __slots__ = ("kind", "value", "line", "col")
@@ -63,59 +85,29 @@ class Token:
 
 def tokenize(source):
     tokens = []
-    line = 1
-    col = 1
-    i = 0
-    size = len(source)
-    while i < size:
-        ch = source[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, first = 1, 0  # first: the offset where the line starts
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        if kind is None:
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < size and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("--", i):
-            j = i + 2
-            while j < size and (source[j].isalnum() or source[j] == "-"):
-                j += 1
-            # any other --name is two minus signs, as in d1--x1
-            if source[i + 2:j] in FLAGS:
-                tokens.append(Token("flag", source[i + 2:j], line, col))
-                col += j - i
-                i = j
-                continue
-        if ch.isdigit():
-            j = i
-            while j < size and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", int(source[i:j]), line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < size and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("name", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token("punct", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError("unexpected character %r" % ch, line, col)
-    tokens.append(Token("end", None, line, col))
-    return tokens
+        value, col = m[kind], m.start() - first + 1
+        if kind == "name" and not value.isascii():
+            # \w takes in numbers that are no decimal digit, such as the
+            # superscript 2; re has no letter class to keep them out
+            for k, ch in enumerate(value):
+                if category(ch) in ("Nl", "No"):
+                    kind, value, col = "bad", ch, col + k
+                    break
+        if kind == "newline":
+            line, first = line + 1, m.end()
+        elif kind == "bad":
+            raise ParseError("unexpected character %r" % value, line, col)
+        elif kind == "end":
+            tokens.append(Token(kind, None, line, col))
+            return tokens
+        else:
+            tokens.append(Token(kind, int(m["int"]) if kind == "int"
+                                else value, line, col))
 
 
 class Session:
@@ -157,32 +149,22 @@ class _Parser:
         tok = tok or self.peek()
         raise ParseError(message, tok.line, tok.col)
 
-    def expect_punct(self, ch):
+    def expect(self, kind, value=None):
+        """The next token, which must be of this kind (and value)."""
         tok = self.next()
-        if tok.kind != "punct" or tok.value != ch:
-            self.fail("expected %r, found %r" % (ch, tok.value), tok)
-        return tok
-
-    def expect_name(self, value=None):
-        tok = self.next()
-        if tok.kind != "name":
-            self.fail("expected a name, found %r" % (tok.value,), tok)
-        if value is not None and tok.value != value:
+        if tok.kind != kind and kind != "punct":
+            self.fail("expected %s, found %r" % (
+                "a name" if kind == "name" else "an integer", tok.value), tok)
+        if tok.kind != kind or value is not None and tok.value != value:
             self.fail("expected %r, found %r" % (value, tok.value), tok)
         return tok
 
-    def expect_int(self):
-        tok = self.next()
-        if tok.kind != "int":
-            self.fail("expected an integer, found %r" % (tok.value,), tok)
-        return tok
+    def at(self, value):
+        # punctuation or a keyword; no token of another kind has its value
+        return self.peek().value == value
 
-    def at_punct(self, ch):
-        tok = self.peek()
-        return tok.kind == "punct" and tok.value == ch
-
-    def eat_punct(self, ch):
-        if self.at_punct(ch):
+    def eat(self, value):
+        if self.at(value):
             self.next()
             return True
         return False
@@ -190,25 +172,18 @@ class _Parser:
     # --- grammar
 
     def parse(self):
-        while True:
-            tok = self.peek()
-            if tok.kind == "end":
-                break
+        statements = {"ring": self.ring_decl, "module": self.module_decl,
+                      "lattice": self.lattice_decl,
+                      "complex": self.complex_decl,
+                      "check": self.check_command}
+        while self.peek().kind != "end":
+            tok = self.next()
             if tok.kind != "name":
                 self.fail("expected a declaration or check, found %r"
                           % (tok.value,), tok)
-            if tok.value == "ring":
-                self.ring_decl()
-            elif tok.value == "module":
-                self.module_decl()
-            elif tok.value == "lattice":
-                self.lattice_decl()
-            elif tok.value == "complex":
-                self.complex_decl()
-            elif tok.value == "check":
-                self.check_command()
-            else:
+            if tok.value not in statements:
                 self.fail("unknown statement %r" % tok.value, tok)
+            statements[tok.value](tok)
         # after the whole input, so that a parse error anywhere wins
         for base, _gens in self.session.lattices.values():
             _check_kind(self.session, base, "module")
@@ -216,21 +191,20 @@ class _Parser:
             _check_kinds(self.session)
         return self.session
 
-    def ring_decl(self):
-        self.expect_name("ring")
+    def ring_decl(self, _tok):
         if self.session.ring is not None:
             self.fail("ring already declared")
-        self.expect_name("W")
-        self.expect_punct("(")
-        ntok = self.expect_int()
+        self.expect("name", "W")
+        self.expect("punct", "(")
+        ntok = self.expect("int")
         if not 1 <= ntok.value <= 8:
             self.fail("number of variables must be between 1 and 8", ntok)
-        self.expect_punct(")")
-        self.expect_name("over")
-        rtok = self.expect_name()
+        self.expect("punct", ")")
+        self.expect("name", "over")
+        rtok = self.expect("name")
         if rtok.value not in ("QQ", "QZ"):
             self.fail("ring must be QQ or QZ", rtok)
-        self.expect_punct(";")
+        self.expect("punct", ";")
         self.session.n = ntok.value
         self.session.ring = QQ if rtok.value == "QQ" else QZ
         self.algebra = WeylAlgebra(self.session.n, self.session.ring)
@@ -239,66 +213,47 @@ class _Parser:
         if self.session.ring is None:
             self.fail("ring declaration required first", tok)
 
-    def fresh_name(self):
-        tok = self.expect_name()
+    def declare(self, tok):
+        """NAME = after the keyword tok of a declaration; returns NAME."""
+        self.require_ring(tok)
+        tok = self.expect("name")
         s = self.session
         if tok.value in s.modules or tok.value in s.lattices \
                 or tok.value in s.complexes:
             self.fail("name %r already declared" % tok.value, tok)
-        if tok.value in ("ring", "module", "lattice", "complex", "check",
-                         "coker", "over", "with", "z", "W"):
+        if tok.value in _RESERVED:
             self.fail("reserved word %r cannot name an object" % tok.value,
                       tok)
-        if tok.value[0] in ("x", "d") and tok.value[1:].isdigit():
+        if _VARIABLE.fullmatch(tok.value):
             self.fail("%r collides with a variable name" % tok.value, tok)
+        self.expect("punct", "=")
         return tok.value
 
-    def module_decl(self):
-        tok = self.expect_name("module")
-        self.require_ring(tok)
-        name = self.fresh_name()
-        self.expect_punct("=")
-        self.expect_name("coker")
+    def module_decl(self, tok):
+        name = self.declare(tok)
+        self.expect("name", "coker")
         matrix = self.matrix()
-        self.expect_punct(";")
+        self.expect("punct", ";")
         self.session.modules[name] = matrix
 
-    def lattice_decl(self):
-        tok = self.expect_name("lattice")
-        self.require_ring(tok)
-        name = self.fresh_name()
-        self.expect_punct("=")
+    def lattice_decl(self, tok):
+        name = self.declare(tok)
         base = self.declared_name("module")
-        gens = None
-        if self.peek().kind == "name" and self.peek().value == "with":
-            self.next()
-            gens = self.matrix()
-        self.expect_punct(";")
+        gens = self.matrix() if self.eat("with") else None
+        self.expect("punct", ";")
         self.session.lattices[name] = (base, gens)
 
-    def complex_decl(self):
-        tok = self.expect_name("complex")
-        self.require_ring(tok)
-        name = self.fresh_name()
-        self.expect_punct("=")
-        self.expect_punct("[")
-        ranks = []
-        if not self.at_punct("]"):
-            while True:
-                ranks.append(self.expect_int().value)
-                if not self.eat_punct(","):
-                    break
-        self.expect_punct("]")
+    def complex_decl(self, tok):
+        name = self.declare(tok)
+        ranks = self.items(lambda: self.expect("int").value)
         matrices = []
-        if self.peek().kind == "name" and self.peek().value == "with":
-            self.next()
-            while self.at_punct("["):
+        if self.eat("with"):
+            while self.at("["):
                 matrices.append(self.scalar_matrix())
-        self.expect_punct(";")
+        self.expect("punct", ";")
         self.session.complexes[name] = (ranks, matrices)
 
-    def check_command(self):
-        tok = self.expect_name("check")
+    def check_command(self, tok):
         self.require_ring(tok)
         if self.session.command is not None:
             self.fail("only one check per input", tok)
@@ -309,11 +264,11 @@ class _Parser:
         flags = {}
         while True:
             tok = self.peek()
-            if tok.kind == "end" or self.eat_punct(";"):
+            if tok.kind == "end" or self.eat(";"):
                 break
             if tok.kind == "flag":
                 self.next()
-                flags[tok.value] = (self.expect_int().value
+                flags[tok.value] = (self.expect("int").value
                                     if FLAGS[tok.value] is int else True)
             elif arg_kind is not None and not args:
                 args.append(self.argument(arg_kind))
@@ -324,7 +279,7 @@ class _Parser:
                                 "args": args, "flags": flags}
 
     def declared_name(self, noun="object"):
-        tok = self.expect_name()
+        tok = self.expect("name")
         s = self.session
         if tok.value not in s.modules and tok.value not in s.lattices \
                 and tok.value not in s.complexes:
@@ -333,9 +288,9 @@ class _Parser:
         return tok.value
 
     def subcommand_name(self):
-        tok = self.expect_name()
+        tok = self.expect("name")
         name = tok.value
-        while self.at_punct("-"):
+        while self.at("-"):
             nxt = self.tokens[self.pos + 1]
             if nxt.kind != "name":
                 break
@@ -352,53 +307,41 @@ class _Parser:
 
     def argument(self, kind):
         if kind == "int":
-            sign = -1 if self.eat_punct("-") else 1
-            return sign * self.expect_int().value
+            sign = -1 if self.eat("-") else 1
+            return sign * self.expect("int").value
         if kind == "element":
-            return self.row() if self.at_punct("[") else [self.element()]
+            return self.row() if self.at("[") else [self.element()]
         return self.declared_name()
 
-    # --- matrices and elements
+    # --- lists, matrices and elements
+
+    def items(self, item):
+        """[item, item, ...], possibly empty."""
+        self.expect("punct", "[")
+        out = []
+        if not self.at("]"):
+            out.append(item())
+            while self.eat(","):
+                out.append(item())
+        self.expect("punct", "]")
+        return out
 
     def matrix(self):
-        self.expect_punct("[")
-        rows = []
-        if not self.at_punct("]"):
-            while True:
-                rows.append(self.row())
-                if not self.eat_punct(","):
-                    break
-        self.expect_punct("]")
+        rows = self.items(self.row)
         if len({len(row) for row in rows if row}) > 1:
             self.fail("ragged matrix rows")
         return rows
 
     def row(self):
-        self.expect_punct("[")
-        entries = []
-        if not self.at_punct("]"):
-            while True:
-                entries.append(self.element())
-                if not self.eat_punct(","):
-                    break
-        self.expect_punct("]")
-        return entries
+        return self.items(self.element)
 
     def scalar_matrix(self):
         tok = self.peek()
         rows = self.matrix()
-        out = []
-        for row in rows:
-            orow = []
-            for w in row:
-                if w.is_zero():
-                    orow.append(Fraction(0))
-                elif not _is_scalar(w):
-                    self.fail("complex entries must be scalars", tok)
-                else:
-                    orow.append(_scalar_of(w))
-            out.append(orow)
-        return out
+        if not all(w.is_zero() or _is_scalar(w) for row in rows for w in row):
+            self.fail("complex entries must be scalars", tok)
+        return [[_scalar_of(w) if w else Fraction(0) for w in row]
+                for row in rows]
 
     def element(self):
         self.depth += 1
@@ -407,11 +350,9 @@ class _Parser:
         try:
             u = self.term()
             while True:
-                if self.at_punct("+"):
-                    self.next()
+                if self.eat("+"):
                     u = u + self.term()
-                elif self.at_punct("-"):
-                    self.next()
+                elif self.eat("-"):
                     u = u - self.term()
                 else:
                     return u
@@ -421,11 +362,10 @@ class _Parser:
     def term(self):
         u = self.factor()
         while True:
-            if self.at_punct("*"):
-                self.next()
+            tok = self.peek()
+            if self.eat("*"):
                 u = u * self.factor()
-            elif self.at_punct("/"):
-                tok = self.next()
+            elif self.eat("/"):
                 v = self.factor()
                 if v.is_zero():
                     self.fail("division by zero", tok)
@@ -441,13 +381,11 @@ class _Parser:
         # they are counted, not recursed on, so a long run cannot
         # overflow the stack
         signs = 0
-        while self.at_punct("-"):
-            self.next()
+        while self.eat("-"):
             signs += 1
         u = self.atom()
-        while self.at_punct("^"):
-            self.next()
-            etok = self.expect_int()
+        while self.eat("^"):
+            etok = self.expect("int")
             if etok.value > 64:
                 self.fail("exponent too large", etok)
             u = u ** etok.value
@@ -458,23 +396,21 @@ class _Parser:
         W = self.algebra
         if tok.kind == "int":
             return W.scalar(Fraction(tok.value))
-        if tok.kind == "punct" and tok.value == "(":
+        if tok.value == "(":
             u = self.element()
-            self.expect_punct(")")
+            self.expect("punct", ")")
             return u
-        if tok.kind == "name":
-            if tok.value == "z":
-                if self.session.ring != QZ:
-                    raise RingMismatch("z needs ring QZ", tok.line, tok.col)
-                return W.z()
-            kind = tok.value[0]
-            rest = tok.value[1:]
-            if kind in ("x", "d") and rest.isdigit():
-                i = int(rest)
-                if not 1 <= i <= self.session.n:
-                    self.fail("variable %s outside W(%d)"
-                              % (tok.value, self.session.n), tok)
-                return W.x(i) if kind == "x" else W.d(i)
+        if tok.value == "z":
+            if self.session.ring != QZ:
+                raise RingMismatch("z needs ring QZ", tok.line, tok.col)
+            return W.z()
+        var = tok.kind == "name" and _VARIABLE.fullmatch(tok.value)
+        if var:
+            i = int(var["index"])
+            if not 1 <= i <= self.session.n:
+                self.fail("variable %s outside W(%d)"
+                          % (tok.value, self.session.n), tok)
+            return W.x(i) if var["letter"] == "x" else W.d(i)
         self.fail("expected an element, found %r" % (tok.value,), tok)
 
 

@@ -143,6 +143,11 @@ class _Terms:
             return self._like({})
         return self._like({k: v * c for k, v in self.terms.items()})
 
+    def support_degree(self, key):
+        """|alpha| + |beta| of a key ending in (alpha, beta, e); + e on H1."""
+        a, b, e = key[-3:]
+        return sum(a) + sum(b) + (e if self.ring == H1 else 0)
+
 
 class WeylElement(_Terms):
     """Element of W_n, sparse over normal-ordered monomials (alpha, beta, e)."""
@@ -192,10 +197,6 @@ class WeylElement(_Terms):
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def support_degree(self, key):
-        a, b, e = key
-        return sum(a) + sum(b) + (e if self.ring == H1 else 0)
 
     def sorted_terms(self):
         """Deterministic descending term list for printing and hashing-free walks."""
@@ -289,6 +290,32 @@ def bernstein_degree(u):
     return max(u.support_degree(k) for k in u.terms)
 
 
+def _coeff_str(c, need_parens):
+    if isinstance(c, RatFunc):
+        s = c.to_str()
+        if need_parens and (" " in s or "/" in s) and not s.startswith("("):
+            s = "(%s)" % s
+        return s
+    return str(c)
+
+
+def _monomial(key, z="z", d="d"):
+    """z^e x^a d^b of a key (a, b, e) under the given names of z and d."""
+    a, b, e = key
+    factors = [z + ("^%d" % e if e > 1 else "")] if e else []
+    for name, powers in (("x", a), (d, b)):
+        factors += ["%s%d" % (name, i + 1) + ("^%d" % p if p > 1 else "")
+                    for i, p in enumerate(powers) if p]
+    return "*".join(factors)
+
+
+def _times(cs, mono):
+    """A printed coefficient times a printed monomial, "" being 1."""
+    if not mono:
+        return cs
+    return mono if cs == "1" else cs + "*" + mono
+
+
 class SymbolPolynomial(_Terms):
     """Commutative polynomial in x_1..x_n, xi_1..xi_n (and z over ZP)."""
 
@@ -303,26 +330,9 @@ class SymbolPolynomial(_Terms):
     def __repr__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for key in sorted(self.terms, reverse=True):
-            a, b, e = key
-            c = self.terms[key]
-            factors = []
-            if e:
-                factors.append("z^%d" % e if e > 1 else "z")
-            for i, ai in enumerate(a):
-                if ai:
-                    factors.append("x%d" % (i + 1) + ("^%d" % ai if ai > 1 else ""))
-            for i, bi in enumerate(b):
-                if bi:
-                    factors.append("xi%d" % (i + 1) + ("^%d" % bi if bi > 1 else ""))
-            body = "*".join(factors) if factors else "1"
-            cs = c.to_str() if isinstance(c, RatFunc) else str(c)
-            if cs != "1" or not factors:
-                if not (cs == "1" and factors):
-                    body = cs + "*" + body if factors else cs
-            parts.append(body)
-        return " + ".join(parts)
+        return " + ".join(
+            _times(_coeff_str(self.terms[key], False), _monomial(key, d="xi"))
+            for key in sorted(self.terms, reverse=True))
 
 
 def principal_symbol(u):
@@ -428,19 +438,10 @@ class XPoly(_Terms):
     def __repr__(self):
         if not self.terms:
             return "0"
-        parts = []
-        for a in sorted(self.terms, key=lambda t: (sum(t),) + t, reverse=True):
-            c = self.terms[a]
-            factors = ["x%d" % (i + 1) + ("^%d" % v if v > 1 else "")
-                       for i, v in enumerate(a) if v]
-            cs = c.to_str() if isinstance(c, RatFunc) else str(c)
-            if factors and cs == "1":
-                parts.append("*".join(factors))
-            elif factors:
-                parts.append(cs + "*" + "*".join(factors))
-            else:
-                parts.append(cs)
-        return " + ".join(parts)
+        return " + ".join(
+            _times(_coeff_str(self.terms[a], False), _monomial((a, (), 0)))
+            for a in sorted(self.terms, key=lambda t: (sum(t),) + t,
+                            reverse=True))
 
 
 def apply_to_polynomial(u, f):
@@ -464,43 +465,17 @@ def apply_to_polynomial(u, f):
     return XPoly(u.n, u.ring, out)
 
 
-def _coeff_str(c, need_parens):
-    if isinstance(c, RatFunc):
-        s = c.to_str()
-        if need_parens and (" " in s or "/" in s) and not s.startswith("("):
-            s = "(%s)" % s
-        return s
-    return str(c)
-
-
 def to_str(u):
     """Deterministic normal-form string; reparses to the same element."""
     if not u.terms:
         return "0"
     zname = "h" if u.ring == H1 else "z"
     parts = []
-    for (a, b, e), c in u.sorted_terms():
-        factors = []
-        if e:
-            factors.append(zname + ("^%d" % e if e > 1 else ""))
-        for i, ai in enumerate(a):
-            if ai:
-                factors.append("x%d" % (i + 1) + ("^%d" % ai if ai > 1 else ""))
-        for i, bi in enumerate(b):
-            if bi:
-                factors.append("d%d" % (i + 1) + ("^%d" % bi if bi > 1 else ""))
-        mono = "*".join(factors)
-        negative = False
-        cs = _coeff_str(c, need_parens=bool(factors))
-        if cs.startswith("-") and not cs.startswith("(-"):
-            negative = True
-            cs = cs[1:]
-        if mono and cs == "1":
-            body = mono
-        elif mono:
-            body = cs + "*" + mono
-        else:
-            body = cs
+    for key, c in u.sorted_terms():
+        mono = _monomial(key, z=zname)
+        cs = _coeff_str(c, need_parens=bool(mono))
+        negative = cs.startswith("-") and not cs.startswith("(-")
+        body = _times(cs[1:] if negative else cs, mono)
         if not parts:
             parts.append(("-" if negative else "") + body)
         else:

@@ -287,6 +287,22 @@ def test_negative_index_is_out_of_range(source):
     assert rep["error"]["code"] == "IndexOutOfRange"
 
 
+@pytest.mark.parametrize("source,line,col", [
+    ("ring W(²) over QQ;", 1, 8),
+    ("ring W(1) over QQ; module M = coker [[x²]];", 1, 40),
+    ("ring W(1) over QQ; module M = coker [[x١*d1]];", 1, 40),
+    ("ring W(1) over QQ; module M = coker [[٣]];", 1, 39),
+    ("ring W(1) over QQ; module M① = coker [[d1]];", 1, 28),
+], ids=["ring-size", "superscript", "arabic-index", "arabic-literal",
+        "object-name"])
+def test_other_number_characters_are_parse_errors(source, line, col):
+    # literals and variable indices are ASCII digits
+    rep, code = run_stripped(source)
+    assert code == 2
+    assert rep["error"]["code"] == "ParseError"
+    assert (rep["error"]["line"], rep["error"]["col"]) == (line, col)
+
+
 @pytest.mark.parametrize("element,printed,normal_form,member", [
     ("1", "1", ["1"], False), ("2*d1", "2*d1", ["0"], True),
     ("d1--x1 --stats", "x1 + d1", ["x1"], False)],

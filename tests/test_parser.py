@@ -1,14 +1,21 @@
 """Session language: grammar coverage and error positions."""
 
+import hashlib
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from weylmod import (QQ, QZ, ParseError, RingMismatch, UndeclaredName,
-                     UnsupportedTarget, WeylAlgebra, parse, to_str)
+                     UnsupportedTarget, WeylAlgebra, WeylmodError, parse,
+                     to_str)
+from weylmod.parser import tokenize
 
 from helpers import rand_element
+from test_pins import workloads
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
 def test_ring_declaration():
@@ -189,3 +196,138 @@ def test_round_trip_random_elements():
             src = "ring W(%d) over %s; module M = coker [[%s]];" % (
                 n, tag, to_str(u))
             assert parse(src).modules["M"][0][0] == u
+
+
+def _outcome(source):
+    try:
+        parse(source)
+    except WeylmodError as e:
+        return e.code, e.args[0], getattr(e, "line", None), \
+            getattr(e, "col", None)
+    return None
+
+
+def _tokens(source):
+    return [(t.kind, t.value, t.line, t.col) for t in tokenize(source)]
+
+
+def test_token_streams_pinned():
+    # every token of the benchmark sessions and the goldens, recorded
+    # before the tokenizer became one pattern
+    sources = [s.source for w in workloads.WORKLOADS
+               for s in workloads.universe(w)]
+    sources += [p.read_text() for p in sorted(GOLDEN.glob("*.in"))]
+    digest = hashlib.sha256()
+    tokens = [t for s in sources for t in _tokens(s)]
+    for t in tokens:
+        digest.update(repr(t).encode())
+    assert (len(sources), len(tokens)) == (216, 9386)
+    assert digest.hexdigest() == \
+        "562e42c332e50ced041a0a5ff825bbd2560402c10af1b6c9577ba89294d70a6b"
+
+
+Q = "ring W(1) over QQ; "
+M = Q + "module M = coker [[d1]]; "
+E = Q + "module M = coker [["
+
+# malformed sessions and (code, message, line, col) as recorded before
+# the parser stated each rule once
+PARSE_ERRORS = [
+    # a comment never advances the column, so the end token sits at "#"
+    ("ring W(1) over QQ # c", "ParseError", "expected ';', found None", 1, 19),
+    ("\n\n  ring W(1) over QQ;\n  #c\n module M = coker [[d1]",
+     "ParseError", "expected ']', found None", 5, 24),
+    # a flag is a whole FLAGS name; anything else is two minus signs
+    (M + "check M gb --stats_x", "ParseError",
+     "expected a flag or the end of the check, found '_x'", 1, 63),
+    (M + "check M gb ---stats", "ParseError",
+     "expected a flag or the end of the check, found '-'", 1, 56),
+    (M + "check M ext 1 --max-degreex 3", "ParseError",
+     "expected a flag or the end of the check, found '-'", 1, 59),
+    (M + "check M gb --statsx", "ParseError",
+     "expected a flag or the end of the check, found '-'", 1, 56),
+    ("ring\tW(1)\tover QQ;\tmodule M = coker [[d1 +\t]];", "ParseError",
+     "expected an element, found ']'", 1, 44),
+    ("ring W(1) over QQ;\r\nmodule M = coker [[d1\r+ x1]]\r\ncheck M gb",
+     "ParseError", "expected ';', found 'check'", 3, 1),
+    # a token of the wrong kind where a keyword is expected
+    ("ring 1 over QQ;", "ParseError", "expected a name, found 1", 1, 6),
+    (Q + "module M = 3 [[d1]];", "ParseError",
+     "expected a name, found 3", 1, 31),
+    ("ring V(1) over QQ;", "ParseError", "expected 'W', found 'V'", 1, 6),
+    # lists: ragged, empty and unclosed
+    (E + "d1], [x1, d1]];", "ParseError", "ragged matrix rows", 1, 53),
+    (E + "d1,]];", "ParseError", "expected an element, found ']'", 1, 42),
+    (Q + "module M = coker [,];", "ParseError",
+     "expected '[', found ','", 1, 38),
+    (Q + "complex C = [1,] with [[1]];", "ParseError",
+     "expected an integer, found ']'", 1, 35),
+    (Q + "complex C = [] with [[x1]];", "ParseError",
+     "complex entries must be scalars", 1, 40),
+    (E + "d1] [x1]];", "ParseError", "expected ']', found '['", 1, 43),
+    ("ring W(9) over QQ;", "ParseError",
+     "number of variables must be between 1 and 8", 1, 8),
+    ("ring W(1) over QR;", "ParseError", "ring must be QQ or QZ", 1, 16),
+    (Q + "ring W(1) over QQ;", "ParseError", "ring already declared", 1, 25),
+    ("module M = coker [[d1]];", "ParseError",
+     "ring declaration required first", 1, 1),
+    (Q + "module x1 = coker [[d1]];", "ParseError",
+     "'x1' collides with a variable name", 1, 27),
+    (Q + "module d12 = coker [[d1]];", "ParseError",
+     "'d12' collides with a variable name", 1, 27),
+    (Q + "lattice with = M;", "ParseError",
+     "reserved word 'with' cannot name an object", 1, 28),
+    (M + "complex M = [1];", "ParseError", "name 'M' already declared", 1, 53),
+    (Q + "check M gb", "UndeclaredName", "no object named 'M'", 1, 26),
+    (E + "x2]];", "ParseError", "variable x2 outside W(1)", 1, 39),
+    (E + "z]];", "RingMismatch", "z needs ring QZ", 1, 39),
+    (E + "d1^65]];", "ParseError", "exponent too large", 1, 42),
+    (E + "d1/(x1-x1)]];", "ParseError", "division by zero", 1, 41),
+    (E + "d1/x1]];", "ParseError",
+     "division only by scalar subexpressions", 1, 41),
+    (E + "(" * 70 + "d1", "ParseError", "expression too deeply nested",
+     1, 103),
+    (Q + "@", "ParseError", "unexpected character '@'", 1, 20),
+    (Q + "foo", "ParseError", "unknown statement 'foo'", 1, 20),
+    ("1", "ParseError", "expected a declaration or check, found 1", 1, 1),
+    (M + "check M frob", "ParseError", "unknown subcommand 'frob'", 1, 53),
+    (M + "check M gb 3", "ParseError",
+     "expected a flag or the end of the check, found 3", 1, 56),
+    (M + "check M ext --max-degree x", "ParseError",
+     "expected an integer, found 'x'", 1, 70),
+    (M + "check M gb; check M gb", "ParseError",
+     "only one check per input", 1, 57),
+    (Q + "module Ωé = coker [[é]];", "ParseError",
+     "expected an element, found 'é'", 1, 40),
+    (Q + "module Ωé = coker [[d1]]; check Ωé frob", "ParseError",
+     "unknown subcommand 'frob'", 1, 55),
+    (M + "check M reduce", "UnsupportedAmbient",
+     "lattice subcommands need the QZ ring", None, None),
+    (M + "check M ext", "UnsupportedTarget",
+     "ext needs an integer argument", None, None),
+    ("ring W(1) over QZ; complex C = [1]; lattice L = C;",
+     "UnsupportedTarget", "'C' is not a module", None, None),
+]
+
+
+def test_parse_errors_pinned():
+    assert [_outcome(source) for source, *_ in PARSE_ERRORS] == \
+        [tuple(want) for _source, *want in PARSE_ERRORS]
+
+
+def test_tokenize_raises_only_parse_errors():
+    # integers and variable indices are ASCII digits; any other number
+    # character is an unexpected character, where it stands
+    rng = random.Random(73)
+    alphabet = "".join(map(chr, range(128))) + "²①½١٣éΩ"
+    for _ in range(2000):
+        source = "".join(rng.choice(alphabet)
+                         for _ in range(rng.randint(0, 40)))
+        try:
+            tokens = _tokens(source)
+        except ParseError as e:
+            assert e.line >= 1 and e.col >= 1, source
+        else:
+            assert tokens[-1][0] == "end"
+            assert all(isinstance(v, int) for k, v, *_ in tokens
+                       if k == "int")

@@ -295,3 +295,17 @@ PUBLIC = [
 def test_public_names_pinned():
     assert len(PUBLIC) == 95
     assert sorted(weylmod.__all__) == PUBLIC
+
+
+def test_one_character_rule_in_the_parser():
+    # the token pattern says what a digit and a letter are, and the
+    # variable pattern what a variable is; int() reads only their ASCII
+    # digit groups, so no second character rule can disagree with them
+    tree = ast.parse((PACKAGE / "parser.py").read_text())
+    assert not {"isdigit", "isalpha", "isalnum", "isdecimal"} & _used(tree)
+    calls = [ast.unparse(node) for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "int"]
+    assert sorted(calls) == ["int(m['int'])", "int(var['index'])"]
+    assert "(?P<int>[0-9]+)" in weylmod.parser._TOKEN.pattern
+    assert "(?P<index>[0-9]+)" in weylmod.parser._VARIABLE.pattern

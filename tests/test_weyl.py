@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylmod import (H1, QQ, QZ, ZP, DivisionByZero, FreeVec, MixedAmbient,
-                     RankMismatch, RatFunc,
+                     QPoly, RankMismatch, RatFunc,
                      WeylAlgebra, XPoly, apply_to_polynomial,
                      bernstein_degree, convert_ring, fourier,
                      fourier_inverse, principal_symbol,
@@ -81,6 +81,55 @@ def test_degree_multiplicative():
         v = rand_element(rng, W2, deg=4, terms=3)
         assert bernstein_degree(u * v) == \
             bernstein_degree(u) + bernstein_degree(v)
+
+
+def test_degree_of_a_free_vector():
+    # a row's degree is read off its terms' keys, as an element's is
+    x, d = W1.x(1), W1.d(1)
+    assert bernstein_degree(FreeVec.from_entries([x * d, d ** 3])) == 3
+    H = WeylAlgebra(1, H1)
+    row = FreeVec.from_entries([H.x(1) * H.d(1), H.h() ** 4 * H.d(1)])
+    assert bernstein_degree(row) == 5
+
+
+def _printed_elements():
+    x1, x2, d1, d2 = W2.x(1), W2.x(2), W2.d(1), W2.d(2)
+    yield x1 ** 2 * d2 - Fraction(3, 2) * x2 * d1 ** 3 + 5 - x1 * x2 * d1 * d2
+    yield -(d1 ** 2) * x1 + Fraction(-1, 3) * x2 ** 3 - 1
+    V = WeylAlgebra(2, QZ)
+    z = RatFunc(QPoly((0, 1)))
+    a = RatFunc(QPoly((1, 1)), QPoly((-1, 1)))
+    x1, x2, d1, d2 = V.x(1), V.x(2), V.d(1), V.d(2)
+    yield z * x1 * d2 ** 2 - a * d1 * x2 + RatFunc(-2) * x1
+    yield -z * z * d2 + x1 ** 2 * a - V.scalar(z)
+    Z = WeylAlgebra(1, ZP)
+    yield Z.z() ** 3 * Z.x(1) * Z.d(1) ** 2 - 2 * Z.z() * Z.d(1) - Z.x(1) ** 2
+    H = WeylAlgebra(1, H1)
+    yield H.h() ** 2 * H.x(1) - H.d(1) * H.x(1) * 3 + H.h()
+
+
+def test_printers_pinned():
+    # to_str, SymbolPolynomial and XPoly share one monomial printer; the
+    # strings were recorded before it was shared
+    assert [(to_str(u), repr(principal_symbol(u)))
+            for u in _printed_elements()] == [
+        ("-x1*x2*d1*d2 - 3/2*x2*d1^3 + x1^2*d2 + 5",
+         "-1*x1*x2*xi1*xi2 + -3/2*x2*xi1^3"),
+        ("-x1*d1^2 - 1/3*x2^3 - 2*d1 - 1", "-1*x1*xi1^2 + -1/3*x2^3"),
+        ("z*x1*d2^2 + (-z - 1)/(z - 1)*x2*d1 - 2*x1", "z*x1*xi2^2"),
+        ("(z + 1)/(z - 1)*x1^2 - z^2*d2 - z", "(z + 1)/(z - 1)*x1^2"),
+        ("z^3*x1*d1^2 - x1^2 - 2*z*d1", "z^3*x1*xi1^2"),
+        ("h^2*x1 - 3*x1*d1 - 3*h^2 + h", "z^2*x1")]
+    F = Fraction
+    polys = [
+        XPoly(2, QQ, {(2, 0): F(3), (0, 1): F(-1), (0, 0): F(1, 2),
+                      (1, 1): F(1)}),
+        XPoly(2, QQ, {(0, 3): F(-5, 7), (1, 0): F(1)}),
+        XPoly(1, QZ, {(2,): RatFunc(QPoly((1, 1)), QPoly((-1, 1))),
+                      (1,): RatFunc(-1), (0,): RatFunc(QPoly((0, 1)))})]
+    assert [repr(f) for f in polys] == [
+        "3*x1^2 + x1*x2 + -1*x2 + 1/2", "-5/7*x2^3 + x1",
+        "(z + 1)/(z - 1)*x1^2 + -1*x1 + z"]
 
 
 def test_principal_symbol_multiplicative():
