@@ -20,8 +20,8 @@ relations and of their images modulo d1 W.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import lcm, perm
+from itertools import combinations, zip_longest
+from math import perm
 
 from ._linalg import (Echelon, add_terms, cancel, dense_rank, primitive,
                       rank_of_rows)
@@ -119,7 +119,10 @@ def dr_complex(module):
 # (comp, a, b) of a basis element of the homogenized relations, its
 # weight, and the element dehomogenized, keyed (comp, (a,), (b,), 0).
 # The element is homogeneous, so dehomogenizing merges no terms, and it
-# is monic, so its coefficient at stair is 1.
+# is the primitive integer row the Groebner kernel keeps, so its
+# coefficient at stair is positive.  The indicial polynomial is found in
+# Z[theta]: a polynomial is a list of ints, lowest degree first, with no
+# zero on top, and a theta-row a list of them, one per component.
 
 def _v_lifts(rows):
     """Groebner data of the weight filtration for a relation module."""
@@ -132,8 +135,68 @@ def _v_lifts(rows):
                 for (comp, a, b, _e), c in row.terms.items()}))
     basis = buchberger(hom, vres_order(1))
     return [((comp, a[0], b[0]), b[0] - a[0],
-             {(j, p, q, 0): c for (j, p, q, _e), c in g.terms.items()})
-            for g, ((comp, a, b, _e), _c) in zip(basis.elements, basis.leads)]
+             {(j, p, q, 0): c for (j, p, q, _e), c in g.items()})
+            for g, ((comp, a, b, _e), _c) in zip(basis._kernel_rows(),
+                                                 basis.leads)]
+
+
+def _sub(m, f, c, g, k=0):
+    """m f - c theta^k g."""
+    h = [m * s - c * t for s, t in zip_longest(f, [0] * k + g, fillvalue=0)]
+    while h and not h[-1]:
+        h.pop()
+    return h
+
+
+def _mul(f, g):
+    h = []
+    for i, c in enumerate(f):
+        h = _sub(1, h, -c, g, i)
+    return h
+
+
+def _prem(row, base, col=0):
+    """m row - q base, of lower degree than base at col, for an int m > 0.
+
+    Each pass cancels the top coefficient of row[col] against base[col]'s
+    times a power of theta by _linalg.cancel, which scales row instead of
+    dividing; the theta system and the Sturm sequences share it.
+    """
+    p = base[col]
+    while len(row[col]) >= len(p):
+        m, c = cancel(row[col][-1], p[-1])
+        k = len(row[col]) - len(p)
+        row = [_sub(m, f, c, g, k) for f, g in zip(row, base)]
+    return row
+
+
+def _primitive(row):
+    """A nonzero row over its content, and the content, of the sign of the
+    top coefficient of its first nonzero polynomial."""
+    col = next(j for j, f in enumerate(row) if f)
+    flat, d = primitive({(j, i): c for j, f in enumerate(row)
+                         for i, c in enumerate(f)}, (col, len(row[col]) - 1))
+    return [[flat[j, i] for i in range(len(f))] for j, f in enumerate(row)], d
+
+
+def _eliminate(rows, col):
+    """(pivot or None, rows zero at col): euclidean elimination at col.
+
+    Each row is a nonzero multiple of the row the same elimination over
+    Q[theta] gives, so the degrees, and the pivot up to a constant, agree.
+    """
+    active = [r for r in rows if r[col]]
+    rest = [r for r in rows if not r[col]]
+    while len(active) > 1:
+        base, *others = sorted(active, key=lambda r: len(r[col]))
+        active = [base]
+        for r in others:
+            r = _prem(r, base, col)
+            if r[col]:
+                active.append(_primitive(r)[0])
+            else:
+                rest.append(r)
+    return (active[0] if active else None), rest
 
 
 def _theta_image(a, b):
@@ -143,105 +206,87 @@ def _theta_image(a, b):
     gives x^b d^b = theta (theta - 1) ... (theta - b + 1), times
     d^-w x^-w = (theta + 1) ... (theta - w) when w < 0.
     """
-    poly = QPoly.const(1)
+    poly = [1]
     for t in range(min(b - a, 0), b):
-        poly = poly * QPoly((-t, 1))
+        poly = _sub(1, [0] + poly, t, poly)
     return poly
 
 
 def _indicial_polynomial(lifts, rank):
-    """Monic annihilator of the weight zero slice, or None if not finite."""
+    """Annihilator of the weight zero slice over Z, or None if not finite."""
     # each lift's initial terms (those of its own weight) moved to weight
     # zero; within one weight the images of distinct terms have distinct
     # degrees, so no row is zero
-    rows = []
+    rem = []
     for _stair, w, terms in lifts:
-        row = [QPoly() for _ in range(rank)]
-        for (comp, a, b, _e), c in terms.items():
-            if b[0] - a[0] == w:
-                row[comp] = row[comp] + _theta_image(a[0], b[0]) * c
-        rows.append(row)
+        row = [[] for _ in range(rank)]
+        for (comp, (a,), (b,), _e), c in terms.items():
+            if b - a == w:
+                row[comp] = _sub(1, row[comp], -c, _theta_image(a, b))
+        rem.append(row)
 
-    # triangularize over Q[theta] by euclidean elimination per column
-    rem = rows
+    # triangularize over Z[theta], one column at a time
     pivots = []
     for col in range(rank):
-        active = [r for r in rem if not r[col].is_zero()]
-        inactive = [r for r in rem if r[col].is_zero()]
-        while len(active) > 1:
-            active.sort(key=lambda r: r[col].degree())
-            base = active[0]
-            nxt = []
-            for r in active[1:]:
-                q = r[col] // base[col]
-                reduced = [r[j] - q * base[j] for j in range(rank)]
-                if reduced[col].is_zero():
-                    inactive.append(reduced)
-                else:
-                    nxt.append(reduced)
-            active = [base] + nxt
-        if not active:
+        pivot, rem = _eliminate(rem, col)
+        if pivot is None:
             return None
-        pivots.append(active[0])
-        rem = inactive
+        pivots.append(pivot)
 
-    # least common multiple of the denominators solving b e_j in the span
-    acc = QPoly.const(Fraction(1))
+    # the least b with b e_j in the span for every j.  The target is b e_j
+    # minus pivots; at each column b and the target are multiplied by the
+    # least e with p | e target[col], p the pivot, which then cancels
+    # target[col].  (p, 0) and (target[col], 1) span the (f, s) with
+    # f = s target[col] mod p, so their elimination leaves (0, e)
+    acc = [1]
     for j in range(rank):
-        target = [RatFunc(1 if t == j else 0) for t in range(rank)]
-        for col in range(rank):
-            c = target[col] / RatFunc(pivots[col][col])
-            if not c.is_zero():
-                for t in range(col, rank):
-                    target[t] = target[t] - c * RatFunc(pivots[col][t])
-                acc = acc.lcm(c.den)
-        if not all(t.is_zero() for t in target):
-            raise InternalInvariant("back substitution left a remainder in "
-                                    "the triangular theta system")
-    return acc.monic()
+        target = [acc if t == j else [] for t in range(rank)]
+        for col in range(j, rank):
+            p = pivots[col][col]
+            (_f, e), = _eliminate([[p, []], [target[col], [1]]], 0)[1]
+            acc = _primitive([_mul(acc, e)])[0][0]
+            target = _prem([_mul(e, f) for f in target], pivots[col], col)
+            if target[col]:
+                raise InternalInvariant("back substitution left a remainder "
+                                        "in the triangular theta system")
+    return acc
 
 
 def _horner(coeffs, x):
-    """The polynomial with coefficients coeffs, highest first, at x."""
+    """The polynomial with coefficients coeffs, lowest first, at x."""
     v = 0
-    for c in coeffs:
+    for c in reversed(coeffs):
         v = v * x + c
     return v
 
 
-def _integer_roots(poly):
-    """The integer roots of a nonzero polynomial over Q, ascending.
+def _integer_roots(f):
+    """The integer roots of a nonzero polynomial over Z, ascending.
 
-    Sturm bisection on the squarefree part.  The Sturm sequence of poly,
-    cleared to integers, is gcd(poly, poly') times that of the squarefree
-    part, so where poly does not vanish its sign changes V(t) are the
-    squarefree part's, and (s, t) holds V(s) - V(t) distinct roots.  A
-    rational root has a denominator dividing the leading coefficient L of
-    poly cleared of denominators, so none is x + 1/2L for an integer x:
-    the bisection, from the Cauchy bound, evaluates only there, and
-    (x - 1 + 1/2L, x + 1/2L) holds the integer root x exactly when
-    poly(x) = 0.
+    Sturm bisection on the squarefree part.  The Sturm sequence of f is
+    gcd(f, f') times that of the squarefree part, so where f does not
+    vanish its sign changes V(t) are the squarefree part's, and (s, t)
+    holds V(s) - V(t) distinct roots.  A rational root has a denominator
+    dividing the top coefficient L of f, so none is x + 1/2L for an
+    integer x: the bisection, from the Cauchy bound, evaluates only
+    there, and (x - 1 + 1/2L, x + 1/2L) holds the integer root x exactly
+    when f(x) = 0.
     """
-    if poly.degree() < 1:
+    if len(f) < 2:
         return []
-    den = lcm(*(c.denominator for c in poly.coeffs))
-    f = [int(c * den) for c in reversed(poly.coeffs)]
-    # coefficients highest first; f, f', then minus the remainder of the
-    # last two, each up to a positive factor, down to the last nonzero one
-    seq = [f, [c * (len(f) - 1 - i) for i, c in enumerate(f[:-1])]]
+    # f, f', then minus the remainder of the last two, each up to a
+    # positive factor, down to the last nonzero one
+    seq = [f, [i * c for i, c in enumerate(f)][1:]]
     while True:
-        r, last = seq[-2], seq[-1]
-        # a leading zero cancels with m = 1, c = 0: the step just drops it
-        while r and (len(r) >= len(last) or not r[0]):
-            m, c = cancel(r[0], last[0])
-            r = [m * s - c * t for s, t in zip(r, last + [0] * len(r))][1:]
+        (r,) = _prem([seq[-2]], [seq[-1]])
         if not r:
             break
-        r, d = primitive(dict(enumerate(r)), 0)
-        seq.append([-c if d > 0 else c for c in r.values()])
+        (r,), d = _primitive([r])
+        seq.append([-c if d > 0 else c for c in r])
     # p(x + 1/2L) times (2L)^deg(p) > 0, as a polynomial in 2L x + 1
-    two_l = 2 * abs(f[0])
-    seq = [[c * two_l ** i for i, c in enumerate(p)] for p in seq]
+    two_l = 2 * abs(f[-1])
+    seq = [[c * two_l ** (len(p) - 1 - i) for i, c in enumerate(p)]
+           for p in seq]
 
     def sign_changes(x):
         u = two_l * x + 1
@@ -249,7 +294,7 @@ def _integer_roots(poly):
         return sum(s != t for s, t in zip(signs, signs[1:]))
 
     # the Cauchy bound: every integer root lies in [1 - bound, bound - 1]
-    bound = 1 - (-max(map(abs, f[1:])) // abs(f[0]))
+    bound = 1 - (-max(map(abs, f[:-1])) // abs(f[-1]))
     roots = []
     todo = [(-bound, sign_changes(-bound), bound, sign_changes(bound))]
     while todo:
@@ -280,11 +325,12 @@ class BFunction:
 
 
 def _b_data(rows, rank):
+    """The lifts and the b-function, made a monic QPoly for the report."""
     lifts = _v_lifts(rows)
     b = _indicial_polynomial(lifts, rank)
     if b is None:
         raise NotHolonomic("weight zero slice is not finite dimensional")
-    return lifts, b
+    return lifts, BFunction(QPoly(b).monic(), _integer_roots(b))
 
 
 def b_function_along_x(module):
@@ -292,8 +338,7 @@ def b_function_along_x(module):
         raise UnsupportedAmbient("b-function requires one variable over QQ")
     if module.side != LEFT:
         raise RightModule("b-function is computed on left modules")
-    lifts, b = _b_data(module.gb().elements, module.rank)
-    return BFunction(b, _integer_roots(b))
+    return _b_data(module.gb().elements, module.rank)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +399,8 @@ def h_dr_n1(module):
         raise NotHolonomic("module is not holonomic")
 
     rank = module.rank
-    lifts, b = _b_data([fourier_inverse(row) for row in module.rows], rank)
-    broots = _integer_roots(b)
-    bf = BFunction(b, broots)
+    lifts, bf = _b_data([fourier_inverse(row) for row in module.rows], rank)
+    broots = bf.integer_roots
     if not broots:
         return CohomologyReport((0, 0), 0, "DirectN1", b_function=bf)
 
@@ -367,11 +411,13 @@ def h_dr_n1(module):
     cod = [m for w in range(k0, k1 + 1)
            for m in _standard_monomials(stairs, rank, w)]
     cod_index = {m: i for i, m in enumerate(cod)}
-    starts = [{(j, (a + 1,), bb, 0): Fraction(1)} for j, (a,), bb, _e in dom]
+    starts = [{(j, (a + 1,), bb, 0): 1} for j, (a,), bb, _e in dom]
 
-    # the monic lifts divide with scale 1; a V-order key (b - a, a + b, e,
-    # -comp) is below (k0,) exactly at weights below k0, and whole lifts
-    # are subtracted, so lower tails are cut only once nothing above is left
+    # the integer lifts divide fraction-free, so each row is a nonzero
+    # multiple of its remainder over Q and the rank is that over Q; a
+    # V-order key (b - a, a + b, e, -comp) is below (k0,) exactly at
+    # weights below k0, and whole lifts are subtracted, so lower tails
+    # are cut only once nothing above is left
     def window(lay):
         basis = _Basis(lay)
         for (comp, a, b), _w, terms in lifts:
@@ -409,6 +455,11 @@ def chi_via_reduction(pres):
 
 # ---------------------------------------------------------------------------
 # truncation oracle
+
+def _x_times(row, i=1):
+    """x^i * row, for a row keyed (a + b, comp, a) by its terms."""
+    return {(t + i, j, a + i): c for (t, j, a), c in row.items()}
+
 
 def _d_times(row):
     """d * row, for a row keyed (a + b, comp, a) by its terms x^a d^b e_comp.
@@ -465,6 +516,10 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
 
         dim(N_(t+1) + d1 F_t) = rank (t+1)(t+2)/2 + rank of span.
 
+    Modulo d1 F, x^i d^j g is (-1)^j i!/(i-j)! x^(i-j) g, and zero when
+    j > i, so `span` is spanned by the rows x^i g alone; the rows
+    x^i d^j g are built only for `rel`, up to degree d + 1.
+
     Rows of `rel` are keyed (degree, comp, a), rows of `span` (a, comp),
     and Echelon pivots on the largest key.  So a vector of S lies in F_d
     exactly when the pivot rows it combines all have degree <= d, and
@@ -476,10 +531,9 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
 
     Rows are integer rows: each basis element g is the primitive row the
     Groebner kernel keeps, and x^i d^j g is built from rows already made,
-    as x (x^(i-1) d^j g) by shifting every key (t, j, a) to (t+1, j, a+1),
-    or for i = 0 as d (d^(j-1) g) by _d_times; _mod_d keeps them integer.
-    Only the span of each echelon form is read, so integer multiples
-    change nothing.
+    as x (x^(i-1) d^j g) by _x_times, or for i = 0 as d (d^(j-1) g) by
+    _d_times; _mod_d keeps them integer.  Only the span of each echelon
+    form is read, so integer multiples change nothing.
     """
     if module.n != 1 or module.ring != QQ:
         raise UnsupportedAmbient("oracle requires W(1) over QQ")
@@ -494,14 +548,12 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     if max_degree < 0:
         raise IndexOutOfRange("oracle max_degree %d is negative" % max_degree)
     rank = module.rank
-    # starts[k] = deg(g_k); last[k]: the rows x^i d^j g_k (i = 0, 1, ...)
-    # of the degree built last
-    starts, last = [], []
-    for g in module.gb()._kernel_rows():
-        row = {(a[0] + b[0], comp, a[0]): c
-               for (comp, a, b, _e), c in g.items()}
-        starts.append(max(key[0] for key in row))
-        last.append([row])
+    # gens[k] = g_k, starts[k] = deg(g_k); last[k]: the rows x^i d^j g_k
+    # (i = 0, 1, ...) of the degree built last
+    gens = [{(a[0] + b[0], comp, a[0]): c for (comp, a, b, _e), c in g.items()}
+            for g in module.gb()._kernel_rows()]
+    starts = [max(key[0] for key in g) for g in gens]
+    last = [[g] for g in gens]
 
     def relations(deg):
         """The rows x^i d^j g with deg(g) + i + j = deg."""
@@ -511,28 +563,28 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
                 continue
             if gdeg < deg:
                 rows = last[k]
-                last[k] = [_d_times(rows[0])] + [
-                    {(t + 1, j, a + 1): c for (t, j, a), c in row.items()}
-                    for row in rows]
+                last[k] = [_d_times(rows[0])] + [_x_times(row)
+                                                 for row in rows]
             out.extend(last[k])
         return out
 
     rel, span = Echelon(), Echelon()
-    rows = []        # rows[t]: relation rows of degree t
+    built = 0        # the rows x^i g of degree < built are in span
     rel_rank = []    # rel_rank[t] = dim N_t
     span_rank = []   # span_rank[t] = dim(N_(t+1) + d1 F_t)
     history = []
     for t in range(max_degree + pad + 1):
-        while len(rows) <= t + 1:
-            rows.append(relations(len(rows)))
-            for row in rows[-1]:
-                span.add(_mod_d(row))
+        while built <= t + 1:
+            for gdeg, g in zip(starts, gens):
+                if gdeg <= built:
+                    span.add(_mod_d(_x_times(g, built - gdeg)))
+            built += 1
         span_rank.append(rank * (t + 1) * (t + 2) // 2 + span.rank())
         d = t - pad
         if d < 0:
             continue
         while len(rel_rank) <= d + 1:
-            for row in rows[len(rel_rank)]:
+            for row in relations(len(rel_rank)):
                 rel.add(row)
             rel_rank.append(rel.rank())
         size = rank * (d + 1) * (d + 2) // 2
@@ -573,7 +625,8 @@ class PerfectComplexOverDVR:
                     raise RankMismatch("matrix %d has a row of length %d,"
                                        " expected %d"
                                        % (k, len(row), ranks[k + 1]))
-                rows.append([_as_ratfunc(v) for v in row])
+                rows.append([v if isinstance(v, RatFunc) else RatFunc(v)
+                             for v in row])
             mats.append(rows)
         for mat in mats:
             for row in mat:
@@ -585,22 +638,9 @@ class PerfectComplexOverDVR:
         self.matrices = mats
 
 
-def _as_ratfunc(v):
-    return v if isinstance(v, RatFunc) else RatFunc(v)
-
-
 def _matmul(a, b):
-    zero = RatFunc(0)
-    out = []
-    for row in a:
-        orow = []
-        for j in range(len(b[0])):
-            s = zero
-            for t in range(len(b)):
-                s = s + row[t] * b[t][j]
-            orow.append(s)
-        out.append(orow)
-    return out
+    return [[sum((row[t] * b[t][j] for t in range(len(b))), RatFunc(0))
+             for j in range(len(b[0]))] for row in a]
 
 
 def euler_check_perfect(complex_):

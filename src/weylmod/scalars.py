@@ -252,13 +252,17 @@ class RatFunc:
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RatFunc(other)
+        elif not isinstance(other, RatFunc):
+            return NotImplemented
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, RatFunc) else -RatFunc(other))
+        if not isinstance(other, (int, Fraction, RatFunc)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other):
         return RatFunc(other) - self

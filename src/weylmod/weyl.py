@@ -117,7 +117,10 @@ class _Terms:
         return bool(self.terms)
 
     def __eq__(self, other):
-        other = self._promote(other)
+        try:
+            other = self._promote(other)
+        except MixedAmbient:
+            return False
         if type(other) is not type(self):
             return NotImplemented
         return (self._ambient() == other._ambient()
@@ -160,7 +163,8 @@ class WeylElement(_Terms):
                 for k, c in terms.items() if c}
 
     def _promote(self, other):
-        if isinstance(other, (int, Fraction)):
+        # a RatFunc is a scalar over QZ; _coerce refuses it on other rings
+        if isinstance(other, (int, Fraction, RatFunc)):
             return WeylAlgebra(self.n, self.ring).scalar(other)
         return other
 

@@ -17,10 +17,16 @@ and the transposes built from those products.
 The de Rham truncation oracle, which reads N + d1 F modulo d1 W, is
 checked against the span it stands for: relation rows and derivative
 rows d1 x^a d^b e_j in one echelon form, all built by the Leibniz rule.
+
+The b-function, which the engine finds over Z[theta] by pseudo-division,
+is checked against the same elimination over Q[theta], with QPoly
+division and RatFunc back substitution.
 """
 
-from weylmod import (INF, FreeVec, WeylAlgebra, bernstein_degree, ext,
-                     leading_term)
+from fractions import Fraction
+
+from weylmod import (INF, FreeVec, QPoly, RatFunc, WeylAlgebra,
+                     bernstein_degree, ext, leading_term)
 from weylmod._linalg import Echelon
 from weylmod.modules import homological_bound
 
@@ -218,3 +224,57 @@ def derivative_row_oracle(module, window=5, max_degree=40, pad=None):
         if len(history) >= window and len(set(history[-window:])) == 1:
             return history[-1], True, d
     return history[-1], False, max_degree
+
+
+def _theta_qpoly(a, b):
+    """x^a d^b moved to weight zero, prod_{min(b - a, 0) <= t < b} (theta - t)."""
+    poly = QPoly.const(1)
+    for t in range(min(b - a, 0), b):
+        poly = poly * QPoly((-t, 1))
+    return poly
+
+
+def field_indicial_polynomial(lifts, rank):
+    """The monic b-function of the weight filtration, over Q[theta].
+
+    lifts are derham._v_lifts data (stair, weight, terms).  Each lift's
+    initial terms become a row of QPolys; the rows are triangularized by
+    euclidean elimination per column with division over Q, and b is the
+    lcm of the denominators of the RatFunc back substitution solving each
+    e_j over the pivots.  None when a column has no pivot.
+    """
+    rows = []
+    for _stair, w, terms in lifts:
+        row = [QPoly() for _ in range(rank)]
+        for (comp, a, b, _e), c in terms.items():
+            if b[0] - a[0] == w:
+                row[comp] = row[comp] + _theta_qpoly(a[0], b[0]) * c
+        rows.append(row)
+    rem, pivots = rows, []
+    for col in range(rank):
+        active = [r for r in rem if not r[col].is_zero()]
+        inactive = [r for r in rem if r[col].is_zero()]
+        while len(active) > 1:
+            active.sort(key=lambda r: r[col].degree())
+            base, nxt = active[0], []
+            for r in active[1:]:
+                q = r[col] // base[col]
+                reduced = [r[j] - q * base[j] for j in range(rank)]
+                (inactive if reduced[col].is_zero() else nxt).append(reduced)
+            active = [base] + nxt
+        if not active:
+            return None
+        pivots.append(active[0])
+        rem = inactive
+    acc = QPoly.const(Fraction(1))
+    for j in range(rank):
+        target = [RatFunc(1 if t == j else 0) for t in range(rank)]
+        for col in range(rank):
+            c = target[col] / RatFunc(pivots[col][col])
+            if not c.is_zero():
+                for t in range(col, rank):
+                    target[t] = target[t] - c * RatFunc(pivots[col][t])
+                acc = acc.lcm(c.den)
+        if not all(t.is_zero() for t in target):
+            raise AssertionError("back substitution left a remainder")
+    return acc.monic()

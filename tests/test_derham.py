@@ -8,7 +8,7 @@ no code path with the window algorithm.
 import random
 import time
 from fractions import Fraction
-from math import comb, perm
+from math import comb, lcm, perm
 
 import pytest
 
@@ -20,10 +20,12 @@ from weylmod import (LEFT, QQ, QZ, RIGHT, DeRhamComplex, IndexOutOfRange,
                      euler_check_perfect, h_dr_n1, normal_product,
                      stabilization_oracle)
 from weylmod.cli import run
-from weylmod.derham import _integer_roots, _mod_d, _theta_image
+from weylmod.derham import (_d_times, _integer_roots, _mod_d, _theta_image,
+                            _v_lifts, _x_times)
 
 from helpers import battery_avatars, rand_element
-from oracles import derivative_row_oracle, leibniz_product
+from oracles import (derivative_row_oracle, field_indicial_polynomial,
+                     leibniz_product)
 
 W = WeylAlgebra(1, QQ)
 X, D = W.x(1), W.d(1)
@@ -165,27 +167,54 @@ def test_quotient_by_d1_in_closed_form():
             assert _mod_d({(a + b, 0, a): 1}) == image
 
 
-def _random_module(rng):
+def _random_module(rng, rank):
     # right factors D, X and X D + 1 give the module kernels and
     # cokernels the oracle has to find
     factors = [W.one(), D, X, X * D + W.one()]
-    rank = rng.randint(1, 2)
     rows = [[rand_element(rng, W, deg=2, terms=3) * rng.choice(factors)
              for _ in range(rank)] for _ in range(rng.randint(1, rank))]
     return PresentedModule.from_matrix(1, QQ, rows)
 
 
-@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("seed", range(24))
 def test_oracle_matches_derivative_rows(seed):
-    # the oracle reads N + d1 F modulo d1 W; the reference keeps every
-    # derivative row d1 x^a d^b e_j in its echelon form
-    M = _random_module(random.Random(seed))
-    for window, pad in [(1, 0), (3, 1), (5, None), (2, 6)]:
-        oracle = stabilization_oracle(M, window=window, max_degree=14,
+    # the oracle reads N + d1 F modulo d1 W from the rows x^i g alone; the
+    # reference keeps every relation row x^i d^j g and every derivative
+    # row d1 x^a d^b e_j in its echelon form.  Seeds from 16 have rank 3,
+    # cut at a lower degree: the reference takes seconds there
+    rng = random.Random(seed)
+    M = _random_module(rng, 3 if seed >= 16 else rng.randint(1, 2))
+    top = 8 if seed >= 16 else 14
+    for window, pad in [(1, 0), (4, 0), (3, 1), (5, None), (2, 6)]:
+        oracle = stabilization_oracle(M, window=window, max_degree=top,
                                       pad=pad)
         assert (tuple(oracle["dims"]), oracle["stabilized"],
                 oracle["degree"]) == derivative_row_oracle(
-            M, window=window, max_degree=14, pad=pad)
+            M, window=window, max_degree=top, pad=pad)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cokernel_span_from_x_shifts(seed):
+    # modulo d1 F, x^i d^j g is (-1)^j i!/(i-j)! x^(i-j) g, and zero when
+    # j > i, so the oracle's cokernel span needs only the rows x^i g; the
+    # rows x^i d^j g are built as the oracle builds them
+    rng = random.Random(seed)
+    g = {}
+    for _ in range(rng.randint(1, 6)):
+        a, b = rng.randint(0, 4), rng.randint(0, 4)
+        g[a + b, rng.randint(0, 2), a] = rng.choice([-1, 1]) * rng.randint(
+            1, 10 ** rng.randint(1, 12))
+    for i in range(6):
+        for j in range(6):
+            row = g
+            for _ in range(j):
+                row = _d_times(row)
+            got = _mod_d(_x_times(row, i))
+            if j > i:
+                assert got == {}, (i, j)
+            else:
+                assert got == {k: (-1) ** j * perm(i, j) * c for k, c in
+                               _mod_d(_x_times(g, i - j)).items()}, (i, j)
 
 
 def falling_factorial(k):
@@ -214,7 +243,7 @@ def test_theta_image_matches_weyl_product():
             for t in range(min(w, 0), b):
                 closed = closed * QPoly((-t, 1))
             assert theta == closed, (a, b)
-            assert _theta_image(a, b) == closed, (a, b)
+            assert QPoly(_theta_image(a, b)) == closed, (a, b)
 
 
 def test_b_function_conventions():
@@ -228,6 +257,12 @@ def test_b_function_conventions():
     b = b_function_along_x(module(X * D - W.scalar(Fraction(1, 2))))
     assert b.poly.to_str("s") == "s - 1/2"
     assert not list(b.integer_roots)
+
+
+def integer_coefficients(poly):
+    """A QPoly times the lcm of its denominators, as _integer_roots reads it."""
+    den = lcm(*(c.denominator for c in poly.coeffs))
+    return [int(c * den) for c in poly.coeffs]
 
 
 @pytest.mark.parametrize("seed", range(30))
@@ -249,7 +284,30 @@ def test_integer_roots_of_random_products(seed):
             poly = poly * QPoly((-root, 1))
     if seed % 3 == 0:
         poly = poly * QPoly((rng.randint(1, 9), 0, 1))
-    assert _integer_roots(poly) == sorted(want)
+    assert _integer_roots(integer_coefficients(poly)) == sorted(want)
+
+
+def _random_holonomic(rng, rank):
+    # upper triangular with a nonzero diagonal: an iterated extension of
+    # cyclic modules W/W P, each holonomic
+    return PresentedModule.from_matrix(1, QQ, [
+        [rand_element(rng, W, deg=2, terms=3) if j >= i else W.zero()
+         for j in range(rank)] for i in range(rank)])
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_b_function_matches_field_elimination(seed):
+    # the Z[theta] pseudo-division against the Q[theta] elimination with
+    # RatFunc back substitution; rank 2 and 3 need the lcm over every e_j
+    rank = 1 + seed % 3
+    M = _random_holonomic(random.Random(seed), rank)
+    want = field_indicial_polynomial(_v_lifts(M.gb().elements), rank)
+    got = b_function_along_x(M)
+    assert got.poly == want
+    bound = 1 + int(max(map(abs, want.coeffs[:-1]), default=0))
+    roots = [t for t in range(-bound, bound + 1) if not want(Fraction(t))]
+    assert list(got.integer_roots) == roots
+    assert _integer_roots(integer_coefficients(want)) == roots
 
 
 @pytest.mark.parametrize("roots,want", [
@@ -262,7 +320,7 @@ def test_integer_roots_with_repeated_roots(roots, want):
     poly = QPoly.const(3)
     for root in roots:
         poly = poly * QPoly((-root, 1))
-    assert _integer_roots(poly) == want
+    assert _integer_roots(integer_coefficients(poly)) == want
 
 
 def test_large_integer_root_is_fast():

@@ -228,8 +228,9 @@ def test_oracle_shares_nothing_with_the_window():
               "mul_into", "divisor", "_Basis",
               "_v_lifts", "_b_data", "_theta_image", "_reduce",
               "_stairs_by_comp", "_standard_monomials",
-              "_indicial_polynomial", "vres_order"}
-    for function in ("stabilization_oracle", "_d_times", "_mod_d"):
+              "_indicial_polynomial", "_eliminate", "_prem", "vres_order"}
+    for function in ("stabilization_oracle", "_x_times", "_d_times",
+                     "_mod_d"):
         assert not shared & _names("derham.py", function), function
 
 
@@ -248,6 +249,18 @@ def test_oracle_builds_no_derivative_rows():
                  and node.name == "relations"]
     assert len(named) == 1 and calls == ["_d_times(rows[0])"]
     assert named[0] in ast.walk(relations[0])
+
+
+@pytest.mark.parametrize("function", [
+    "_v_lifts", "_theta_image", "_prem", "_eliminate",
+    "_indicial_polynomial", "_integer_roots", "h_dr_n1"])
+def test_b_function_and_window_in_integers(function):
+    # the lifts are the Groebner kernel's integer rows, not the monic
+    # elements, the b-function is found over Z[theta] and the window
+    # divides fraction-free; _b_data alone makes the monic QPoly of the
+    # report, and no coefficient has a denominator to clear
+    assert not {"RatFunc", "Fraction", "QPoly", "denominator",
+                "elements"} & _names("derham.py", function)
 
 
 def test_grade_resolves_no_ext():

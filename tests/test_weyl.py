@@ -235,6 +235,30 @@ def test_rational_function_is_no_scalar_outside_qz(ring):
     assert x * RatFunc.z() == RatFunc.z() * x == x.scale(RatFunc.z())
 
 
+SUMS = {"x + z": lambda x, z: x + z, "z + x": lambda x, z: z + x,
+        "x - z": lambda x, z: x - z, "z - x": lambda x, z: z - x}
+
+
+@pytest.mark.parametrize("order", sorted(SUMS))
+def test_rational_function_adds_as_a_scalar_over_qz(order):
+    # a RatFunc on either side of + or - raised a bare AttributeError
+    W = WeylAlgebra(1, QZ)
+    x, z = W.x(1), RatFunc(QPoly((1, 1)), QPoly((-1, 1)))
+    assert SUMS[order](x, z) == SUMS[order](x, W.scalar(z))
+    assert W.scalar(z) == z and x != z
+
+
+@pytest.mark.parametrize("order", sorted(SUMS))
+@pytest.mark.parametrize("ring", [QQ, ZP, H1])
+def test_rational_function_does_not_add_outside_qz(ring, order):
+    # as under *, a RatFunc is no scalar of these rings; comparing with
+    # one is not an error
+    x = WeylAlgebra(1, ring).x(1)
+    with pytest.raises(MixedAmbient):
+        SUMS[order](x, RatFunc.z())
+    assert x != RatFunc.z() and RatFunc.z() != x
+
+
 def test_mixed_ambient_rejected():
     with pytest.raises(MixedAmbient):
         W1.x(1) + W2.x(1)
