@@ -101,16 +101,8 @@ def product(left, right, n, homog):
     if not right:
         return {}
     comps = len(next(iter(right))) == 4
-
-    def run(lay):
-        row = lay.pack(right)
-        env = envelope(row)
-        out = {}
-        for k, c in left.items():
-            lay.mul_into(out, lay.enc[k], c, row, env)
-        return lay.unpack(out, comps)
-
-    return widening(run, layout(n, homog))
+    return widening(lambda lay: lay.unpack(
+        lay.times(lay.pack(left), lay.pack(right)), comps), layout(n, homog))
 
 
 def widening(run, lay):
@@ -304,6 +296,17 @@ class Layout:
                 out = [(d1 + d2, m1 * m2) for d1, m1 in out
                        for d2, m2 in steps]
         return tuple(out[1:])
+
+    def times(self, left, right):
+        """left * right, for rows on keys of this layout, left in comp 0.
+
+        The product of two whole rows through the one product loop.
+        """
+        env = envelope(right)
+        out = {}
+        for q, c in left.items():
+            self.mul_into(out, q, c, right, env)
+        return out
 
     def mul_into(self, out, q, c, row, env):
         """out += c q row, for q a monomial of comp 0; returns out.

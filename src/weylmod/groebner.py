@@ -12,10 +12,18 @@ leading: TermOrder.key on tuple keys, and inside the kernel a key of the
 same order read off the packed int itself (Layout.graded and
 Layout.degrees), memoized per layout by TermOrder.packed, so that no
 monomial is decoded to be ranked.  The engine runs Buchberger with the
-normal selection strategy and no pair criteria: the product criterion is
-unsound in algebras with nontrivial commutators, and skipping the chain
-criterion keeps every S-pair available for the Schreyer syzygy
-construction.
+normal selection strategy.  An untracked call prunes pairs by the
+Gebauer-Moeller update (_chain), which rests on the chain criterion, sound
+in W_n (Gebauer and Moeller, J. Symb. Comp. 6, 1988; Kandri-Rody and
+Weispfenning, J. Symb. Comp. 9, 1990); it returns the reduced basis, which
+is unique.  A tracked call keeps every pair: its transform and lifts, and
+the Schreyer syzygies and Ext presentations built from them, depend on
+the pairs it reduces, so pruning would change them.  Under the V-order,
+where a divisor can rank above its multiple, the pairs of a chain can pop
+after the pair they cover, and pruning there can change the order in
+which the basis elements are found; untracked calls under it keep every
+pair too.  There is no product criterion: it is unsound in algebras with
+nontrivial commutators.
 
 Inside the kernel a row over QQ, ZP or H1 is a sparse dict of integers:
 denominators are cleared once, at input, and a row that joins the basis
@@ -59,7 +67,8 @@ pairs wait in a heap keyed by the order key of their lcm, with the
 sequence number of the pair as tiebreak; basis elements never change
 once pushed, so the heap pops pairs in exactly the order of a stable
 sort by lcm, and the transform, lifts and syzygies do not depend on how
-the queue is kept.  Normal forms reduce one mutable sparse dict in
+the queue is kept (_chain heapifies what it leaves of it, which keeps
+that order).  Normal forms reduce one mutable sparse dict in
 _reduce, the one division loop; its private floor, an order key, stops
 at the first lead below it and drops the rest, which is how the de Rham
 window cuts weights below k0.  Interreduction is one pass: tail
@@ -77,7 +86,7 @@ homogeneous in that grading.
 
 from fractions import Fraction
 from functools import cache
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 from math import lcm
 
@@ -169,16 +178,19 @@ class TermOrder:
 
     key sorts tuple keys; pack(lay) gives the key of the same order on the
     packed monomials of lay, read off the int itself.  The two agree in
-    sign on every pair of monomials of one layout.  The order factories
-    below return one shared instance per argument, so the memo behind
-    packed() serves every call under that order.
+    sign on every pair of monomials of one layout.  graded says that a
+    monomial ranks above each of its proper divisors, which the pair
+    criteria of buchberger ask for.  The order factories below return one
+    shared instance per argument, so the memo behind packed() serves
+    every call under that order.
     """
 
-    __slots__ = ("name", "key", "_pack", "_packed")
+    __slots__ = ("name", "key", "graded", "_pack", "_packed")
 
-    def __init__(self, name, key, pack):
+    def __init__(self, name, key, pack, graded=True):
         self.name = name
         self.key = key
+        self.graded = graded
         self._pack = pack
         self._packed = {}
 
@@ -244,7 +256,7 @@ def vres_order(n):
             a, b, e = degrees(m)
             return (b - a, a + b, e, -comp(m))
         return packed
-    return TermOrder("vres", key, pack)
+    return TermOrder("vres", key, pack, graded=False)
 
 
 def leading_term(v, order):
@@ -672,8 +684,9 @@ def reset_counters():
 def buchberger(gens, order, track=False):
     """Left Groebner basis of the row span of gens, normal pair selection.
 
-    Every generator lives in the ambient of the first; no generators name
-    W_1 over QQ of rank 1.
+    Without track, pairs are pruned by the chain criterion under a
+    graded order; with it, every pair is reduced.  Every generator lives
+    in the ambient of the first; no generators name W_1 over QQ of rank 1.
     """
     gens = list(gens)
     ambient = gens[0]._ambient() if gens else (1, QQ, 1)
@@ -716,6 +729,7 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
         def degree(t):
             return lay.degree(t) + offsets[lay.comp(t)]
     keys = order.packed(lay)
+    prune = order.graded and not track
     basis = _Basis(lay)
     trans = [] if track else None
     pairs = []
@@ -727,11 +741,13 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
             _require_homogeneous(map(degree, row))
         mono = max(row, key=keys.__getitem__)
         new = len(basis.rows)
-        for k, m in enumerate(basis.leads):
-            data = lay.lcm_multipliers(m, mono)
-            if data is not None:
-                heappush(pairs, (keys[data[0]], next(seq), k, new,
-                                 data[1], data[2]))
+        fresh = {k: data for k, m in enumerate(basis.leads)
+                 for data in [lay.lcm_multipliers(m, mono)]
+                 if data is not None}
+        if prune:
+            fresh = _chain(lay, pairs, basis.leads, mono, fresh)
+        for k, (lcm_k, qk, qnew) in fresh.items():
+            heappush(pairs, (keys[lcm_k], next(seq), k, new, qk, qnew))
         row, d = primitive(row, mono)
         basis.add(row, mono)
         if track:
@@ -769,6 +785,35 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
                                         "its own Groebner basis")
             lifts.append((q, s * den))
     return basis, trans, lifts, stats
+
+
+def _chain(lay, pairs, leads, mono, fresh):
+    """The Gebauer-Moeller update for a new lead mono; returns the new pairs.
+
+    fresh maps each k whose lead shares the comp of mono to (lcm, qk, q)
+    of the pair (k, new).  A queued pair (i, j) is dropped from the heap
+    pairs when mono divides its lcm L and neither lcm(i, new) nor
+    lcm(j, new) is L: the chain (i, new), (new, j) covers it.  A new pair
+    is kept only when no other new pair's lcm properly divides its lcm,
+    and of new pairs with equal lcms only the first.  There is no product
+    criterion.
+    """
+    divides = lay.divides
+
+    def covered(pair):
+        _key, _seq, i, j, qi, _qj = pair
+        lcm_ij = leads[i] + qi
+        return divides(mono, lcm_ij) and \
+            lcm_ij not in (fresh[i][0], fresh[j][0])
+
+    kept = [p for p in pairs if not covered(p)]
+    if len(kept) < len(pairs):
+        pairs[:] = kept
+        heapify(pairs)
+    return {k: data for k, data in fresh.items()
+            if not any(divides(other[0], data[0])
+                       and (other[0] != data[0] or l < k)
+                       for l, other in fresh.items() if l != k)}
 
 
 def _interreduce(basis, trans, keys):

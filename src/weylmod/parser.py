@@ -12,6 +12,13 @@ division by scalar subexpressions; # starts a comment.  Integers and
 variable indices are ASCII digits; any other number character is a
 ParseError.  Every expression is normal-ordered while parsing, so
 printing and reparsing an element is the identity on normal forms.
+
+An element is evaluated on packed rows of one _packed layout: the keys
+come from Layout.enc, products from Layout.times, the one product loop,
+and the WeylElement is built once, at the element's end.  Integers stay
+ints (RatFuncs over QZ) until then.  An exponent that would leave the
+fields of the layout raises _packed.Overflow, and _packed.widening
+reruns the element from its first token on a layout twice as wide.
 """
 
 import re
@@ -20,7 +27,10 @@ from unicodedata import category
 
 from .errors import (ParseError, RingMismatch, UndeclaredName,
                      UnsupportedAmbient, UnsupportedTarget)
-from .weyl import QQ, QZ, WeylAlgebra
+from ._linalg import add_terms
+from ._packed import layout, widening
+from .scalars import RatFunc
+from .weyl import QQ, QZ, WeylElement
 
 # The check line: subcommand -> (target kind, kind of its one argument).
 # A "lattice" is a lattice or a module name and needs ring QZ, as does a
@@ -131,7 +141,13 @@ class _Parser:
         self.tokens = tokenize(source)
         self.pos = 0
         self.session = Session()
-        self.algebra = None
+        # set by the ring declaration: the type of an integer coefficient
+        # and the exponent tuple of no variable; per element: its layout
+        # and the packed key of 1 there
+        self.coefficient = None
+        self.zero = None
+        self.layout = None
+        self.one = None
         self.depth = 0
 
     # --- token plumbing
@@ -207,7 +223,8 @@ class _Parser:
         self.expect("punct", ";")
         self.session.n = ntok.value
         self.session.ring = QQ if rtok.value == "QQ" else QZ
-        self.algebra = WeylAlgebra(self.session.n, self.session.ring)
+        self.coefficient = RatFunc if self.session.ring == QZ else int
+        self.zero = (0,) * self.session.n
 
     def require_ring(self, tok):
         if self.session.ring is None:
@@ -337,42 +354,59 @@ class _Parser:
 
     def scalar_matrix(self):
         tok = self.peek()
-        rows = self.matrix()
-        if not all(w.is_zero() or _is_scalar(w) for row in rows for w in row):
+        one = (self.zero, self.zero, 0)
+        rows = [[_scalar(w.terms, one) if w else Fraction(0) for w in row]
+                for row in self.matrix()]
+        if any(c is None for row in rows for c in row):
             self.fail("complex entries must be scalars", tok)
-        return [[_scalar_of(w) if w else Fraction(0) for w in row]
-                for row in rows]
+        return rows
 
     def element(self):
+        """The next element, evaluated on packed rows of one layout.
+
+        An exponent beyond the fields of the layout stops the evaluation
+        with an Overflow; it reruns from the element's first token, with
+        the depth counter as it was there, on a layout twice as wide.
+        """
+        start, depth, n = self.pos, self.depth, self.session.n
+
+        def run(lay):
+            self.pos, self.depth, self.layout = start, depth, lay
+            self.one = lay.enc[(self.zero, self.zero, 0)]
+            return lay.unpack(self.sum(), comps=False)
+
+        return WeylElement(n, self.session.ring,
+                           widening(run, layout(n, False)))
+
+    def sum(self):
         self.depth += 1
         if self.depth > self.MAX_DEPTH:
             self.fail("expression too deeply nested")
-        try:
-            u = self.term()
-            while True:
-                if self.eat("+"):
-                    u = u + self.term()
-                elif self.eat("-"):
-                    u = u - self.term()
-                else:
-                    return u
-        finally:
-            self.depth -= 1
+        u = self.term()
+        while True:
+            if self.eat("+"):
+                add_terms(u, self.term().items())
+            elif self.eat("-"):
+                add_terms(u, ((k, -c) for k, c in self.term().items()))
+            else:
+                self.depth -= 1
+                return u
 
     def term(self):
         u = self.factor()
         while True:
             tok = self.peek()
             if self.eat("*"):
-                u = u * self.factor()
+                u = self.layout.times(u, self.factor())
             elif self.eat("/"):
                 v = self.factor()
-                if v.is_zero():
+                if not v:
                     self.fail("division by zero", tok)
-                if not _is_scalar(v):
+                c = _scalar(v, self.one)
+                if c is None:
                     self.fail("division only by scalar subexpressions", tok)
-                c = _scalar_of(v)
-                u = u.scale(1 / c if isinstance(c, Fraction) else c.inv())
+                c = c.inv() if self.session.ring == QZ else Fraction(1) / c
+                u = {k: a * c for k, a in u.items()}
             else:
                 return u
 
@@ -388,45 +422,51 @@ class _Parser:
             etok = self.expect("int")
             if etok.value > 64:
                 self.fail("exponent too large", etok)
-            u = u ** etok.value
-        return u.scale(Fraction(-1)) if signs % 2 else u
+            u = self.power(u, etok.value)
+        return {k: -c for k, c in u.items()} if signs % 2 else u
+
+    def power(self, u, k):
+        """u^k by repeated squaring."""
+        out = self.scalar(1)
+        while k:
+            k, odd = divmod(k, 2)
+            if odd:
+                out = self.layout.times(out, u)
+            if k:
+                u = self.layout.times(u, u)
+        return out
+
+    def scalar(self, c):
+        """The integer c as a packed row: over QZ a RatFunc, else an int."""
+        return {self.one: self.coefficient(c)} if c else {}
 
     def atom(self):
         tok = self.next()
-        W = self.algebra
         if tok.kind == "int":
-            return W.scalar(Fraction(tok.value))
+            return self.scalar(tok.value)
         if tok.value == "(":
-            u = self.element()
+            u = self.sum()
             self.expect("punct", ")")
             return u
         if tok.value == "z":
             if self.session.ring != QZ:
                 raise RingMismatch("z needs ring QZ", tok.line, tok.col)
-            return W.z()
+            return {self.one: RatFunc.z()}
         var = tok.kind == "name" and _VARIABLE.fullmatch(tok.value)
         if var:
-            i = int(var["index"])
-            if not 1 <= i <= self.session.n:
-                self.fail("variable %s outside W(%d)"
-                          % (tok.value, self.session.n), tok)
-            return W.x(i) if var["letter"] == "x" else W.d(i)
+            n, i = self.session.n, int(var["index"])
+            if not 1 <= i <= n:
+                self.fail("variable %s outside W(%d)" % (tok.value, n), tok)
+            unit = tuple(1 if j == i - 1 else 0 for j in range(n))
+            key = (unit, self.zero, 0) if var["letter"] == "x" \
+                else (self.zero, unit, 0)
+            return {self.layout.enc[key]: self.coefficient(1)}
         self.fail("expected an element, found %r" % (tok.value,), tok)
 
 
-def _zero_key(w):
-    zero = (0,) * w.n
-    return (zero, zero, 0)
-
-
-def _is_scalar(w):
-    if not w.terms:
-        return False
-    return set(w.terms) == {_zero_key(w)}
-
-
-def _scalar_of(w):
-    return w.terms[_zero_key(w)]
+def _scalar(terms, one):
+    """The coefficient of terms when one, the key of 1, is its only key."""
+    return terms[one] if len(terms) == 1 and one in terms else None
 
 
 def _check_kinds(s):

@@ -73,6 +73,8 @@ class QPoly:
         return QPoly(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
+        if not isinstance(other, QPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -90,6 +92,8 @@ class QPoly:
             if c == 0:
                 return QPoly()
             return QPoly(tuple(x * c for x in self.coeffs))
+        if not isinstance(other, QPoly):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return QPoly()

@@ -134,6 +134,8 @@ class _Terms:
 
     def __add__(self, other):
         other = self._promote(other)
+        if type(other) is not type(self):
+            return NotImplemented
         self._check(other)
         return self._like(add_terms(dict(self.terms), other.terms.items()))
 
@@ -176,6 +178,8 @@ class WeylElement(_Terms):
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, RatFunc)):
             return self.scale(other)
+        if not isinstance(other, WeylElement):
+            return NotImplemented
         self._check(other)
         return normal_product(self, other)
 

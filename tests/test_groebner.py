@@ -1,6 +1,7 @@
 """Left Groebner bases: soundness against brute force, syzygies, orders."""
 
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -507,6 +508,70 @@ def test_selection_order_pinned(make, stats, digest):
     assert gb.stats == stats
     got = repr((gb.elements, gb.transform, gb.lifts)).encode()
     assert hashlib.sha256(got).hexdigest() == digest
+
+
+def _random_modules(ring, order, n=1, degrees=(1, 2)):
+    rng = random.Random("criteria/%s/%s" % (ring, order.name))
+    return [(random_gens(rng, ring, rank, order, n, deg), order)
+            for rank in (1, 2, 3) for deg in degrees for _ in range(3)]
+
+
+CRITERIA_CASES = {
+    "QQ": lambda: _random_modules(QQ, bernstein_order(1)),
+    "QQ-W2": lambda: _random_modules(QQ, bernstein_order(2), 2, (1,)),
+    "ZP": lambda: _random_modules(ZP, bernstein_order(1)),
+    # RatFunc coefficients grow fast beyond degree 1
+    "QZ": lambda: _random_modules(QZ, bernstein_order(1), 1, (1,)),
+    "H1": lambda: _random_modules(H1, bernstein_order(1)),
+    "H1-vres": lambda: _random_modules(H1, vres_order(1)),
+    "gkz13": lambda: [_gkz13()],
+    "gkz3": lambda: [_gkz3()],
+    "colon": lambda: [_colon_block()],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CRITERIA_CASES))
+def test_pair_criteria_keep_the_reduced_basis(case):
+    # the tracked path keeps every pair, so it is the reference: pruning
+    # may skip S-pairs but not change the basis, nor the order in which
+    # its elements are found; under the V-order nothing is pruned
+    pruned = 0
+    for gens, order in CRITERIA_CASES[case]():
+        fast = buchberger(gens, order)
+        full = buchberger(gens, order, track=True)
+        assert fast.elements == full.elements
+        assert fast.stats["spairs"] <= full.stats["spairs"]
+        pruned += full.stats["spairs"] - fast.stats["spairs"]
+    assert (pruned == 0) == (case == "H1-vres")
+
+
+def test_zp_runaway_is_pruned():
+    # with every S-pair kept this basis ran for over a minute; the
+    # certificate shares no code with the pair criteria: every input row
+    # and every S-polynomial of the monic basis reduces to zero on it
+    A = WeylAlgebra(1, ZP)
+    x, d, z, one = A.x(1), A.d(1), A.z(), A.one()
+    F = Fraction
+    gens = [FreeVec.from_entries(row) for row in [
+        [-z * x * d, A.zero()],
+        [-z * z * d - 7 * z + F(3, 2) * one, F(11, 3) * d + 3 * z * z],
+        [-z * z * d * d - F(3, 20) * one, F(-3, 20) * x - F(1, 4) * z * d]]]
+    order = bernstein_order(1)
+    gb = buchberger(gens, order)
+    assert gb.stats["basis_size"] == 5
+    for g in gens:
+        assert left_normal_form(g, gb, order).is_zero()
+    for (g, ((ci, ai, bi, ei), _c)), (h, ((cj, aj, bj, ej), _d)) in \
+            itertools.combinations(zip(gb.elements, gb.leads), 2):
+        if ci != cj:
+            continue
+        a, b = tuple(map(max, ai, aj)), tuple(map(max, bi, bj))
+        e = max(ei, ej)
+        sp = g.mul_monomial(tuple(s - t for s, t in zip(a, ai)),
+                            tuple(s - t for s, t in zip(b, bi)), e - ei, 1) \
+            - h.mul_monomial(tuple(s - t for s, t in zip(a, aj)),
+                             tuple(s - t for s, t in zip(b, bj)), e - ej, 1)
+        assert left_normal_form(sp, gb, order).is_zero()
 
 
 # on gkz3 and colon interreduction changes a tail; a second pass would

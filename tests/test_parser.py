@@ -7,9 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (QQ, QZ, ParseError, RingMismatch, UndeclaredName,
-                     UnsupportedTarget, WeylAlgebra, WeylmodError, parse,
-                     to_str)
+from weylmod import (QQ, QZ, ParseError, QPoly, RatFunc, RingMismatch,
+                     UndeclaredName, UnsupportedTarget, WeylAlgebra,
+                     WeylmodError, parse, to_str)
 from weylmod.parser import tokenize
 
 from helpers import rand_element
@@ -196,6 +196,95 @@ def test_round_trip_random_elements():
             src = "ring W(%d) over %s; module M = coker [[%s]];" % (
                 n, tag, to_str(u))
             assert parse(src).modules["M"][0][0] == u
+
+
+def _wrap(src, level, most):
+    """src in parentheses unless its level is at most most."""
+    return src if level <= most else "(%s)" % src
+
+
+def _rand_expression(rng, W, depth):
+    """(source, element, level) of a random expression.
+
+    The element is what the WeylElement operators build for the source.
+    level says where the source may stand without parentheses: 0 as the
+    base of a power, 1 as an operand of * and / or the right operand of a
+    sum, 2 only as a whole element or the left operand of a sum.
+    """
+    kinds = ["leaf"] * 3 + ["sum", "product", "power", "divide", "minus",
+                            "parens"]
+    kind = rng.choice(kinds) if depth else "leaf"
+    if kind == "leaf":
+        pick = rng.randrange(4 if W.ring == QZ else 3)
+        if pick == 0:
+            k = rng.randint(0, 9)
+            return str(k), W.scalar(k), 0
+        if pick == 3:
+            return "z", W.z(), 0
+        i = rng.randint(1, W.n)
+        return ("x%d" % i, W.x(i), 0) if pick == 1 else ("d%d" % i, W.d(i), 0)
+    sa, a, la = _rand_expression(rng, W, depth - 1)
+    if kind == "sum":
+        sb, b, lb = _rand_expression(rng, W, depth - 1)
+        if rng.randint(0, 1):
+            return "%s + %s" % (sa, _wrap(sb, lb, 1)), a + b, 2
+        return "%s - %s" % (sa, _wrap(sb, lb, 1)), a - b, 2
+    if kind == "product":
+        sb, b, lb = _rand_expression(rng, W, depth - 1)
+        return "%s*%s" % (_wrap(sa, la, 1), _wrap(sb, lb, 1)), a * b, 1
+    if kind == "power":
+        k = rng.randint(0, 3)
+        return "%s^%d" % (_wrap(sa, la, 0), k), a ** k, 0
+    if kind == "divide":
+        k, m = rng.randint(1, 9), rng.randint(-3, 3)
+        if W.ring == QZ and m:
+            c = RatFunc(QPoly((k, m)))
+            return "%s/(%d + %d*z)" % (_wrap(sa, la, 1), k, m), a / c, 1
+        return "%s/%d" % (_wrap(sa, la, 1), k), a / k, 1
+    if kind == "minus":
+        signs = rng.randint(1, 4)
+        return "-" * signs + _wrap(sa, la, 0), a if signs % 2 == 0 else -a, 1
+    return "(%s)" % sa, a, 0
+
+
+@pytest.mark.parametrize("n,ring", [(1, QQ), (2, QQ), (3, QQ), (1, QZ),
+                                    (2, QZ)])
+def test_elements_parse_as_the_operators_build_them(n, ring):
+    # d1*x1 reorderings, powers, nested parentheses, scalar division,
+    # runs of unary minus and z over QZ
+    rng = random.Random("expressions/%d/%s" % (n, ring))
+    W = WeylAlgebra(n, ring)
+    scalar = RatFunc if ring == QZ else Fraction
+    for _ in range(60):
+        src, want, _level = _rand_expression(rng, W, 4)
+        got = parse("ring W(%d) over %s; module M = coker [[%s]];"
+                    % (n, ring, src)).modules["M"][0][0]
+        assert got == want, src
+        assert all(type(c) is scalar for c in got.terms.values())
+
+
+@pytest.mark.parametrize("src,want", [
+    ("x1^64*x1^64", lambda W: W.x(1) ** 64 * W.x(1) ** 64),
+    ("d1^40*x1^40", lambda W: W.d(1) ** 40 * W.x(1) ** 40),
+    ("2*x1^64*x1 + %sd1%s" % ("(" * 63, ")" * 63),
+     lambda W: 2 * W.x(1) ** 65 + W.d(1)),
+])
+def test_wide_exponents_parse_exactly(src, want):
+    # an exponent beyond the narrowest fields reruns the element on wider
+    # ones, from its first token and at its own nesting depth
+    W = WeylAlgebra(1, QQ)
+    got = parse("ring W(1) over QQ; module M = coker [[d1, %s]];" % src)
+    assert got.modules["M"][0] == [W.d(1), want(W)]
+
+
+def test_nesting_bound_after_a_rerun():
+    # the rerun counts the depth from the element's start, so a wide
+    # exponent does not move the nesting bound
+    deep = "x1*%s + %sd1%s" % ("%s", "(" * 64, ")" * 64)
+    outcomes = [_outcome("ring W(1) over QQ; module M = coker [[%s]];"
+                         % deep % power) for power in ("x1^62", "x1^63")]
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == "expression too deeply nested"
 
 
 def _outcome(source):

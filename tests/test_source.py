@@ -97,7 +97,7 @@ def test_one_product_loop():
     assert found.pop("_tables") == {"_packed.py:Layout.__init__",
                                     "_packed.py:Layout.mul_into"}
     assert found.pop("mul_into") == {
-        "_packed.py:product", "groebner.py:_spoly", "groebner.py:_reduce",
+        "_packed.py:Layout.times", "groebner.py:_spoly", "groebner.py:_reduce",
         "groebner.py:_combine", "weyl.py:_reordered"}
 
 

@@ -1,5 +1,6 @@
 """Normal ordering, filtration, symbols and the standard automorphisms."""
 
+import operator
 import random
 from fractions import Fraction
 
@@ -257,6 +258,30 @@ def test_rational_function_does_not_add_outside_qz(ring, order):
     with pytest.raises(MixedAmbient):
         SUMS[order](x, RatFunc.z())
     assert x != RatFunc.z() and RatFunc.z() != x
+
+
+# each raised a bare AttributeError from reading an attribute the
+# foreign operand lacks; now both sides return NotImplemented
+FOREIGN = {
+    "XPoly + 1": (lambda: XPoly.monomial(1, QQ, (1,)), "add", lambda: 1),
+    "XPoly + RatFunc": (lambda: XPoly.monomial(1, QZ, (1,)), "add",
+                        RatFunc.z),
+    "FreeVec + 1": (lambda: FreeVec.from_entries([W1.x(1)]), "add",
+                    lambda: 1),
+    "FreeVec + WeylElement": (lambda: FreeVec.from_entries([W1.x(1)]),
+                              "add", lambda: W1.x(1)),
+    "WeylElement * QPoly": (lambda: W1.x(1), "mul", QPoly.gen),
+    "QPoly + RatFunc": (QPoly.gen, "add", RatFunc.z),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOREIGN))
+def test_foreign_operands_are_not_implemented(case):
+    make_left, op, make_right = FOREIGN[case]
+    left, right = make_left(), make_right()
+    assert getattr(left, "__%s__" % op)(right) is NotImplemented
+    with pytest.raises(TypeError, match="^unsupported operand"):
+        getattr(operator, op)(left, right)
 
 
 def test_mixed_ambient_rejected():
