@@ -1,19 +1,29 @@
 """
-Sparse rows: the shared term accumulator and exact echelon form.
+Sparse rows, exact echelon form, and the one kernel of polynomials over Z.
 
 Rows, elements and vectors are sparse dicts from hashable keys to
-nonzero scalars.  A row of Python ints is kept primitive with a positive
-lead, any other row (Fraction, rational function, or ints mixed with
-those) monic.  One cancellation step, cancel, serves every reduction
-against such a lead: the echelon form here, the Groebner kernel and the
-Sturm sequences of the de Rham code.  On integers it scales the row
-being reduced instead of dividing, so integer rows stay free of
-fractions.  Either way the rank and the set of pivot keys of an echelon
-form are those of the span over the field.
+nonzero scalars.  A row of Python ints, or of ZPolys, is kept primitive
+with a positive lead; any other row (Fraction, rational function, or
+ints mixed with those) monic.  One cancellation step, cancel, serves
+every reduction against such a lead: the echelon form here, the Groebner
+kernel and the Sturm sequences of the de Rham code.  On ints and ZPolys
+it scales the row being reduced instead of dividing, so such rows stay
+free of fractions.  Either way the rank and the set of pivot keys of an
+echelon form are those of the span over the field.
+
+A polynomial over Z is a sequence of ints, lowest degree first, with no
+zero on top.  _sub, _mul, _prem and _primitive are its one kernel: the
+de Rham b-function runs them on lists over Z[theta], and ZPoly, an
+immutable tuple of ints built on them, is the scalar of Q(z) inside the
+Groebner kernel and the echelon form.  clear puts rational functions, as
+Fractions are put over Z, over one denominator in Z[z]; a content, and
+so cancel, primitive and lowest_terms on ZPolys, is a gcd over Z[z]
+(_gcd): the gcd of the integer contents times the last term of the
+primitive remainder sequence (Collins, JACM 14, 1967).
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def add_terms(out, items):
@@ -28,15 +38,201 @@ def add_terms(out, items):
     return out
 
 
+# ---------------------------------------------------------------------------
+# polynomials over Z
+
+
+def _sub(m, f, c, g, k=0):
+    """m f - c t^k g, a list, for ints m, c and polynomials f, g."""
+    h = list(f) if m == 1 else [m * s for s in f]
+    if len(h) < len(g) + k:
+        h += [0] * (len(g) + k - len(h))
+    for i, t in enumerate(g, k):
+        h[i] -= c * t
+    while h and not h[-1]:
+        h.pop()
+    return h
+
+
+def _mul(f, g):
+    """f g, a list."""
+    if not f or not g:
+        return []
+    h = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g, i):
+                h[j] += a * b
+    return h
+
+
+def _prem(row, base, col=0):
+    """m row - q base, of lower degree than base at col, for an int m > 0.
+
+    row and base are lists of polynomials.  Each pass cancels the top
+    coefficient of row[col] against base[col]'s times a power of the
+    variable by cancel, which scales row instead of dividing; the theta
+    system, the Sturm sequences and the gcd over Z[z] share it.
+    """
+    p = base[col]
+    while len(row[col]) >= len(p):
+        m, c = cancel(row[col][-1], p[-1])
+        k = len(row[col]) - len(p)
+        row = [_sub(m, f, c, g, k) for f, g in zip(row, base)]
+    return row
+
+
+def _primitive(row):
+    """A nonzero row of polynomials over its integer content, and the
+    content, of the sign of the top coefficient of its first nonzero
+    polynomial."""
+    col = next(j for j, f in enumerate(row) if f)
+    flat, d = primitive({(j, i): c for j, f in enumerate(row)
+                         for i, c in enumerate(f)}, (col, len(row[col]) - 1))
+    return [[flat[j, i] for i in range(len(f))] for j, f in enumerate(row)], d
+
+
+def _gcd(f, g):
+    """The gcd over Z of nonzero polynomials f and g, as a ZPoly with a
+    positive top coefficient.
+
+    Its content is the gcd of theirs; its primitive part is the last
+    nonzero member of the primitive remainder sequence of f and g.
+    """
+    c = gcd(*f, *g)
+    if len(f) > 1 and len(g) > 1:
+        (f,), _d = _primitive([f])
+        (g,), _d = _primitive([g])
+        if len(f) < len(g):
+            f, g = g, f
+        while len(g) > 1:
+            (r,) = _prem([f], [g])
+            if not r:
+                return ZPoly([c * x for x in g])
+            f, g = g, _primitive([r])[0][0]
+    return ZPoly((c,))
+
+
+def _z(v):
+    """v as a ZPoly: an int is a constant."""
+    return v if type(v) is ZPoly else ZPoly((v,) if v else ())
+
+
+class ZPoly(tuple):
+    """A polynomial over Z: its ints, lowest degree first, no zero on top.
+
+    Immutable, with + - * by ZPolys and ints on either side, exact //,
+    == and bool.  A constant equals its int and hashes like it, so that a
+    scale of 1 reads as 1.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return ZPoly(_sub(1, self, -1, _z(other)))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return ZPoly(_sub(1, self, 1, _z(other)))
+
+    def __neg__(self):
+        return ZPoly([-c for c in self])
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return ZPoly([c * other for c in self] if other else ())
+        return ZPoly(_mul(self, other))
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """self / other, which other divides."""
+        if type(other) is int or len(other) == 1:
+            d = other if type(other) is int else other[0]
+            return self if d == 1 else ZPoly([c // d for c in self])
+        f, n, top = list(self), len(other) - 1, other[-1]
+        q = [0] * (len(f) - n)
+        for i in range(len(q) - 1, -1, -1):
+            c = q[i] = f[i + n] // top
+            for j, t in enumerate(other, i):
+                f[j] -= c * t
+        return ZPoly(q)
+
+    def __eq__(self, other):
+        if type(other) is int:
+            return len(self) == 1 and self[0] == other if other else not self
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash(self[0] if self else 0) if len(self) < 2 else \
+            tuple.__hash__(self)
+
+    def as_integer_ratio(self):
+        return self, 1
+
+
+def _content(values, like):
+    """The gcd over Z[z] of nonzero ints and ZPolys, signed as like's top."""
+    values = iter(values)
+    g = _z(next(values))
+    for v in values:
+        g = _gcd(g, _z(v))
+    return g if (g[-1] > 0) == (like[-1] > 0) else -g
+
+
+def lcm_of(dens):
+    """The lcm of nonzero ints, or over Z[z] of ZPolys and ints, > 0.
+
+    A ZPoly lcm has a positive top coefficient.
+    """
+    dens = set(dens)
+    if ZPoly not in map(type, dens):
+        return lcm(*dens)
+    out = ZPoly((1,))
+    for d in dens:
+        d = _z(d)
+        out = out * d // _gcd(out, d)
+    return out if out[-1] > 0 else -out
+
+
+def clear(values):
+    """(nums, den) with values[i] == nums[i] / den, den the lcm of the
+    denominators of the values.
+
+    Ints and Fractions give ints; a rational function gives ZPolys, read
+    off the integer ratio (p, q) it gives over Z[z].
+    """
+    pairs = [c.as_integer_ratio() for c in values]
+    den = lcm_of(q for _p, q in pairs)
+    if type(den) is int:
+        return [p if q == den else p * (den // q) for p, q in pairs], den
+    return [_z(p) * (den // q) for p, q in pairs], den
+
+
+# ---------------------------------------------------------------------------
+# rows
+
+
 def cancel(c, lead):
     """(m, q) with m * c == q * lead, so m * row - q * pivot cancels c.
 
-    Two ints give the least such integers, m > 0; an int lead with any
-    other c gives (1, c / lead).  Any other lead is that of a monic row:
-    (lead, c), with no division, so a rational function stays one.
+    Two ints give the least such integers, m > 0, and two ZPolys the least
+    such polynomials, m with a positive top; an int lead with any other c
+    gives (1, c / lead).  Any other lead is that of a monic row: (lead, c),
+    with no division, so a rational function stays one.
     """
     if type(lead) is not int:
-        return lead, c
+        if type(lead) is not ZPoly:
+            return lead, c
+        g = _gcd(c, lead)
+        if lead[-1] < 0:
+            g = -g
+        return lead // g, c // g
     if type(c) is not int:
         return 1, c / lead
     g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
@@ -46,12 +242,17 @@ def cancel(c, lead):
 def primitive(row, key):
     """row divided by its content, signed to give a positive lead at key.
 
-    A row with any coefficient other than an int is divided by its lead
-    instead, which makes it monic.  Also returns the divisor.
+    The content of ZPolys is their gcd over Z[z], and the sign that of the
+    top coefficient of the lead.  A row with any coefficient other than an
+    int or a ZPoly is divided by its lead instead, which makes it monic.
+    Also returns the divisor.
     """
     lc = row[key]
     if all(type(c) is int for c in row.values()):
         d = gcd(*row.values()) if lc > 0 else -gcd(*row.values())
+        return (row if d == 1 else {k: c // d for k, c in row.items()}), d
+    if type(lc) is ZPoly:
+        d = _content(row.values(), lc)
         return (row if d == 1 else {k: c // d for k, c in row.items()}), d
     if type(lc) is int:
         lc = Fraction(lc)   # int / int would give a float
@@ -59,13 +260,19 @@ def primitive(row, key):
 
 
 def lowest_terms(row, den):
-    """(row / g, den / g) for g the gcd of den and the ints of row.
+    """(row / g, den / g) for g the gcd of den and the coefficients of row.
 
-    The least denominator of the row over den; den 1 is already least.
+    g has the sign of den (of its top coefficient, for a ZPoly), so this
+    is row / den over its least positive denominator; den 1 is already
+    least.  Two such pairs are equal exactly when the rows they stand for
+    are.
     """
     if den == 1:
         return row, den
-    g = gcd(den, *row.values())
+    if type(den) is int:
+        g = gcd(den, *row.values()) if den > 0 else -gcd(den, *row.values())
+    else:
+        g = _content([den, *row.values()], den)
     return (row, den) if g == 1 else (
         {k: c // g for k, c in row.items()}, den // g)
 
@@ -126,8 +333,13 @@ def rank_of_rows(rows):
 
 
 def dense_rank(matrix):
-    """Rank of a dense list-of-lists matrix with exact field entries."""
+    """Rank of a dense list-of-lists matrix with exact field entries.
+
+    Each row is cleared of its denominators first, so that the echelon
+    form runs on ints, or on ZPolys for rational functions.
+    """
     rows = []
     for r in matrix:
-        rows.append({j: v for j, v in enumerate(r) if v})
+        cols = [j for j, v in enumerate(r) if v]
+        rows.append(dict(zip(cols, clear([r[j] for j in cols])[0])))
     return rank_of_rows(rows)

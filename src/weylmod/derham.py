@@ -20,11 +20,11 @@ relations and of their images modulo d1 W.
 """
 
 from fractions import Fraction
-from itertools import combinations, zip_longest
+from itertools import combinations
 from math import perm
 
-from ._linalg import (Echelon, add_terms, cancel, dense_rank, primitive,
-                      rank_of_rows)
+from ._linalg import (Echelon, _mul, _prem, _primitive, _sub, add_terms,
+                      clear, dense_rank, rank_of_rows)
 from ._packed import layout, widening
 from .errors import (
     IndexOutOfRange,
@@ -138,45 +138,6 @@ def _v_lifts(rows):
              {(j, p, q, 0): c for (j, p, q, _e), c in g.items()})
             for g, ((comp, a, b, _e), _c) in zip(basis._kernel_rows(),
                                                  basis.leads)]
-
-
-def _sub(m, f, c, g, k=0):
-    """m f - c theta^k g."""
-    h = [m * s - c * t for s, t in zip_longest(f, [0] * k + g, fillvalue=0)]
-    while h and not h[-1]:
-        h.pop()
-    return h
-
-
-def _mul(f, g):
-    h = []
-    for i, c in enumerate(f):
-        h = _sub(1, h, -c, g, i)
-    return h
-
-
-def _prem(row, base, col=0):
-    """m row - q base, of lower degree than base at col, for an int m > 0.
-
-    Each pass cancels the top coefficient of row[col] against base[col]'s
-    times a power of theta by _linalg.cancel, which scales row instead of
-    dividing; the theta system and the Sturm sequences share it.
-    """
-    p = base[col]
-    while len(row[col]) >= len(p):
-        m, c = cancel(row[col][-1], p[-1])
-        k = len(row[col]) - len(p)
-        row = [_sub(m, f, c, g, k) for f, g in zip(row, base)]
-    return row
-
-
-def _primitive(row):
-    """A nonzero row over its content, and the content, of the sign of the
-    top coefficient of its first nonzero polynomial."""
-    col = next(j for j, f in enumerate(row) if f)
-    flat, d = primitive({(j, i): c for j, f in enumerate(row)
-                         for i, c in enumerate(f)}, (col, len(row[col]) - 1))
-    return [[flat[j, i] for i in range(len(f))] for j, f in enumerate(row)], d
 
 
 def _eliminate(rows, col):
@@ -638,8 +599,14 @@ class PerfectComplexOverDVR:
         self.matrices = mats
 
 
+def _cleared(mat):
+    """The matrix of ZPolys N with mat = N / den, for one common den."""
+    nums = iter(clear([v for row in mat for v in row])[0])
+    return [[next(nums) for _v in row] for row in mat]
+
+
 def _matmul(a, b):
-    return [[sum((row[t] * b[t][j] for t in range(len(b))), RatFunc(0))
+    return [[sum(row[t] * b[t][j] for t in range(len(b)))
              for j in range(len(b[0]))] for row in a]
 
 
@@ -648,21 +615,23 @@ def euler_check_perfect(complex_):
 
     Exact ranks are taken over the rational function field and again
     after evaluating every entry at 0; the two alternating sums are
-    reported side by side.
+    reported side by side.  Over the function field each matrix is put
+    over one denominator, which changes neither its rank nor whether a
+    product vanishes, and the ranks and products are taken over Z[z].
     """
     ranks = complex_.ranks
-    mats = complex_.matrices
+    mats = [_cleared(m) for m in complex_.matrices]
     for k in range(len(mats) - 1):
         if not (ranks[k] and ranks[k + 1] and ranks[k + 2]):
             continue
         prod = _matmul(mats[k], mats[k + 1])
-        if any(not v.is_zero() for row in prod for v in row):
+        if any(v for row in prod for v in row):
             raise NotAComplex("composition of maps %d and %d is not zero"
                               % (k, k + 1))
 
     gen_ranks = [dense_rank(m) for m in mats]
     spc_ranks = [dense_rank([[v.residue0() for v in row] for row in m])
-                 for m in mats]
+                 for m in complex_.matrices]
 
     def chi(mranks):
         total = 0

@@ -25,39 +25,40 @@ which the basis elements are found; untracked calls under it keep every
 pair too.  There is no product criterion: it is unsound in algebras with
 nontrivial commutators.
 
-Inside the kernel a row over QQ, ZP or H1 is a sparse dict of integers:
-denominators are cleared once, at input, and a row that joins the basis
-is divided by its content and given a positive lead.  Reduction is
+Inside the kernel a row over QQ, ZP or H1 is a sparse dict of integers,
+and a row over QZ a sparse dict of polynomials over Z in z (_linalg.ZPoly):
+denominators are cleared once, at input (_linalg.clear), and a row that
+joins the basis is divided by its content, an integer gcd or a gcd over
+Z[z], and given a lead with a positive (top) coefficient.  Reduction is
 fraction-free: each division step and the cofactors of each S-pair are
 one _linalg.cancel, which scales the remainder instead of dividing, and
-the product of the scales travels with the result.  QZ rows keep RatFunc
-coefficients, are monic, and run the same loop with scale 1.  Rows enter
-the kernel from outside only through _Rows.of, which clears them, and
-become monic Fraction rows on tuple keys only where they leave it,
-through _rational (GBasis elements, transform, lifts, syzygies and
-remainders), so over the ZP tag every computed object stays z-integral
-(leading coefficients are rational).
+the product of the scales travels with the result.  Rows enter the kernel
+from outside only through _Rows.of, which clears them, and become
+Fraction rows, or RatFunc rows over QZ, on tuple keys only where they
+leave it, through _rational (GBasis elements, divided by their lead so
+that they are monic, transform, lifts, syzygies and remainders), so over
+the ZP tag every computed object stays z-integral (leading coefficients
+are rational).
 
-Transforms, lifts and syzygies are integer rows too, each over one
-integer denominator: the tracked row (t, D) stands for t / D.  _combine
-builds every one of them, scaling the rows it sums to the lcm of their
-denominators before the one product loop; over QZ they are RatFunc rows
-over 1.  _syz composes the Schreyer syzygies and the rows of
-Id - lifts . transform on these rows inside the kernel.  A GBasis from
-buchberger keeps its kernel rows, and with track=True its transform and
-lifts as _Rows, and builds the Fraction rows of its elements, transform
-and lifts only when they are read.
+Transforms, lifts and syzygies are kernel rows too, each over one
+denominator, an int or a ZPoly: the tracked row (t, D) stands for t / D.
+_combine builds every one of them, scaling the rows it sums to the lcm of
+their denominators before the one product loop.  _syz composes the
+Schreyer syzygies and the rows of Id - lifts . transform on these rows
+inside the kernel.  A GBasis from buchberger keeps its kernel rows, and
+with track=True its transform and lifts as _Rows, and builds the rows of
+its elements, transform and lifts only when they are read.
 
 Relation rows are held once, as _Rows: kernel rows over their least
-positive denominator on one layout, in a named ambient (n, ring, rank).
-A module's relations, its resolution's stages, their tau-duals, the
-kernel of the dual map and the preimage rows of Ext are _Rows; _Rows.on
-is the one move of rows to a wider layout, as GBasis._kernel is of a
-basis.  _gb, _syz, FreeResolution.extend and _preimage take and give
-_Rows; buchberger, syz_of_list, free_resolution and preimage_rows are
-those same functions with FreeVecs at their edges, cleared on the way
-in and made Fraction rows once on the way out (given no rows,
-buchberger and free_resolution work in W_1 over QQ).
+positive denominator (_linalg.lowest_terms) on one layout, in a named
+ambient (n, ring, rank).  A module's relations, its resolution's stages,
+their tau-duals, the kernel of the dual map and the preimage rows of Ext
+are _Rows; _Rows.on is the one move of rows to a wider layout, as
+GBasis._kernel is of a basis.  _gb, _syz, FreeResolution.extend and
+_preimage take and give _Rows; buchberger, syz_of_list, free_resolution
+and preimage_rows are those same functions with FreeVecs at their edges,
+cleared on the way in and made Fraction (or RatFunc) rows once on the way
+out (given no rows, buchberger and free_resolution work in W_1 over QQ).
 
 Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  The leads of a kernel basis
@@ -88,12 +89,12 @@ from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import count
-from math import lcm
 
-from ._linalg import add_terms, cancel, lowest_terms, primitive
+from ._linalg import add_terms, cancel, clear, lcm_of, lowest_terms, primitive
 from ._packed import Memo, envelope, layout, product, widening
 from .errors import (InternalInvariant, RankMismatch, UnsupportedAmbient,
                      ZeroElement)
+from .scalars import RatFunc
 from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, _one,
                    _reordered, _Terms, _transposed, _zero_index)
 
@@ -272,43 +273,30 @@ def _require_homogeneous(degrees):
         raise InternalInvariant("H1 Groebner input must be h-homogeneous")
 
 
-def _clear(terms, ring, lay):
-    """An integer row on packed keys proportional to terms, and the factor.
+def _clear(terms, lay):
+    """A kernel row on packed keys proportional to terms, and the factor.
 
-    terms times the lcm of its denominators; a QZ row keeps its
-    coefficients, and its factor is the RatFunc 1.
+    terms times the lcm of its denominators (_linalg.clear): ints, or
+    ZPolys over QZ.
     """
     enc = lay.enc
-    if ring == QZ:
-        return {enc[k]: c for k, c in terms.items()}, _one(ring)
-    den = lcm(*(c.denominator for c in terms.values()))
-    return {enc[k]: c.numerator * (den // c.denominator)
-            for k, c in terms.items()}, den
+    nums, den = clear(terms.values())
+    return {enc[k]: c for k, c in zip(terms, nums)}, den
 
 
 def _rational(row, den, ring, lay, scales=None):
-    """row / den as a Fraction row on tuple keys, comp k also times scales[k].
+    """row / den on tuple keys, comp k also times scales[k].
 
-    The one way rows leave the kernel.  A QZ row keeps its coefficients:
-    QZ rows are monic, so den and every scale are 1.
+    The one way rows leave the kernel: as Fraction rows, or over QZ as
+    RatFunc rows.  A basis element leaves over its lead, which makes it
+    the monic element of the field.
     """
     row = lay.unpack(row)
+    if scales is not None:
+        row = {k: c * scales[k[0]] for k, c in row.items()}
     if ring == QZ:
-        return row
-    if scales is None:
-        return {k: Fraction(c, den) for k, c in row.items()}
-    return {k: Fraction(c * scales[k[0]], den) for k, c in row.items()}
-
-
-def _canonical(row, den, ring):
-    """row / den over its least positive denominator; QZ rows over 1.
-
-    Two such pairs are equal exactly when the rows they stand for are.
-    """
-    if ring == QZ:
-        return row, _one(ring)
-    row, den = lowest_terms(row, den)
-    return (row, den) if den > 0 else ({k: -c for k, c in row.items()}, -den)
+        return {k: RatFunc.ratio(c, den) for k, c in row.items()}
+    return {k: Fraction(c, den) for k, c in row.items()}
 
 
 class _Rows:
@@ -317,7 +305,7 @@ class _Rows:
     The one form in which relation rows enter the kernel and stay there:
     the relations of a module, the stages of its resolution, their
     tau-duals, the preimages of Ext and the tracked transform and lifts
-    of a basis.  Rows stay packed integer rows (RatFunc rows over QZ),
+    of a basis.  Rows stay packed rows of ints (of ZPolys over QZ),
     move to a wider layout only through on(), and become FreeVecs once,
     in vecs(), when a public caller reads them.  The ambient is named:
     rank is that of the free module W_n^rank the rows lie in, with or
@@ -350,7 +338,7 @@ class _Rows:
         for g in vecs:
             ambient._check(g)
         return widening(lambda lay: _Rows(
-            n, ring, rank, lay, [_clear(g.terms, ring, lay) for g in vecs],
+            n, ring, rank, lay, [_clear(g.terms, lay) for g in vecs],
             offsets, vecs), layout(n, ring == H1))
 
     def on(self, lay):
@@ -378,15 +366,14 @@ class _Rows:
 
         def run(lay):
             rows = self.on(lay)
-            # QZ rows are all over the RatFunc 1
-            den = _one(ring) if ring == QZ else lcm(*(d for _r, d in rows))
+            den = lcm_of(d for _r, d in rows)
             terms = ((j, i, m, c if d == den else c * (den // d))
                      for i, (row, d) in enumerate(rows)
                      for k, c in row.items() for j, m in [lay.split(k)])
             outs = _reordered(lay, _transposed, terms,
                               [{} for _ in range(rank)])
             return _Rows(self.n, ring, len(rows), lay,
-                         [_canonical(out, den, ring) for out in outs],
+                         [lowest_terms(out, den) for out in outs],
                          offsets, degrees=degrees)
 
         return widening(run, self.layout)
@@ -472,14 +459,12 @@ def _combine(sigma, tracked, lay, d):
     """sigma . tracked / d as a tracked row (t, D), meaning t / D.
 
     sigma is a sparse row over W^len(tracked) and tracked[k] is (t_k,
-    D_k).  Integer rows t_k are scaled by lcm / D_k, so the sum is one
-    integer row over the lcm times d.  RatFunc rows have D_k = 1; a
-    RatFunc d divides each coefficient of sigma instead.
+    D_k).  Rows t_k are scaled by lcm / D_k, so the sum is one row over
+    the lcm times d: of ints, or over QZ of ZPolys.
     """
     split = lay.split
     parts = [(split(key), c) for key, c in sigma.items()]
-    ints = type(d) is int
-    den = lcm(*{tracked[k][1] for (k, _q), _c in parts})
+    den = lcm_of({tracked[k][1] for (k, _q), _c in parts})
     out = {}
     envs = {}
     for (k, q), c in parts:
@@ -487,22 +472,20 @@ def _combine(sigma, tracked, lay, d):
         env = envs.get(k)
         if env is None:
             env = envs[k] = envelope(t)
-        if not ints:
-            c = c / d
-        elif dk != den:
+        if dk != den:
             c *= den // dk
         lay.mul_into(out, q, c, t, env)
-    return (out, den * d) if ints else (out, 1)
+    return out, den * d
 
 
 def _reduce(p, basis, keys, track=False, floor=()):
     """Left division of the sparse row p by the rows of basis, fraction-free.
 
     Each step divides the current leading monomial by the first lead that
-    divides it and cancels its coefficient by _linalg.cancel: on integer
-    rows that first scales the running remainder by some m.  Returns the
-    remainder r, the product s of those scales (1 on RatFunc rows, which
-    are monic) and, with track=True, the quotients as a sparse row over
+    divides it and cancels its coefficient by _linalg.cancel: on rows of
+    ints or ZPolys that first scales the running remainder by some m.
+    Returns the remainder r, the product s of those scales (1 on monic
+    rows) and, with track=True, the quotients as a sparse row over
     W^len(basis.rows), so that s p = sum_k q_k rows[k] + r.  A quotient
     term is scaled once, at the end, by the scales that came after it.
     keys is the order's memo on the basis layout.  Division stops at the
@@ -578,10 +561,10 @@ class GBasis:
     lifts[j] expresses original generator j over elements; both are None
     unless buchberger tracked them.  A basis from buchberger keeps its
     kernel rows, and its tracked transform and lifts as _Rows, and builds
-    these Fraction rows, and its elements, only when they are first
-    read.  leads[i] is
-    leading_term(elements[i], order), computed once (here when not
-    given).  stats carries engine counters for reporting.
+    these Fraction (RatFunc) rows, and its elements, only when they are
+    first read.  leads[i] is leading_term(elements[i], order), computed
+    once (here when not given).  stats carries engine counters for
+    reporting.
     """
 
     __slots__ = ("n", "ring", "rank", "order", "leads", "stats", "_basis",
@@ -603,7 +586,7 @@ class GBasis:
 
     @property
     def elements(self):
-        """The basis as monic Fraction rows."""
+        """The basis as monic Fraction (RatFunc) rows."""
         if self._elements is None:
             basis = self._basis
             self._elements = [
@@ -615,7 +598,7 @@ class GBasis:
     def _kernel(self, lay):
         """The elements as kernel rows, on a layout at least as wide as lay.
 
-        Primitive integer (or monic RatFunc) rows: buchberger hands over
+        Primitive rows of ints or ZPolys: buchberger hands over
         the rows it built, others are cleared once, on first use.  When a
         wider layout is asked for, the same rows are moved there.
         """
@@ -639,7 +622,7 @@ class GBasis:
         return [basis.layout.unpack(row) for row in basis.rows]
 
     def _public(self):
-        """(transform, lifts) as Fraction rows, built on the first read.
+        """(transform, lifts) as Fraction (RatFunc) rows, built on first read.
 
         _track holds them as _Rows: transform row (t, D) gives kernel row
         k = (t / D) . gens, lift (q, D) gives D gens[j] = q . kernel rows.
@@ -913,7 +896,7 @@ def _syz(gens):
             sigma[lay.with_comp(0, len(trans) + j)] = d
             rows.append(_combine(sigma, tracked, lay, d))
         return _Rows(n, ring, count, lay,
-                     [_canonical(row, d, ring) for row, d in rows if row],
+                     [lowest_terms(row, d) for row, d in rows if row],
                      offsets)
 
     return widening(compose, gb._basis.layout)
@@ -989,7 +972,7 @@ def _preimage(stacked, m):
     for row, den in syz.rows:
         u = {k: c for k, c in row.items() if comp(k) < m}
         if u:
-            u, den = _canonical(u, den, ring)
+            u, den = lowest_terms(u, den)
             out.setdefault((frozenset(u.items()), den), (u, den))
     return _Rows(syz.n, ring, m, syz.layout, list(out.values()),
                  syz.offsets and syz.offsets[:m])

@@ -13,9 +13,11 @@ as a diagnostic, since an operator like z*d1 - 1 becomes invertible after
 completion while staying nonzero over Q(z).
 """
 
+from fractions import Fraction
+
+from ._linalg import add_terms, clear
 from .errors import IndexOutOfRange, InternalInvariant, NonIntegral, \
     NotMinimalDimension, NotSameModule, NotSaturated, UnsupportedAmbient
-from .scalars import QPoly, RatFunc
 from .groebner import (FreeVec, _nonzero_rows, _saturate, bernstein_order,
                        buchberger, colon_z, preimage_rows, saturate_z,
                        submodule_equal)
@@ -44,22 +46,26 @@ class IntegralPresentation:
 
         Each row is scaled by the monic lcm of its coefficient
         denominators; a denominator vanishing at z = 0 is not a unit of
-        the local ring and is rejected.
+        the local ring and is rejected.  The lcm over Z[z] that
+        _linalg.clear puts the row over is that monic lcm times its top
+        coefficient.
         """
         rank, entries = matrix_rows(entries, rank)
         rows = []
         for row in entries:
-            lcm = QPoly((1,))
             for w in row:
-                for c in w.terms.values():
-                    if not c.is_integral():
-                        raise NonIntegral(
-                            "entry %s has a denominator vanishing at z = 0"
-                            % (w,))
-                    lcm = lcm.lcm(c.den)
-            cleared = [w.scale(RatFunc(lcm)) for w in row]
-            rows.append(FreeVec.from_entries(
-                [convert_ring(w, ZP) for w in cleared], rank=rank))
+                if not all(c.is_integral() for c in w.terms.values()):
+                    raise NonIntegral(
+                        "entry %s has a denominator vanishing at z = 0"
+                        % (w,))
+            keys = [(i, a, b, e) for i, w in enumerate(row)
+                    for a, b, e in w.terms]
+            nums, den = clear(c for w in row for c in w.terms.values())
+            top = den[-1]
+            rows.append(FreeVec(n, ZP, rank, add_terms({}, (
+                ((i, a, b, e + k), Fraction(c, top))
+                for (i, a, b, e), p in zip(keys, nums)
+                for k, c in enumerate(p) if c))))
         return IntegralPresentation(n, side, rank, rows)
 
     def module(self):

@@ -5,11 +5,18 @@ and rational functions in z.
 Rational functions model the fraction field of the local ring at z = 0.
 An element is integral exactly when its reduced denominator does not
 vanish at 0; the residue map evaluates at z = 0.
+
+RatFunc is the scalar of QZ at the edges: in the parser, in FreeVecs and
+reports, and for residues at z = 0.  Inside the Groebner kernel and the
+echelon form a rational function is a polynomial over Z (_linalg.ZPoly)
+over a common denominator; as_integer_ratio is the way in and
+RatFunc.ratio the way out.
 """
 
 import math
 from fractions import Fraction
 
+from ._linalg import ZPoly, _gcd, _z
 from .errors import DivisionByZero, InternalInvariant, NonIntegral
 
 INF = math.inf
@@ -231,6 +238,28 @@ class RatFunc:
     @staticmethod
     def z():
         return RatFunc(QPoly.gen())
+
+    @staticmethod
+    def ratio(p, q):
+        """p / q for ZPolys (or ints) p and q, q nonzero: one gcd over Z[z]."""
+        if not p:
+            return RatFunc(0)
+        p, q = _z(p), _z(q)
+        g = _gcd(p, q)
+        p, q = p // g, q // g
+        out = object.__new__(RatFunc)
+        top = q[-1]
+        object.__setattr__(out, "num", QPoly([Fraction(c, top) for c in p]))
+        object.__setattr__(out, "den", QPoly([Fraction(c, top) for c in q]))
+        return out
+
+    def as_integer_ratio(self):
+        """(p, q), ZPolys with self == p / q and a positive top on q."""
+        num, den = self.num.coeffs, self.den.coeffs
+        ln = math.lcm(*(c.denominator for c in num))
+        ld = math.lcm(*(c.denominator for c in den))
+        return (ZPoly([c.numerator * (ln // c.denominator) * ld for c in num]),
+                ZPoly([c.numerator * (ld // c.denominator) * ln for c in den]))
 
     def is_zero(self):
         return self.num.is_zero()

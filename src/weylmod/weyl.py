@@ -502,11 +502,15 @@ def convert_ring(u, target):
         return u
     WeylAlgebra(u.n, target)  # raises for a tag W_n cannot carry
     out = {}
+    if u.ring == ZP and target == QZ:
+        # the terms of one (a, b) give the coefficients of one polynomial
+        for (a, b, e), c in u.terms.items():
+            out.setdefault((a, b, 0), {})[e] = c
+        return WeylElement(u.n, target, {
+            k: RatFunc(QPoly([p.get(e, 0) for e in range(max(p) + 1)]))
+            for k, p in out.items()})
     for (a, b, e), c in u.terms.items():
-        if u.ring == ZP and target == QZ:
-            zc = RatFunc(QPoly((0,) * e + (1,))) * RatFunc(c)
-            add_terms(out, [((a, b, 0), zc)])
-        elif u.ring == QZ and target == ZP:
+        if u.ring == QZ and target == ZP:
             if c.den.degree() != 0:
                 raise UnsupportedAmbient(
                     "coefficient %s is not polynomial in z" % (c,))

@@ -21,6 +21,9 @@ rows d1 x^a d^b e_j in one echelon form, all built by the Leibniz rule.
 The b-function, which the engine finds over Z[theta] by pseudo-division,
 is checked against the same elimination over Q[theta], with QPoly
 division and RatFunc back substitution.
+
+Ranks over Q(z), which the engine takes fraction-free on rows cleared to
+Z[z], are checked against Gaussian elimination with RatFunc division.
 """
 
 from fractions import Fraction
@@ -278,3 +281,21 @@ def field_indicial_polynomial(lifts, rank):
         if not all(t.is_zero() for t in target):
             raise AssertionError("back substitution left a remainder")
     return acc.monic()
+
+
+def field_rank(matrix):
+    """Rank of a matrix of RatFuncs by Gaussian elimination over Q(z)."""
+    rows = [[RatFunc(0) + v for v in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in rows[rank:] if not r[col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows.remove(pivot)
+        rows.insert(rank, pivot)
+        for r in rows[rank + 1:]:
+            c = r[col] / pivot[col]
+            if not c.is_zero():
+                r[:] = [a - c * b for a, b in zip(r, pivot)]
+        rank += 1
+    return rank

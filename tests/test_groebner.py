@@ -287,7 +287,7 @@ def test_reduce_floor_keeps_the_remainder_above_it(ring, n):
                 # a fresh memo: afterwards it holds every monomial the
                 # full division compared
                 keys = Memo(order._pack(lay))
-                p, den = groebner._clear(v.terms, ring, lay)
+                p, den = groebner._clear(v.terms, lay)
                 full, s, _q = groebner._reduce(p, kernel, keys)
                 assert groebner._reduce(p, kernel, keys, floor=()) == \
                     (full, s, None)
@@ -561,17 +561,58 @@ def test_zp_runaway_is_pruned():
     assert gb.stats["basis_size"] == 5
     for g in gens:
         assert left_normal_form(g, gb, order).is_zero()
+    for sp in _s_polynomials(gb):
+        assert left_normal_form(sp, gb, order).is_zero()
+
+
+def _s_polynomials(gb):
+    """The S-polynomial of each pair of monic basis elements in one comp."""
     for (g, ((ci, ai, bi, ei), _c)), (h, ((cj, aj, bj, ej), _d)) in \
             itertools.combinations(zip(gb.elements, gb.leads), 2):
         if ci != cj:
             continue
         a, b = tuple(map(max, ai, aj)), tuple(map(max, bi, bj))
         e = max(ei, ej)
-        sp = g.mul_monomial(tuple(s - t for s, t in zip(a, ai)),
-                            tuple(s - t for s, t in zip(b, bi)), e - ei, 1) \
+        yield g.mul_monomial(tuple(s - t for s, t in zip(a, ai)),
+                             tuple(s - t for s, t in zip(b, bi)), e - ei, 1) \
             - h.mul_monomial(tuple(s - t for s, t in zip(a, aj)),
                              tuple(s - t for s, t in zip(b, bj)), e - ej, 1)
-        assert left_normal_form(sp, gb, order).is_zero()
+
+
+def _qz_modules(n):
+    """Seeded QZ generator lists in W_n: random rows, and GKZ-like systems
+    with random rational functions of z for parameters."""
+    rng = random.Random("zcert/%d" % n)
+    order = bernstein_order(n)
+    A = WeylAlgebra(n, QZ)
+    one, x, d = A.one(), A.x(1), A.d(1)
+    out = [random_gens(rng, QZ, rank, order, n, deg)
+           for rank in (1, 2) for deg in (1, 2)[:3 - n]]
+    for _ in range(3):
+        r, c = (one.scale(rand_scalar(rng, QZ)) for _ in range(2))
+        if n == 1:
+            out.append([vec(x * d - r, d), vec(d * d - c, x)])
+        else:
+            out.append([vec(d * d - c * A.d(2)),
+                        vec(x * d + 2 * A.x(2) * A.d(2) - r)])
+    return order, out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_qz_basis_certified_over_the_field(n):
+    # QZ rows run through the kernel cleared to Z[z]; the certificate is
+    # textbook division over Q(z) on the RatFunc rows that leave it: the
+    # basis is monic, spans every input row, and every S-polynomial of it
+    # reduces to zero
+    order, modules = _qz_modules(n)
+    spolys = 0
+    for gens in modules:
+        gb = buchberger(gens, order)
+        assert all(leading_term(g, order)[1] == 1 for g in gb.elements)
+        for v in gens + list(_s_polynomials(gb)):
+            assert field_normal_form(v, gb.elements, order).is_zero()
+        spolys += len(list(_s_polynomials(gb)))
+    assert spolys
 
 
 # on gkz3 and colon interreduction changes a tail; a second pass would

@@ -12,10 +12,11 @@ from math import gcd
 import pytest
 
 from weylmod import QPoly, RatFunc
-from weylmod._linalg import (Echelon, cancel, dense_rank, primitive,
-                             rank_of_rows)
+from weylmod._linalg import (Echelon, ZPoly, _gcd, cancel, dense_rank,
+                             primitive, rank_of_rows)
 
 from helpers import rand_ratfunc
+from oracles import field_rank
 
 KEYS = [(t, j, a) for t in range(4) for j in range(2) for a in range(t + 1)]
 
@@ -182,3 +183,83 @@ def test_ratfunc_rows_through_dense_rank(seed):
     assert dense_rank([[RatFunc(v) for v in r] for r in ints]) == \
         dense_rank([[Fraction(v) for v in r] for r in ints]) == \
         dense_rank(ints)
+
+
+# Polynomials over Z, checked against QPoly, which divides over Q and
+# shares no code with ZPoly.
+
+def _rand_int_qpoly(rng, deg=2):
+    """A nonzero QPoly with integer coefficients."""
+    coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, deg + 1))]
+    return QPoly(coeffs if any(coeffs) else [rng.choice((-3, 2, 5))])
+
+
+def _zpoly(q):
+    """The ZPoly of a QPoly with integer coefficients."""
+    return ZPoly(int(c) for c in q.coeffs)
+
+
+def _zpoly_pair(rng):
+    """Two random polynomials over Z with a random common factor."""
+    common = _rand_int_qpoly(rng, rng.randint(0, 2))
+    return (_zpoly(common * _rand_int_qpoly(rng)),
+            _zpoly(common * _rand_int_qpoly(rng)))
+
+
+def _unit_up_to(f, g):
+    """f and g are nonzero QPolys that agree up to a rational factor."""
+    return f.monic() == g.monic()
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zpoly_gcd_and_cancel_against_qpoly(seed):
+    rng = random.Random("zpoly/%d" % seed)
+    f, g = _zpoly_pair(rng)
+    h = _gcd(f, g)
+    assert _unit_up_to(QPoly(h), QPoly(f).gcd(QPoly(g)))
+    assert h[-1] > 0
+    assert gcd(*h) == gcd(*f, *g)
+    m, q = cancel(f, g)
+    assert QPoly(m) * QPoly(f) == QPoly(q) * QPoly(g)
+    # the least such pair: coprime over Q[z] and over Z, m's top positive
+    assert QPoly(m).gcd(QPoly(q)) == QPoly((1,))
+    assert gcd(*m, *q) == 1 and m[-1] > 0
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_zpoly_primitive_against_qpoly(seed):
+    rng = random.Random("zprim/%d" % seed)
+    common = _rand_int_qpoly(rng, rng.randint(0, 2)) * rng.randint(1, 6)
+    row = {k: _zpoly(common * _rand_int_qpoly(rng))
+           for k in range(rng.randint(1, 4))}
+    key = rng.choice(sorted(row))
+    prim, d = primitive(row, key)
+    for k, c in row.items():
+        assert QPoly(prim[k]) * QPoly(d) == QPoly(c)
+    # content 1: no integer and no polynomial divides every coefficient
+    assert gcd(*(x for c in prim.values() for x in c)) == 1
+    content = QPoly((0,))
+    for c in prim.values():
+        content = content.gcd(QPoly(c))
+    assert content == QPoly((1,))
+    assert prim[key][-1] > 0
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_dense_rank_against_field_elimination(seed):
+    rng = random.Random("zrank/%d" % seed)
+    cols, rank = rng.randint(1, 5), rng.randint(0, 4)
+    zero = RatFunc(0)
+    basis = [[rand_ratfunc(rng) if rng.random() < 0.7 else zero
+              for _ in range(cols)] for _ in range(rank)]
+    matrix = [list(row) for row in basis]
+    for _ in range(rng.randint(0, 3)):
+        cs = [rand_ratfunc(rng) for _ in basis]
+        matrix.append([sum((c * row[j] for c, row in zip(cs, basis)), zero)
+                       for j in range(cols)])
+    rng.shuffle(matrix)
+    assert dense_rank(matrix) == field_rank(matrix)
+    # the fiber at z = 0 of the integral entries
+    special = [[v.residue0() for v in row] for row in matrix
+               if all(v.is_integral() for v in row)]
+    assert dense_rank(special) == field_rank(special)

@@ -416,7 +416,7 @@ def test_stage_maps_compose_to_zero(monkeypatch, ring, n):
         return out
     monkeypatch.setattr(modules, "_syz", spy)
     composed = killed = 0
-    for M in _seeded_modules(ring, n, 5):
+    for M in _seeded_modules(ring, n, 6):
         bound = homological_bound(n, ring)
         res = M.resolution(bound + 1)
         for step, nxt in zip(res.matrices, res.matrices[1:]):

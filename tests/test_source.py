@@ -74,12 +74,33 @@ def _names(path, function):
     return _used(dict(_functions(tree))[function])
 
 
-@pytest.mark.parametrize("path,function", [("groebner.py", "_reduce"),
-                                           ("_packed.py", "Layout.mul_into")])
+@pytest.mark.parametrize("path,function", [
+    ("groebner.py", "_reduce"), ("_packed.py", "Layout.mul_into"),
+    ("_linalg.py", "Echelon.reduce"), ("groebner.py", "_buchberger")])
 def test_kernel_loops_name_no_fraction(path, function):
-    # the one division loop and the one product loop serve integer rows
-    # and RatFunc rows alike; a field-only path would name Fraction
-    assert "Fraction" not in _names(path, function)
+    # the one division loop, the one product loop, the echelon form and
+    # Buchberger serve rows of ints and of ZPolys alike; a field-only path
+    # would name Fraction, and RatFunc and QPoly stay at the kernel's edges
+    assert not {"Fraction", "RatFunc", "QPoly"} & _names(path, function)
+
+
+def test_one_polynomial_kernel():
+    # sums, products, pseudo-remainders, contents and gcds of polynomials
+    # over Z are written once, in _linalg, where ZPoly is built on them;
+    # the de Rham b-function imports them, and derham.py defines no
+    # product or pseudo-remainder of its own, nor takes a cancel step
+    helpers = {"_sub", "_mul", "_prem", "_primitive", "_gcd"}
+    found = {path.name + ":" + name
+             for path in sorted(PACKAGE.glob("*.py"))
+             for name, _node in _functions(ast.parse(path.read_text()))
+             if name.split(".")[-1] in helpers}
+    assert found == {"_linalg.py:" + name for name in helpers}
+    tree = ast.parse((PACKAGE / "derham.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "_linalg" for alias in node.names}
+    assert {"_sub", "_mul", "_prem", "_primitive"} <= imported
+    assert "cancel" not in _used(tree)
 
 
 def test_one_product_loop():
@@ -258,9 +279,11 @@ def test_b_function_and_window_in_integers(function):
     # the lifts are the Groebner kernel's integer rows, not the monic
     # elements, the b-function is found over Z[theta] and the window
     # divides fraction-free; _b_data alone makes the monic QPoly of the
-    # report, and no coefficient has a denominator to clear
+    # report, and no coefficient has a denominator to clear.  _prem is the
+    # pseudo-remainder of the one polynomial kernel, in _linalg
+    path = "_linalg.py" if function == "_prem" else "derham.py"
     assert not {"RatFunc", "Fraction", "QPoly", "denominator",
-                "elements"} & _names("derham.py", function)
+                "elements"} & _names(path, function)
 
 
 def test_grade_resolves_no_ext():
