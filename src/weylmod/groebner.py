@@ -12,18 +12,21 @@ leading: TermOrder.key on tuple keys, and inside the kernel a key of the
 same order read off the packed int itself (Layout.graded and
 Layout.degrees), memoized per layout by TermOrder.packed, so that no
 monomial is decoded to be ranked.  The engine runs Buchberger with the
-normal selection strategy.  An untracked call prunes pairs by the
-Gebauer-Moeller update (_chain), which rests on the chain criterion, sound
-in W_n (Gebauer and Moeller, J. Symb. Comp. 6, 1988; Kandri-Rody and
-Weispfenning, J. Symb. Comp. 9, 1990); it returns the reduced basis, which
-is unique.  A tracked call keeps every pair: its transform and lifts, and
-the Schreyer syzygies and Ext presentations built from them, depend on
-the pairs it reduces, so pruning would change them.  Under the V-order,
-where a divisor can rank above its multiple, the pairs of a chain can pop
-after the pair they cover, and pruning there can change the order in
-which the basis elements are found; untracked calls under it keep every
-pair too.  There is no product criterion: it is unsound in algebras with
-nontrivial commutators.
+normal selection strategy.  Under a graded order a call prunes pairs by
+the Gebauer-Moeller update (_chain), which rests on the chain criterion,
+sound in W_n (Gebauer and Moeller, J. Symb. Comp. 6, 1988; Kandri-Rody
+and Weispfenning, J. Symb. Comp. 9, 1990); it returns the reduced basis,
+which is unique.  Tracked calls prune too; their transform and lifts
+are those of the basis found, so they are correct whatever pairs are
+dropped.  That they also equal those of a run that keeps every pair is
+checked (on the pinned sessions, the goldens and seeded inputs), not
+proved: the criterion gives a covered pair a representation below its
+lcm, not a zero remainder when it would have popped, and on inhomogeneous
+input a degree fall could leave one.  Under the V-order, where a divisor
+can rank above its multiple, the pairs of a chain can pop after the pair
+they cover, and pruning there can change the order in which the basis
+elements are found; calls under it keep every pair.  There is no product
+criterion: it is unsound in algebras with nontrivial commutators.
 
 Inside the kernel a row over QQ, ZP or H1 is a sparse dict of integers,
 and a row over QZ a sparse dict of polynomials over Z in z (_linalg.ZPoly):
@@ -667,9 +670,11 @@ def reset_counters():
 def buchberger(gens, order, track=False):
     """Left Groebner basis of the row span of gens, normal pair selection.
 
-    Without track, pairs are pruned by the chain criterion under a
-    graded order; with it, every pair is reduced.  Every generator lives
-    in the ambient of the first; no generators name W_1 over QQ of rank 1.
+    Under a graded order pairs are pruned by the chain criterion, with or
+    without track; the transform and lifts are those of the basis found
+    (see the module docstring on how they compare with a run that keeps
+    every pair).  Every generator lives in the ambient of the first; no
+    generators name W_1 over QQ of rank 1.
     """
     gens = list(gens)
     ambient = gens[0]._ambient() if gens else (1, QQ, 1)
@@ -712,7 +717,6 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
         def degree(t):
             return lay.degree(t) + offsets[lay.comp(t)]
     keys = order.packed(lay)
-    prune = order.graded and not track
     basis = _Basis(lay)
     trans = [] if track else None
     pairs = []
@@ -727,7 +731,7 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
         fresh = {k: data for k, m in enumerate(basis.leads)
                  for data in [lay.lcm_multipliers(m, mono)]
                  if data is not None}
-        if prune:
+        if order.graded:
             fresh = _chain(lay, pairs, basis.leads, mono, fresh)
         for k, (lcm_k, qk, qnew) in fresh.items():
             heappush(pairs, (keys[lcm_k], next(seq), k, new, qk, qnew))
@@ -804,7 +808,9 @@ def _interreduce(basis, trans, keys):
 
     No other kept lead divides a kept lead, so tail reduction leaves every
     lead in place (scaled by the s of _reduce).  The leads never change,
-    so a row reduced once stays reduced and one pass suffices.
+    so a row reduced once stays reduced and one pass suffices.  A row
+    whose tail no other lead divides is left as it is, with its transform
+    row.
     """
     lay, leads = basis.layout, basis.leads
     kept = _Basis(lay)
@@ -820,8 +826,12 @@ def _interreduce(basis, trans, keys):
         bucket = kept.index[lay.comp(own)]
         at = bucket.index((i, own))
         del bucket[at]
-        rem, s, q = _reduce(kept.rows[i], kept, keys, trans is not None)
+        row = kept.rows[i]
+        rem, s, q = _reduce(row, kept, keys, trans is not None)
         bucket.insert(at, (i, own))
+        if rem == row:
+            # no lead divides a term of its tail: the row is unchanged
+            continue
         kept.rows[i], d = primitive(rem, own)
         kept.envs[i] = envelope(kept.rows[i])
         if trans is not None:

@@ -14,6 +14,12 @@ Products are checked against the Leibniz rule, applied one derivation at
 a time to plain exponent tuples; so are the linear combinations of rows
 and the transposes built from those products.
 
+A tracked Groebner basis is certified by its definition, with neither the
+engine's pair criteria nor its division loop: the basis is monic and
+reduced, every input row and every S-polynomial of the basis (built by
+the Leibniz rule) leaves no remainder under textbook field division, and
+the transform and lifts give back the elements and the inputs.
+
 The de Rham truncation oracle, which reads N + d1 F modulo d1 W, is
 checked against the span it stands for: relation rows and derivative
 rows d1 x^a d^b e_j in one echelon form, all built by the Leibniz rule.
@@ -27,8 +33,9 @@ Z[z], are checked against Gaussian elimination with RatFunc division.
 """
 
 from fractions import Fraction
+from itertools import combinations
 
-from weylmod import (INF, FreeVec, QPoly, RatFunc, WeylAlgebra,
+from weylmod import (H1, INF, FreeVec, QPoly, RatFunc, WeylAlgebra,
                      bernstein_degree, ext, leading_term)
 from weylmod._linalg import Echelon
 from weylmod.modules import homological_bound
@@ -151,6 +158,62 @@ def leibniz_combination(coeffs, rows, homog=False):
                                       homog).items():
             _accumulate(out, key, v)
     return out
+
+
+def basis_certificate(gb, gens, order):
+    """The checks that a tracked basis gb of the rows gens fails; [] if none.
+
+    gb needs only elements, transform and lifts.  The checks: the
+    elements are monic and no lead divides a term of another element;
+    every row of gens, and the S-polynomial of every pair of elements in
+    one component, each multiple a leibniz_product, leaves no remainder
+    under field_normal_form; leibniz_combination gives element i from
+    transform[i], and generator j from lifts[j].
+    """
+    elements = gb.elements
+    homog = bool(gens) and gens[0].ring == H1
+    leads = [leading_term(g, order) for g in elements]
+    failed = []
+
+    def divides(lead, mono):
+        return lead[0] == mono[0] and lead[3] <= mono[3] and all(
+            s <= t for s, t in zip(lead[1] + lead[2], mono[1] + mono[2]))
+
+    if any(c != 1 for _m, c in leads) or any(
+            divides(m, t) for i, (m, _c) in enumerate(leads)
+            for k, g in enumerate(elements) if k != i for t in g.terms):
+        failed.append("not a monic reduced basis")
+    if any(not field_normal_form(v, elements, order).is_zero()
+           for v in gens):
+        failed.append("an input row is not reduced to zero")
+    for (g, (m, _c)), (h, (l, _d)) in combinations(zip(elements, leads), 2):
+        if m[0] != l[0]:
+            continue
+        a, b = tuple(map(max, m[1], l[1])), tuple(map(max, m[2], l[2]))
+        e = max(m[3], l[3])
+
+        def multiple(v, lead):
+            q = (tuple(s - t for s, t in zip(a, lead[1])),
+                 tuple(s - t for s, t in zip(b, lead[2])), e - lead[3])
+            return leibniz_product({q: 1}, v.terms, homog)
+
+        sp = multiple(g, m)
+        for key, c in multiple(h, l).items():
+            _accumulate(sp, key, -c)
+        sp = FreeVec(g.n, g.ring, g.rank, sp)
+        if not field_normal_form(sp, elements, order).is_zero():
+            failed.append("an S-polynomial is not reduced to zero")
+            break
+    if len(gb.transform) != len(elements) or any(
+            leibniz_combination(t, gens, homog) != g.terms
+            for g, t in zip(elements, gb.transform)):
+        failed.append("a transform row does not give its element")
+    if len(gb.lifts) != len(gens) or any(
+            lift.rank != len(elements)
+            or leibniz_combination(lift, elements, homog) != v.terms
+            for v, lift in zip(gens, gb.lifts)):
+        failed.append("a lift does not give its generator")
+    return failed
 
 
 def leibniz_transpose(v, homog=False):

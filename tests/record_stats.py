@@ -23,25 +23,35 @@ from test_pins import STATS, stats_reports  # noqa: E402
 
 
 def check(want, got):
-    """Print every differing session; the number of them."""
-    wrong = 0
+    """Print every differing session; (stats only, report differs, counters).
+
+    counters is the sorted list of the `stats` counters that changed in
+    any session; a new or a gone session counts as a report that differs.
+    """
+    only, differs, counters = 0, 0, set()
     for key in sorted(want.keys() | got.keys()):
         old, new = want.get(key), got.get(key)
         if old == new:
             continue
-        wrong += 1
         name = (old or new)["name"]
         if old is None or new is None:
+            differs += 1
             print("%s: %s" % (name, "new session" if old is None
                               else "session gone"))
             continue
+        before, after = (old["report"].get("stats") or {},
+                         new["report"].get("stats") or {})
+        counters |= {k for k in before.keys() | after.keys()
+                     if before.get(k) != after.get(k)}
         same = {k: v for k, v in old["report"].items() if k != "stats"} == \
             {k: v for k, v in new["report"].items() if k != "stats"} and \
             old["exit"] == new["exit"]
+        only += same
+        differs += not same
         print("%s: %s" % (name, "stats only" if same else "report differs"))
         print("  stats %s -> %s" % (old["report"].get("stats"),
                                      new["report"].get("stats")))
-    return wrong
+    return only, differs, sorted(counters)
 
 
 def main(argv=None):
@@ -51,9 +61,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     got = stats_reports()
     if args.check:
-        wrong = check(json.loads(STATS.read_text()), got)
-        print("%d of %d sessions differ" % (wrong, len(got)))
-        return 1 if wrong else 0
+        only, differs, counters = check(json.loads(STATS.read_text()), got)
+        print("%d of %d sessions differ: %d stats only, %d report differs; "
+              "counters changed: %s" % (only + differs, len(got), only,
+                                        differs, ", ".join(counters) or
+                                        "none"))
+        return 1 if only or differs else 0
     STATS.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     return 0
 

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,11 @@ from weylmod import bernstein_degree, groebner, to_str
 from weylmod._linalg import add_terms
 from weylmod._packed import Memo, layout, widening
 from weylmod.cli import run
-from weylmod.groebner import colon_z, saturate_z, submodule_equal
+from weylmod.groebner import TermOrder, colon_z, saturate_z, submodule_equal
 
 from helpers import rand_element, rand_scalar
-from oracles import (all_monomials, brute_member, field_normal_form,
-                     leibniz_combination)
+from oracles import (all_monomials, basis_certificate, brute_member,
+                     field_normal_form, leibniz_combination)
 
 W = WeylAlgebra(1, QQ)
 
@@ -487,15 +488,17 @@ def _colon_block():
     return doubled, pot_block_order(2, 1)
 
 
-# stats and sha256 of repr((elements, transform, lifts)), recorded with the
-# sort-based pair list this engine replaced: the heap must pop S-pairs in
-# the same order, so the tracked outputs repeat exactly.
+# stats and sha256 of repr((elements, transform, lifts)); the digests were
+# recorded with the sort-based pair list this engine replaced, when tracked
+# calls kept every pair: the heap must pop S-pairs in the same order, and
+# the pairs the chain criterion drops reduce to zero, so the tracked
+# outputs repeat exactly with fewer S-pairs.
 SELECTION_PINS = [
-    (_gkz13, {"spairs": 10, "reductions_to_zero": 7, "basis_size": 5},
+    (_gkz13, {"spairs": 6, "reductions_to_zero": 3, "basis_size": 5},
      "a3683f9366eb46c60d580f0d47a9c12c6bd8380535a3324d8dc07f25ee4955ec"),
-    (_gkz3, {"spairs": 15, "reductions_to_zero": 12, "basis_size": 6},
+    (_gkz3, {"spairs": 10, "reductions_to_zero": 7, "basis_size": 6},
      "bff2bbaf98201069060225fe13b7a578e6221ff0543bbe87da16c72afd635c57"),
-    (_colon_block, {"spairs": 16, "reductions_to_zero": 10, "basis_size": 9},
+    (_colon_block, {"spairs": 12, "reductions_to_zero": 6, "basis_size": 9},
      "69f36a885ae07caaa87dff7572e5946fee9bcd7a14c94b2d20918e449a70f4d9"),
 ]
 
@@ -530,19 +533,76 @@ CRITERIA_CASES = {
 }
 
 
+def _unpruned(order):
+    """The same order, not marked graded: buchberger then keeps every pair."""
+    return TermOrder(order.name, order.key, order._pack, graded=False)
+
+
 @pytest.mark.parametrize("case", sorted(CRITERIA_CASES))
-def test_pair_criteria_keep_the_reduced_basis(case):
-    # the tracked path keeps every pair, so it is the reference: pruning
-    # may skip S-pairs but not change the basis, nor the order in which
-    # its elements are found; under the V-order nothing is pruned
+def test_pair_criteria_keep_the_reduced_basis(monkeypatch, case):
+    # the order rebuilt without graded prunes nothing, so it is the
+    # reference: pruning may skip S-pairs but change neither the basis,
+    # nor the order in which its elements are found, nor the tracked
+    # transform, lifts and syzygies; under the V-order nothing is pruned
     pruned = 0
     for gens, order in CRITERIA_CASES[case]():
         fast = buchberger(gens, order)
-        full = buchberger(gens, order, track=True)
-        assert fast.elements == full.elements
-        assert fast.stats["spairs"] <= full.stats["spairs"]
-        pruned += full.stats["spairs"] - fast.stats["spairs"]
+        tracked = buchberger(gens, order, track=True)
+        full = buchberger(gens, _unpruned(order), track=True)
+        assert fast.elements == tracked.elements == full.elements
+        assert tracked.transform == full.transform
+        assert tracked.lifts == full.lifts
+        assert fast.stats["spairs"] == tracked.stats["spairs"] <= \
+            full.stats["spairs"]
+        pruned += full.stats["spairs"] - tracked.stats["spairs"]
+        syz = syz_of_list(gens)
+        with monkeypatch.context() as m:
+            m.setattr(groebner, "bernstein_order",
+                      lambda n: _unpruned(bernstein_order(n)))
+            assert syz_of_list(gens) == syz
     assert (pruned == 0) == (case == "H1-vres")
+
+
+CERTIFIED = [(QQ, 1), (QQ, 2), (ZP, 1), (ZP, 2), (QZ, 1), (QZ, 2), (H1, 1)]
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+@pytest.mark.parametrize("ring,n", CERTIFIED,
+                         ids=["%s%d" % (r, n) for r, n in CERTIFIED])
+def test_pruned_tracked_bases_are_certified(ring, n, rank):
+    # tracked calls drop the pairs the chain criterion covers; the
+    # certificate shares no code with the criterion or the division loop
+    rng = random.Random("certified/%s/%d/%d" % (ring, n, rank))
+    order = bernstein_order(n)
+    for _ in range(3):
+        gens = random_gens(rng, ring, rank, order, n)
+        gb = buchberger(gens, order, track=True)
+        assert basis_certificate(gb, gens, order) == []
+
+
+@pytest.mark.parametrize("make", [_gkz13, _gkz3, _colon_block],
+                         ids=["gkz13", "gkz3", "colon"])
+def test_pinned_tracked_bases_are_certified(make):
+    gens, order = make()
+    gb = buchberger(gens, order, track=True)
+    assert basis_certificate(gb, gens, order) == []
+    # and it rejects a basis with an element dropped, a transform
+    # coefficient perturbed or a lift term dropped
+    elements, transform, lifts = gb.elements, gb.transform, gb.lifts
+    t = dict(transform[-1].terms)
+    key = next(iter(t))
+    t[key] += 1
+    first = lifts[0]
+    faults = {
+        "element": (elements[:-1], transform[:-1], lifts),
+        "transform": (elements, transform[:-1] + [transform[-1]._like(t)],
+                      lifts),
+        "lift": (elements, transform, [
+            first._like(dict(list(first.terms.items())[1:]))] + lifts[1:]),
+    }
+    for name, (e, tr, li) in faults.items():
+        fake = types.SimpleNamespace(elements=e, transform=tr, lifts=li)
+        assert basis_certificate(fake, gens, order), name
 
 
 def test_zp_runaway_is_pruned():
@@ -716,7 +776,7 @@ def test_kernel_huge_exponents_are_exact(bits):
     gens = [FreeVec.from_entries([X * d - W.one(), x]),
             FreeVec.from_entries([X * d * d, d - W.one()])]
     gb, _syz = check_tracked(gens, bernstein_order(1))
-    assert gb.stats == {"spairs": 3, "reductions_to_zero": 1,
+    assert gb.stats == {"spairs": 2, "reductions_to_zero": 0,
                         "basis_size": 2}
     assert all(gb.contains(g) for g in gens)
     # a basis of small degree, then a vector far above it
