@@ -2,27 +2,27 @@
 Sparse rows, exact echelon form, and the one kernel of polynomials over Z.
 
 Rows, elements and vectors are sparse dicts from hashable keys to
-nonzero scalars.  A row of Python ints, or of ZPolys, is kept primitive
-with a positive lead; any other row (Fraction, rational function, or
-ints mixed with those) monic.  One cancellation step, cancel, serves
-every reduction against such a lead: the echelon form here, the Groebner
-kernel and the Sturm sequences of the de Rham code.  On ints and ZPolys
-it scales the row being reduced instead of dividing, so such rows stay
-free of fractions.  Either way the rank and the set of pivot keys of an
-echelon form are those of the span over the field.
+nonzero scalars.  A row of the kernel is of Python ints, or of ZPolys,
+kept primitive with a positive lead; a row over a field is cleared onto
+one of those first (clear).  One cancellation step, cancel, serves every
+reduction against such a lead: the echelon form here, the Groebner
+kernel and the Sturm sequences of the de Rham code.  It scales the row
+being reduced instead of dividing, so rows stay free of fractions, and
+the rank and the set of pivot keys of an echelon form are those of the
+span over the field.
 
 A polynomial over Z is a sequence of ints, lowest degree first, with no
 zero on top.  _sub, _mul, _prem and _primitive are its one kernel: the
 de Rham b-function runs them on lists over Z[theta], and ZPoly, an
-immutable tuple of ints built on them, is the scalar of Q(z) inside the
-Groebner kernel and the echelon form.  clear puts rational functions, as
-Fractions are put over Z, over one denominator in Z[z]; a content, and
-so cancel, primitive and lowest_terms on ZPolys, is a gcd over Z[z]
-(_gcd): the gcd of the integer contents times the last term of the
-primitive remainder sequence (Collins, JACM 14, 1967).
+immutable tuple of ints built on them, is the scalar of Q(z): a rational
+function is a pair of them (scalars.RatFunc), reduced by _gcd.  clear
+puts rational functions, as Fractions are put over Z, over one
+denominator in Z[z]; a content, and so cancel, primitive and
+lowest_terms on ZPolys, is a gcd over Z[z] (_gcd): the gcd of the
+integer contents times the last term of the primitive remainder
+sequence (Collins, JACM 14, 1967).
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 
@@ -222,41 +222,29 @@ def cancel(c, lead):
     """(m, q) with m * c == q * lead, so m * row - q * pivot cancels c.
 
     Two ints give the least such integers, m > 0, and two ZPolys the least
-    such polynomials, m with a positive top; an int lead with any other c
-    gives (1, c / lead).  Any other lead is that of a monic row: (lead, c),
-    with no division, so a rational function stays one.
+    such polynomials, m with a positive top.
     """
-    if type(lead) is not int:
-        if type(lead) is not ZPoly:
-            return lead, c
+    if type(lead) is ZPoly:
         g = _gcd(c, lead)
         if lead[-1] < 0:
             g = -g
-        return lead // g, c // g
-    if type(c) is not int:
-        return 1, c / lead
-    g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
+    else:
+        g = gcd(c, lead) if lead > 0 else -gcd(c, lead)
     return lead // g, c // g
 
 
 def primitive(row, key):
     """row divided by its content, signed to give a positive lead at key.
 
-    The content of ZPolys is their gcd over Z[z], and the sign that of the
-    top coefficient of the lead.  A row with any coefficient other than an
-    int or a ZPoly is divided by its lead instead, which makes it monic.
-    Also returns the divisor.
+    The content of ints is their gcd, and of ZPolys their gcd over Z[z],
+    signed as the top coefficient of the lead.  Also returns the divisor.
     """
     lc = row[key]
-    if all(type(c) is int for c in row.values()):
-        d = gcd(*row.values()) if lc > 0 else -gcd(*row.values())
-        return (row if d == 1 else {k: c // d for k, c in row.items()}), d
     if type(lc) is ZPoly:
         d = _content(row.values(), lc)
-        return (row if d == 1 else {k: c // d for k, c in row.items()}), d
-    if type(lc) is int:
-        lc = Fraction(lc)   # int / int would give a float
-    return (row if lc == 1 else {k: c / lc for k, c in row.items()}), lc
+    else:
+        d = gcd(*row.values()) if lc > 0 else -gcd(*row.values())
+    return (row if d == 1 else {k: c // d for k, c in row.items()}), d
 
 
 def lowest_terms(row, den):

@@ -298,7 +298,7 @@ def _rational(row, den, ring, lay, scales=None):
     if scales is not None:
         row = {k: c * scales[k[0]] for k, c in row.items()}
     if ring == QZ:
-        return {k: RatFunc.ratio(c, den) for k, c in row.items()}
+        return {k: RatFunc(c, den) for k, c in row.items()}
     return {k: Fraction(c, den) for k, c in row.items()}
 
 

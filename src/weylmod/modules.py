@@ -233,9 +233,10 @@ def hilbert_dimension(M):
 def char_cycle(M):
     """Characteristic cycle from the leading-term module.
 
-    n = 1: multiplicities along (x1) and (xi1) are the minimal exponents
-    in each component's monomial ideal.  General n is supported when each
-    component's leading ideal is principal or zero.
+    The multiplicity along (x_i), or (xi_i), is the least exponent of x_i,
+    or d_i, over the leading monomials of a component.  That is the cycle
+    of its monomial ideal when n = 1 or when the ideal is principal; n > 1
+    is supported only there, or where the ideal is zero.
     """
     if M.ring not in (QQ, QZ):
         raise UnsupportedAmbient("characteristic cycles need field scalars")
@@ -250,29 +251,17 @@ def char_cycle(M):
             continue
         if any(sum(a) + sum(b) == 0 for (a, b, _e) in gens):
             continue
-        if M.n == 1:
-            ma = min(a[0] for (a, _b, _e) in gens)
-            mb = min(b[0] for (_a, b, _e) in gens)
-            parts = {}
-            if ma:
-                parts[("x", 1)] = ma
-            if mb:
-                parts[("xi", 1)] = mb
-            cycle = cycle + CharCycle(parts)
-        else:
-            if len(gens) != 1:
-                raise UnsupportedAmbient(
-                    "characteristic cycle for n > 1 needs a principal "
-                    "leading ideal")
-            a, b, _e = gens[0]
-            parts = {}
-            for i, v in enumerate(a):
+        if M.n > 1 and len(gens) != 1:
+            raise UnsupportedAmbient(
+                "characteristic cycle for n > 1 needs a principal "
+                "leading ideal")
+        parts = {}
+        for name, side in (("x", 0), ("xi", 1)):
+            for i in range(M.n):
+                v = min(g[side][i] for g in gens)
                 if v:
-                    parts[("x", i + 1)] = v
-            for i, v in enumerate(b):
-                if v:
-                    parts[("xi", i + 1)] = v
-            cycle = cycle + CharCycle(parts)
+                    parts[(name, i + 1)] = v
+        cycle = cycle + CharCycle(parts)
     return cycle
 
 

@@ -6,17 +6,20 @@ Rational functions model the fraction field of the local ring at z = 0.
 An element is integral exactly when its reduced denominator does not
 vanish at 0; the residue map evaluates at z = 0.
 
-RatFunc is the scalar of QZ at the edges: in the parser, in FreeVecs and
-reports, and for residues at z = 0.  Inside the Groebner kernel and the
-echelon form a rational function is a polynomial over Z (_linalg.ZPoly)
-over a common denominator; as_integer_ratio is the way in and
-RatFunc.ratio the way out.
+RatFunc, the scalar of QZ, is one normal form: the pair (p, q) of
+polynomials over Z (_linalg.ZPoly) with value p / q, coprime over Z[z]
+and with a positive top coefficient on q.  Its arithmetic is that of
+ZPolys, reduced by the one gcd over Z[z] (_linalg._gcd), and the
+Groebner kernel and the echelon form read the pair as it is
+(as_integer_ratio).  QPoly, a polynomial over Q, is the public form: the
+num and den views of a RatFunc, the b-function of a report, and the
+reference of the tests.
 """
 
 import math
 from fractions import Fraction
 
-from ._linalg import ZPoly, _gcd, _z
+from ._linalg import ZPoly, _gcd, _z, clear
 from .errors import DivisionByZero, InternalInvariant, NonIntegral
 
 INF = math.inf
@@ -115,6 +118,8 @@ class QPoly:
     __rmul__ = __mul__
 
     def __divmod__(self, other):
+        if not isinstance(other, QPoly):
+            return NotImplemented
         if other.is_zero():
             raise DivisionByZero("polynomial division by zero")
         rem = list(self.coeffs)
@@ -132,9 +137,13 @@ class QPoly:
         return QPoly(quo), QPoly(rem)
 
     def __mod__(self, other):
+        if not isinstance(other, QPoly):
+            return NotImplemented
         return divmod(self, other)[1]
 
     def __floordiv__(self, other):
+        if not isinstance(other, QPoly):
+            return NotImplemented
         return divmod(self, other)[0]
 
     def monic(self):
@@ -201,151 +210,147 @@ class QPoly:
         return "QPoly(%s)" % self.to_str()
 
 
-_P0 = QPoly()
-_P1 = QPoly((1,))
+_ONE = ZPoly((1,))
+
+
+def _pair(v):
+    """(p, q) in lowest terms with v == p / q, for an int, a Fraction, a
+    ZPoly or a QPoly v."""
+    if isinstance(v, (int, Fraction)):
+        return _z(v.numerator), _z(v.denominator)
+    if isinstance(v, ZPoly):
+        return v, _ONE
+    if isinstance(v, QPoly):
+        nums, den = clear(v.coeffs)
+        return ZPoly(nums), _z(den)
+    raise TypeError("expected int, Fraction, QPoly or ZPoly, got %r" % (v,))
+
+
+def _ratio(p, q):
+    """The RatFunc p / q of ZPolys: both over their gcd, signed as the top
+    of q.  No gcd is taken when q is 1."""
+    if not q:
+        raise DivisionByZero("division by zero rational function")
+    if not p:
+        q = _ONE
+    elif q != 1:
+        g = _gcd(p, q)
+        g = g if q[-1] > 0 else -g
+        if g != 1:
+            p, q = p // g, q // g
+    out = object.__new__(RatFunc)
+    object.__setattr__(out, "p", p)
+    object.__setattr__(out, "q", q)
+    return out
+
+
+def _binary(op):
+    """The operator giving the RatFunc of op(p, q, a, b) for self = p / q
+    and other = a / b: a RatFunc, an int or a Fraction, else NotImplemented."""
+    def method(self, other):
+        if isinstance(other, RatFunc):
+            return _ratio(*op(self.p, self.q, other.p, other.q))
+        if isinstance(other, (int, Fraction)):
+            return _ratio(*op(self.p, self.q, *_pair(other)))
+        return NotImplemented
+    return method
+
+
+def _sum(p, q, a, b):
+    """p / q + a / b as a pair, over q alone when b is q."""
+    return (p + a, q) if q == b else (p * b + a * q, q * b)
+
+
+def _order(f):
+    """Order of vanishing at 0 of a nonzero ZPoly."""
+    return next(i for i, c in enumerate(f) if c)
 
 
 class RatFunc:
-    """Rational function in z over Q, kept coprime with monic denominator."""
+    """Rational function in z over Q: p / q for ZPolys p and q, coprime
+    over Z[z], with a positive top coefficient on q; that pair is unique.
+    num and den are its views over Q, with den monic."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("p", "q")
 
     def __init__(self, num, den=None):
-        if isinstance(num, (int, Fraction)):
-            num = QPoly.const(num)
-        if den is None:
-            den = _P1
-        elif isinstance(den, (int, Fraction)):
-            den = QPoly.const(den)
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
-            num, den = _P0, _P1
-        elif den != _P1:
-            g = num.gcd(den)
-            if g.degree() > 0:
-                num, den = num // g, den // g
-            lead = den.lead()
-            if lead != 1:
-                num = num * (1 / lead)
-                den = den.monic()
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        p, q = _pair(num)
+        if den is not None:
+            a, b = _pair(den)
+            p, q = _ratio(p * b, q * a).as_integer_ratio()
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatFunc is immutable")
 
     @staticmethod
     def z():
-        return RatFunc(QPoly.gen())
+        return _ratio(ZPoly((0, 1)), _ONE)
 
-    @staticmethod
-    def ratio(p, q):
-        """p / q for ZPolys (or ints) p and q, q nonzero: one gcd over Z[z]."""
-        if not p:
-            return RatFunc(0)
-        p, q = _z(p), _z(q)
-        g = _gcd(p, q)
-        p, q = p // g, q // g
-        out = object.__new__(RatFunc)
-        top = q[-1]
-        object.__setattr__(out, "num", QPoly([Fraction(c, top) for c in p]))
-        object.__setattr__(out, "den", QPoly([Fraction(c, top) for c in q]))
-        return out
+    @property
+    def num(self):
+        return QPoly([Fraction(c, self.q[-1]) for c in self.p])
+
+    @property
+    def den(self):
+        return QPoly([Fraction(c, self.q[-1]) for c in self.q])
 
     def as_integer_ratio(self):
-        """(p, q), ZPolys with self == p / q and a positive top on q."""
-        num, den = self.num.coeffs, self.den.coeffs
-        ln = math.lcm(*(c.denominator for c in num))
-        ld = math.lcm(*(c.denominator for c in den))
-        return (ZPoly([c.numerator * (ln // c.denominator) * ld for c in num]),
-                ZPoly([c.numerator * (ld // c.denominator) * ln for c in den]))
+        """(p, q), the ZPolys with self == p / q."""
+        return self.p, self.q
 
     def is_zero(self):
-        return self.num.is_zero()
+        return not self.p
 
     def __bool__(self):
-        return not self.num.is_zero()
+        return bool(self.p)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             # a constant: no RatFunc is built to compare with it
-            return (self.den == _P1
-                    and self.num.coeffs == ((other,) if other else ()))
+            return self.q == other.denominator and self.p == other.numerator
         if not isinstance(other, RatFunc):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.p == other.p and self.q == other.q
 
     def __hash__(self):
-        return hash(("RatFunc", self.num, self.den))
+        return hash(("RatFunc", self.p, self.q))
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _ratio(-self.p, self.q)
 
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        elif not isinstance(other, RatFunc):
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if not isinstance(other, (int, Fraction, RatFunc)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return RatFunc(other) - self
-
-    def __mul__(self, other):
-        if not isinstance(other, RatFunc):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = RatFunc(other)
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RatFunc(other)
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        return RatFunc(other) / self
+    __add__ = __radd__ = _binary(_sum)
+    __sub__ = _binary(lambda p, q, a, b: _sum(p, q, -a, b))
+    __rsub__ = _binary(lambda p, q, a, b: _sum(-p, q, a, b))
+    __mul__ = __rmul__ = _binary(lambda p, q, a, b: (p * a, q * b))
+    __truediv__ = _binary(lambda p, q, a, b: (p * b, q * a))
+    __rtruediv__ = _binary(lambda p, q, a, b: (a * q, b * p))
 
     def inv(self):
-        if self.is_zero():
-            raise DivisionByZero("inverse of zero")
-        return RatFunc(self.den, self.num)
+        return _ratio(self.q, self.p)
 
     def valuation(self):
         if self.is_zero():
             return INF
-        return self.num.z_order() - self.den.z_order()
+        return _order(self.p) - _order(self.q)
 
     def is_integral(self):
         """Lies in the local ring at z = 0."""
-        return self.den.eval0() != 0
+        return self.q[0] != 0
 
     def residue0(self):
         if self.is_zero():
             return _F0
-        d0 = self.den.eval0()
-        if d0 == 0:
+        if not self.q[0]:
             raise NonIntegral("negative valuation, no residue at z = 0")
-        return self.num.eval0() / d0
+        return Fraction(self.p[0], self.q[0])
 
     def to_str(self):
         ns = self.num.to_str()
-        if self.den == _P1:
+        if len(self.q) == 1:
             return ns
-        if len(self.num.coeffs) - self.num.coeffs.count(_F0) > 1 or ns.startswith("-"):
+        if len(self.p) - self.p.count(0) > 1 or ns.startswith("-"):
             ns = "(%s)" % ns
         return "%s/(%s)" % (ns, self.den.to_str())
 

@@ -511,12 +511,12 @@ def convert_ring(u, target):
             for k, p in out.items()})
     for (a, b, e), c in u.terms.items():
         if u.ring == QZ and target == ZP:
-            if c.den.degree() != 0:
+            p, q = c.as_integer_ratio()
+            if len(q) != 1:
                 raise UnsupportedAmbient(
                     "coefficient %s is not polynomial in z" % (c,))
-            poly = c.num * (1 / c.den.lead()) if c.den.lead() != 1 else c.num
-            add_terms(out, (((a, b, e + i), ci)
-                            for i, ci in enumerate(poly.coeffs) if ci))
+            add_terms(out, (((a, b, e + i), Fraction(ci, q[0]))
+                            for i, ci in enumerate(p) if ci))
         elif u.ring == QQ and target == QZ:
             add_terms(out, [((a, b, e), RatFunc(c))])
         elif u.ring == QQ and target == ZP:
@@ -526,7 +526,7 @@ def convert_ring(u, target):
                 raise UnsupportedAmbient("element involves z, not in W_n(Q)")
             add_terms(out, [((a, b, 0), c)])
         elif u.ring == QZ and target == QQ:
-            if c.den.degree() != 0 or c.num.degree() > 0:
+            if len(c.p) > 1 or len(c.q) > 1:
                 raise UnsupportedAmbient("element involves z, not in W_n(Q)")
             add_terms(out, [((a, b, e), c.residue0())])
         else:

@@ -26,10 +26,17 @@ rows d1 x^a d^b e_j in one echelon form, all built by the Leibniz rule.
 
 The b-function, which the engine finds over Z[theta] by pseudo-division,
 is checked against the same elimination over Q[theta], with QPoly
-division and RatFunc back substitution.
+division and back substitution over Q(theta).
 
 Ranks over Q(z), which the engine takes fraction-free on rows cleared to
-Z[z], are checked against Gaussian elimination with RatFunc division.
+Z[z], are checked against Gaussian elimination over Q(z).  Both oracles
+keep an element of the field as a pair of QPolys reduced by QPoly.gcd,
+so they share no gcd with the engine's Z[z] kernel.
+
+The echelon form of the engine takes rows of ints or of ZPolys, so the
+membership and de Rham oracles clear each row over one denominator
+(_linalg.clear) before they add it; a nonzero multiple spans the same
+line.
 """
 
 from fractions import Fraction
@@ -37,7 +44,7 @@ from itertools import combinations
 
 from weylmod import (H1, INF, FreeVec, QPoly, RatFunc, WeylAlgebra,
                      bernstein_degree, ext, leading_term)
-from weylmod._linalg import Echelon
+from weylmod._linalg import Echelon, clear
 from weylmod.modules import homological_bound
 
 
@@ -53,6 +60,11 @@ def all_monomials(n, deg):
     return sorted(out)
 
 
+def _cleared(terms):
+    """A term dict times the lcm of its denominators."""
+    return dict(zip(terms, clear(terms.values())[0]))
+
+
 def brute_member(v, gens, bound):
     """Is v a combination sum q_i g_i with deg(q_i) + deg(g_i) <= bound."""
     W = WeylAlgebra(v.n, v.ring)
@@ -65,8 +77,8 @@ def brute_member(v, gens, bound):
             continue
         for alpha, beta in all_monomials(v.n, room):
             prod = W.monomial(alpha, beta) * g
-            ech.add(dict(prod.terms))
-    rem = ech.reduce(dict(v.terms))
+            ech.add(_cleared(prod.terms))
+    rem = ech.reduce(_cleared(v.terms))
     return not rem
 
 
@@ -258,8 +270,8 @@ def derivative_row_oracle(module, window=5, max_degree=40, pad=None):
         out = []
         for g in basis:
             room = deg - max(a[0] + b[0] for _comp, a, b, _e in g.terms)
-            out += [_by_degree(leibniz_product({((i,), (room - i,), 0): 1},
-                                               g.terms))
+            out += [_cleared(_by_degree(leibniz_product(
+                {((i,), (room - i,), 0): 1}, g.terms)))
                     for i in range(room + 1)]
         return out
 
@@ -292,6 +304,36 @@ def derivative_row_oracle(module, window=5, max_degree=40, pad=None):
     return history[-1], False, max_degree
 
 
+_Q1 = QPoly.const(1)
+
+
+def _field(v):
+    """A RatFunc, a Fraction or an int as a pair (num, den) of QPolys."""
+    if isinstance(v, RatFunc):
+        return v.num, v.den
+    return QPoly.const(v), _Q1
+
+
+def _lowest(num, den):
+    """num / den as a pair of QPolys over their gcd, with den monic."""
+    if num.is_zero():
+        return num, _Q1
+    g = num.gcd(den)
+    num, den = num // g, den // g
+    return num * (1 / den.lead()), den.monic()
+
+
+def _over(a, b):
+    """a / b for pairs, b nonzero."""
+    return _lowest(a[0] * b[1], a[1] * b[0])
+
+
+def _minus(a, c, b):
+    """a - c b for pairs."""
+    return _lowest(a[0] * c[1] * b[1] - c[0] * b[0] * a[1],
+                   a[1] * c[1] * b[1])
+
+
 def _theta_qpoly(a, b):
     """x^a d^b moved to weight zero, prod_{min(b - a, 0) <= t < b} (theta - t)."""
     poly = QPoly.const(1)
@@ -306,8 +348,8 @@ def field_indicial_polynomial(lifts, rank):
     lifts are derham._v_lifts data (stair, weight, terms).  Each lift's
     initial terms become a row of QPolys; the rows are triangularized by
     euclidean elimination per column with division over Q, and b is the
-    lcm of the denominators of the RatFunc back substitution solving each
-    e_j over the pivots.  None when a column has no pivot.
+    lcm of the denominators of the back substitution over Q(theta) solving
+    each e_j over the pivots.  None when a column has no pivot.
     """
     rows = []
     for _stair, w, terms in lifts:
@@ -334,31 +376,33 @@ def field_indicial_polynomial(lifts, rank):
         rem = inactive
     acc = QPoly.const(Fraction(1))
     for j in range(rank):
-        target = [RatFunc(1 if t == j else 0) for t in range(rank)]
+        target = [_field(1 if t == j else 0) for t in range(rank)]
         for col in range(rank):
-            c = target[col] / RatFunc(pivots[col][col])
-            if not c.is_zero():
+            c = _over(target[col], (pivots[col][col], _Q1))
+            if not c[0].is_zero():
                 for t in range(col, rank):
-                    target[t] = target[t] - c * RatFunc(pivots[col][t])
-                acc = acc.lcm(c.den)
-        if not all(t.is_zero() for t in target):
+                    target[t] = _minus(target[t], c, (pivots[col][t], _Q1))
+                acc = acc.lcm(c[1])
+        if not all(t[0].is_zero() for t in target):
             raise AssertionError("back substitution left a remainder")
     return acc.monic()
 
 
 def field_rank(matrix):
-    """Rank of a matrix of RatFuncs by Gaussian elimination over Q(z)."""
-    rows = [[RatFunc(0) + v for v in row] for row in matrix]
+    """Rank of a matrix of RatFuncs, Fractions or ints by Gaussian
+    elimination over Q(z)."""
+    rows = [[_field(v) for v in row] for row in matrix]
     rank = 0
     for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in rows[rank:] if not r[col].is_zero()), None)
+        pivot = next((r for r in rows[rank:] if not r[col][0].is_zero()),
+                     None)
         if pivot is None:
             continue
         rows.remove(pivot)
         rows.insert(rank, pivot)
         for r in rows[rank + 1:]:
-            c = r[col] / pivot[col]
-            if not c.is_zero():
-                r[:] = [a - c * b for a, b in zip(r, pivot)]
+            c = _over(r[col], pivot[col])
+            if not c[0].is_zero():
+                r[:] = [_minus(a, c, b) for a, b in zip(r, pivot)]
         rank += 1
     return rank

@@ -1,8 +1,8 @@
-"""The shared echelon form: integer rows against the same rows over Q.
+"""The shared echelon form: integer rows against textbook elimination.
 
-Integer rows are reduced free of fractions and Fraction rows against
-monic pivots; both must span the same space, so rank, pivot keys and
-membership agree, and agree with textbook elimination over Q.
+Integer rows are reduced free of fractions; they must span the space
+that elimination over Q spans, so rank and pivot keys agree with it.
+Rows over a field reach the echelon form cleared (dense_rank).
 """
 
 import random
@@ -46,10 +46,6 @@ def _rows(rng, count=12):
     return rows
 
 
-def _as_fractions(row):
-    return {k: Fraction(v) for k, v in row.items()}
-
-
 def _field_pivots(rows):
     """Pivot keys of textbook elimination over Q, largest key first."""
     pivots = {}
@@ -79,25 +75,20 @@ def _probes(rng, rows):
 def test_integer_rows_match_fraction_rows(seed):
     rng = random.Random(seed)
     rows = _rows(rng)
-    ints, fracs = Echelon(), Echelon()
-    for row in rows:
-        assert ints.add(row) == fracs.add(_as_fractions(row))
-    assert ints.rank() == fracs.rank() == rank_of_rows(rows)
-    assert set(ints.pivots) == set(fracs.pivots) == _field_pivots(rows)
+    ints = Echelon()
+    for i, row in enumerate(rows):
+        grew = _field_pivots(rows[:i + 1]) != _field_pivots(rows[:i])
+        assert ints.add(row) == grew
+    pivots = _field_pivots(rows)
+    assert ints.rank() == rank_of_rows(rows) == len(pivots)
+    assert set(ints.pivots) == pivots
     for key, piv in ints.pivots.items():
         assert all(type(v) is int for v in piv.values())
         assert piv[key] > 0 and gcd(*piv.values()) == 1
-    for key, piv in fracs.pivots.items():
-        assert piv[key] == 1
     for probe in _probes(rng, rows):
-        want = fracs.contains(_as_fractions(probe))
-        assert ints.contains(probe) == want
-        assert ints.contains(_as_fractions(probe)) == want
-        assert fracs.contains(probe) == want
-        # the residual may be scaled, never moved to other keys, and it
-        # leads with a key that is no pivot's
+        assert ints.contains(probe) == (_field_pivots(rows + [probe]) == pivots)
+        # the residual leads with a key that is no pivot's
         res = ints.reduce(probe)
-        assert set(res) == set(fracs.reduce(_as_fractions(probe)))
         assert not res or max(res) not in ints.pivots
 
 
@@ -105,20 +96,19 @@ def test_integer_rows_match_fraction_rows(seed):
 def test_mixed_int_and_fraction_rows(seed):
     rng = random.Random(seed)
     rows = _rows(rng)
-    # ints left as ints, the rest Fractions (some with denominators); the
-    # leads of mixed rows are often ints
+    # ints left as ints, the rest Fractions (some with denominators);
+    # dense_rank clears each row before the echelon form sees it
     mixed = [{k: v if rng.random() < 0.5 else Fraction(v, rng.randint(1, 4))
               for k, v in row.items()} for row in rows]
-    ech, ref = Echelon(), Echelon()
-    for row in mixed:
-        assert ech.add(row) == ref.add(_as_fractions(row))
-    pivots = _field_pivots(mixed)
-    assert ech.rank() == ref.rank() == len(pivots)
-    assert set(ech.pivots) == set(ref.pivots) == pivots
-    for piv in ech.pivots.values():
-        assert not any(isinstance(v, float) for v in piv.values())
+
+    def dense(rows):
+        return [[row.get(k, 0) for k in KEYS] for row in rows]
+
+    rank = len(_field_pivots(mixed))
+    assert dense_rank(dense(mixed)) == rank
     for probe in _probes(rng, rows):
-        assert ech.contains(probe) == ref.contains(_as_fractions(probe))
+        inside = _field_pivots(mixed + [probe]) == _field_pivots(mixed)
+        assert (dense_rank(dense(mixed + [probe])) == rank) == inside
 
 
 def test_cancel_int_pairs():
@@ -131,32 +121,11 @@ def test_cancel_int_pairs():
             assert m > 0 and gcd(m, q) == 1, (c, lead)
 
 
-@pytest.mark.parametrize("c,lead", [
-    (3, Fraction(1)), (Fraction(-2, 7), Fraction(1)),
-    (RatFunc(5), RatFunc(1)), (RatFunc(QPoly((1, 0, 1))), RatFunc(1))])
-def test_cancel_monic_lead_is_returned_as_is(c, lead):
-    # a lead other than an int is that of a monic row: the very lead and
-    # coefficient come back, no division runs, and a RatFunc stays one
-    m, q = cancel(c, lead)
-    assert m is lead and q is c
-    assert m * c == q * lead
-
-
-@pytest.mark.parametrize("c", [Fraction(3, 4), Fraction(-5, 2), Fraction(6)])
-@pytest.mark.parametrize("lead", [1, 3, -4])
-def test_cancel_int_lead_with_fraction(c, lead):
-    m, q = cancel(c, lead)
-    assert m == 1 and q == c / lead and type(q) is Fraction
-
-
 def test_primitive_normalizes_each_kind_of_row():
     assert primitive({2: -6, 1: 4, 0: 10}, 2) == ({2: 3, 1: -2, 0: -5}, -2)
     assert primitive({1: 3, 0: -1}, 1) == ({1: 3, 0: -1}, 1)
-    row, d = primitive({1: Fraction(3, 2), 0: 1}, 1)
-    assert (row, d) == ({1: 1, 0: Fraction(2, 3)}, Fraction(3, 2))
-    row, d = primitive({1: 4, 0: Fraction(1, 2)}, 1)
-    assert row == {1: 1, 0: Fraction(1, 8)} and d == 4
-    assert all(type(v) is Fraction for v in row.values())
+    row, d = primitive({1: ZPoly((2, -4)), 0: ZPoly((6,))}, 1)
+    assert (row, d) == ({1: ZPoly((-1, 2)), 0: ZPoly((-3,))}, -2)
 
 
 @pytest.mark.parametrize("seed", range(6))

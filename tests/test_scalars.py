@@ -1,12 +1,13 @@
 """Exact scalar arithmetic: Q[z] polynomials and rational functions."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylmod import DivisionByZero, QPoly, RatFunc
+from weylmod import DivisionByZero, QPoly, RatFunc, scalars
 
 fractions = st.fractions(min_value=-50, max_value=50, max_denominator=8)
 polys = st.lists(fractions, min_size=1, max_size=5).map(
@@ -69,8 +70,8 @@ def test_ratfunc_basics():
 
 def test_ratfunc_polynomial_takes_no_gcd(monkeypatch):
     calls = []
-    real = QPoly.gcd
-    monkeypatch.setattr(QPoly, "gcd",
+    real = scalars._gcd
+    monkeypatch.setattr(scalars, "_gcd",
                         lambda a, b: calls.append((a, b)) or real(a, b))
     r = RatFunc(P(-2, 1)) * RatFunc.z() + RatFunc(3)
     assert calls == []
@@ -129,6 +130,18 @@ def test_ratfunc_field_axioms(a, b, c):
     t = RatFunc(c, a)
     assert r * (s + t) == r * s + r * t
     assert (r / s) * s == r
+    # one normal form: the pair is coprime (QPoly.gcd is the reference),
+    # the top of q is positive, and equal values have equal pairs
+    for v in (r, s, t, r * s + r * t, r / s - t, 1 - r, r.inv()):
+        p, q = v.as_integer_ratio()
+        assert q[-1] > 0
+        assert QPoly(p).gcd(QPoly(q)) == QPoly((1,)) or not p
+        assert gcd(*p, *q) == 1
+        assert RatFunc(*v.as_integer_ratio()) == v
+    same = (r * s + r * t, r * (s + t))
+    assert same[0].as_integer_ratio() == same[1].as_integer_ratio()
+    assert hash(same[0]) == hash(same[1])
+    assert RatFunc(a * c, b * c).as_integer_ratio() == r.as_integer_ratio()
 
 
 @given(nonzero_polys, nonzero_polys)

@@ -76,12 +76,38 @@ def _names(path, function):
 
 @pytest.mark.parametrize("path,function", [
     ("groebner.py", "_reduce"), ("_packed.py", "Layout.mul_into"),
-    ("_linalg.py", "Echelon.reduce"), ("groebner.py", "_buchberger")])
+    ("_linalg.py", "Echelon.reduce"), ("groebner.py", "_buchberger"),
+    ("_linalg.py", "cancel"), ("_linalg.py", "primitive")])
 def test_kernel_loops_name_no_fraction(path, function):
-    # the one division loop, the one product loop, the echelon form and
-    # Buchberger serve rows of ints and of ZPolys alike; a field-only path
-    # would name Fraction, and RatFunc and QPoly stay at the kernel's edges
+    # the one division loop, the one product loop, the echelon form,
+    # Buchberger and the cancellation step and content of a row serve rows
+    # of ints and of ZPolys alike; a field-only path would name Fraction,
+    # and RatFunc and QPoly stay at the kernel's edges
     assert not {"Fraction", "RatFunc", "QPoly"} & _names(path, function)
+
+
+def test_rows_take_no_field_scalars():
+    # a row over a field reaches _linalg cleared, so it needs no fractions
+    tree = ast.parse((PACKAGE / "_linalg.py").read_text())
+    assert "fractions" not in {name for _line, name in _imported_modules(tree)}
+
+
+def test_one_normal_form_of_a_rational_function():
+    # a RatFunc is a pair of ZPolys reduced by the gcd over Z[z]: it names
+    # QPoly only in its num and den views, which to_str reads, and in
+    # _pair, which reads a QPoly in; no QPoly gcd, lcm or monic is taken
+    tree = ast.parse((PACKAGE / "scalars.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "RatFunc")
+    assert {getattr(item, "name", None) for item in cls.body
+            if "QPoly" in _used(item)} == {"num", "den"}
+    assert {"num", "den"} <= _names("scalars.py", "RatFunc.to_str")
+    assert {name for name, node in _functions(tree)
+            if "." not in name and "QPoly" in _used(node)} == {"_pair"}
+    functions = [node for name, node in _functions(tree)
+                 if not name.startswith("QPoly")]
+    assert not {"gcd", "lcm", "monic"} & set().union(*map(_used, functions))
+    assert "_gcd" in _names("scalars.py", "_ratio")
 
 
 def test_one_polynomial_kernel():

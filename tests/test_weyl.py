@@ -272,7 +272,17 @@ FOREIGN = {
                               "add", lambda: W1.x(1)),
     "WeylElement * QPoly": (lambda: W1.x(1), "mul", QPoly.gen),
     "QPoly + RatFunc": (QPoly.gen, "add", RatFunc.z),
+    "'a' - RatFunc": (RatFunc.z, "rsub", lambda: "a"),
+    "RatFunc / None": (RatFunc.z, "truediv", lambda: None),
+    "'a' / RatFunc": (RatFunc.z, "rtruediv", lambda: "a"),
+    "QPoly % 3": (QPoly.gen, "mod", lambda: 3),
+    "QPoly // 3": (QPoly.gen, "floordiv", lambda: 3),
+    "divmod(QPoly, 'a')": (QPoly.gen, "divmod", lambda: "a"),
 }
+
+# a reflected method answers for its operator with the operands swapped
+OPERATORS = {"rsub": lambda a, b: b - a, "rtruediv": lambda a, b: b / a,
+             "divmod": divmod}
 
 
 @pytest.mark.parametrize("case", sorted(FOREIGN))
@@ -281,7 +291,18 @@ def test_foreign_operands_are_not_implemented(case):
     left, right = make_left(), make_right()
     assert getattr(left, "__%s__" % op)(right) is NotImplemented
     with pytest.raises(TypeError, match="^unsupported operand"):
-        getattr(operator, op)(left, right)
+        OPERATORS.get(op, getattr(operator, op, None))(left, right)
+
+
+@pytest.mark.parametrize("value", ["a", 1.5, RatFunc.z()],
+                         ids=["str", "float", "RatFunc"])
+def test_ratfunc_takes_only_exact_scalars(value):
+    # the constructor takes an int, a Fraction, a QPoly or a ZPoly; a
+    # float would otherwise come in through float.as_integer_ratio
+    with pytest.raises(TypeError, match="^expected int"):
+        RatFunc(value)
+    with pytest.raises(TypeError, match="^expected int"):
+        RatFunc(1, value)
 
 
 def test_mixed_ambient_rejected():
