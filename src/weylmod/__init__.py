@@ -23,8 +23,8 @@ from .weyl import (H1, QQ, QZ, ZP, WeylAlgebra, WeylElement, XPoly,
                    transpose)
 from .groebner import (FreeVec, GBasis, bernstein_order, buchberger,
                        free_resolution, leading_term, left_normal_form,
-                       pot_block_order, preimage_rows, syz_of_list,
-                       vres_order)
+                       pot_block_order, preimage_rows, saturate_z,
+                       syz_of_list, vres_order)
 from .modules import (LEFT, RIGHT, CharCycle, PresentedModule, char_cycle,
                       dual_star, ext, grade, hilbert_dimension,
                       is_minimal_dimension, quotient_presentation,
@@ -32,8 +32,7 @@ from .modules import (LEFT, RIGHT, CharCycle, PresentedModule, char_cycle,
 from .lattice import (CompareReport, IntegralPresentation, KunnethReport,
                       Lattice, ReductionReport, compare_lattices,
                       good_lattice, kunneth_check, make_lattice,
-                      minimal_dimension_via_reduction,
-                      reduce_mod_z, saturate_z)
+                      minimal_dimension_via_reduction, reduce_mod_z)
 from .derham import (BFunction, CohomologyReport, DeRhamComplex,
                      PerfectComplexOverDVR, b_function_along_x,
                      chi_via_reduction, dr_complex, euler_check_perfect,

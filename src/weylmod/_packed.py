@@ -249,6 +249,27 @@ class Layout:
         """(comp, the monomial of m in comp 0)."""
         return m >> self.cshift, m & ((1 << self.cshift) - 1)
 
+    def comp_shifted(self, row, by):
+        """row with each term moved by components up."""
+        step = by << self.cshift
+        return {m + step: c for m, c in row.items()}
+
+    def z_shifted(self, row, k):
+        """z^k row; k < 0 only for a row whose terms all hold z^-k."""
+        if k > 0 and (envelope(row) + k) & self.spill:
+            raise Overflow(self)
+        return {m + k: c for m, c in row.items()}
+
+    def z_split(self, m):
+        """(m without z, the exponent of z in m)."""
+        e = m & self.fields[0]
+        return m - e, e
+
+    def z_free(self, row):
+        """The terms of row without z: its residue mod z."""
+        e = self.fields[0]
+        return {m: c for m, c in row.items() if not m & e}
+
     def divides(self, lead, mono):
         diff = mono - lead
         return diff >> self.cshift == 0 and not diff & self.guard

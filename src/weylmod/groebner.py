@@ -55,13 +55,18 @@ its elements, transform and lifts only when they are read.
 Relation rows are held once, as _Rows: kernel rows over their least
 positive denominator (_linalg.lowest_terms) on one layout, in a named
 ambient (n, ring, rank).  A module's relations, its resolution's stages,
-their tau-duals, the kernel of the dual map and the preimage rows of Ext
-are _Rows; _Rows.on is the one move of rows to a wider layout, as
-GBasis._kernel is of a basis.  _gb, _syz, FreeResolution.extend and
-_preimage take and give _Rows; buchberger, syz_of_list, free_resolution
-and preimage_rows are those same functions with FreeVecs at their edges,
-cleared on the way in and made Fraction (or RatFunc) rows once on the way
-out (given no rows, buchberger and free_resolution work in W_1 over QQ).
+their tau-duals, the kernel of the dual map, the preimage rows of Ext
+and the relations of a lattice, saturated or reduced mod z, are _Rows;
+_Rows.on is the one move of rows to a wider layout, as GBasis._kernel is
+of a basis.  _gb, _syz, FreeResolution.extend, _preimage, _colon and
+_saturate take and give _Rows; buchberger, syz_of_list, free_resolution,
+preimage_rows, colon_z and saturate_z are those same functions with
+FreeVecs at their edges, cleared on the way in and made Fraction (or
+RatFunc) rows once on the way out (given no rows, buchberger and
+free_resolution work in W_1 over QQ).  The colon by z builds its doubled
+rows and divides its basis rows by z as shifts of packed keys
+(Layout.comp_shifted and Layout.z_shifted), and saturation compares the
+primitive basis rows of two rounds, which stand for monic elements.
 
 Each basis element's lead monomial is found once, when it joins the
 basis, and travels with it as GBasis.leads.  The leads of a kernel basis
@@ -998,31 +1003,43 @@ def _nonzero_rows(rows, rank):
 
 
 def colon_z(gens, rank):
-    """One colon step (N : z) over ZP: intersect with z F, divide by z."""
+    """One colon step (N : z) over ZP: _colon with FreeVecs at its edges."""
     gens = _nonzero_rows(gens, rank)
     if not gens:
         return []
-    n, ring = gens[0].n, gens[0].ring
+    return _colon(_Rows.of(gens[0].n, gens[0].ring, rank, gens)).vecs()
+
+
+def _colon(rows):
+    """(N : z) of kernel rows over ZP: intersect with z F, divide by z.
+
+    The doubled rows (r, r) of W^(2 rank), each row beside its copy
+    moved rank components up, and z e_(rank + j) span a module whose
+    part below the block boundary of pot_block_order is N meet z F.  The
+    reduced basis rows found there are divided by z and kept over their
+    lead coefficients, as (row, lc): the monic elements, in lowest terms.
+    """
+    n, ring, rank = rows.n, rows.ring, rows.rank
     if ring != ZP:
         raise UnsupportedAmbient("colon by z runs over ZP")
-    doubled = [g.embed(2 * rank, 0) + g.embed(2 * rank, rank) for g in gens]
-    z0 = _zero_index(n)
-    for j in range(rank):
-        doubled.append(FreeVec(n, ring, 2 * rank,
-                               {(rank + j, z0, z0, 1): Fraction(1)}))
-    order = pot_block_order(n, rank)
-    gb = buchberger(doubled, order)
+    lay = rows.layout
+    if not rows.rows:
+        return _Rows(n, ring, rank, lay, [])
+    doubled = [({**row, **lay.comp_shifted(row, rank)}, d)
+               for row, d in rows.rows]
+    doubled += [(lay.z_shifted({lay.with_comp(0, rank + j): 1}, 1), 1)
+                for j in range(rank)]
+    gb = _gb(_Rows(n, ring, 2 * rank, lay, doubled), pot_block_order(n, rank))
+    basis = gb._basis
+    lay = basis.layout
     out = []
-    for g in gb.elements:
-        if g.support_comps() <= set(range(rank)):
-            shifted = {}
-            for (comp, a, b, e), c in g.terms.items():
-                if e < 1:
-                    raise InternalInvariant("element of z F with a z-free "
-                                            "term")
-                shifted[(comp, a, b, e - 1)] = c
-            out.append(FreeVec(n, ring, rank, shifted))
-    return out
+    for row, m in zip(basis.rows, basis.leads):
+        # a lead below the boundary has its whole row there
+        if lay.comp(m) < rank:
+            if lay.z_free(row):
+                raise InternalInvariant("element of z F with a z-free term")
+            out.append((lay.z_shifted(row, -1), row[m]))
+    return _Rows(n, ring, rank, lay, out)
 
 
 def submodule_equal(gens_a, gens_b):
@@ -1038,29 +1055,32 @@ def submodule_equal(gens_a, gens_b):
 
 
 def saturate_z(gens, rank):
-    """(N : z^infinity) over ZP: the colon step iterated to a fixed point.
-
-    colon_z returns the reduced basis of N : z under bernstein_order: the
-    lower block of pot_block_order, which is bernstein_order there, shifted
-    down one power of z, which keeps the order and divisibility.  Reduced
-    bases are unique, so N : z = N exactly when that basis is N's own.
-    """
-    current = _nonzero_rows(gens, rank)
-    if not current:
+    """(N : z^infinity) over ZP: _saturate with FreeVecs at its edges."""
+    gens = _nonzero_rows(gens, rank)
+    if not gens:
         return []
-    return _saturate(current, rank,
-                     buchberger(current, bernstein_order(current[0].n)))
+    rows = _Rows.of(gens[0].n, gens[0].ring, rank, gens)
+    return _saturate(rows, _gb(rows, bernstein_order(rows.n))).vecs()
 
 
-def _saturate(current, rank, gb):
-    """saturate_z of the nonzero rows current, given their basis gb.
+def _saturate(rows, gb):
+    """(N : z^infinity) of kernel rows: _colon iterated to a fixed point.
 
-    gb is buchberger(current, bernstein_order(n)), which a module that
-    already holds it lends instead of computing it again.
+    gb is the basis of rows under bernstein_order, which a module that
+    already holds it lends instead of computing it again.  _colon returns
+    the reduced basis of N : z under bernstein_order: the lower block of
+    pot_block_order, which is bernstein_order there, shifted down one
+    power of z, which keeps the order and divisibility.  Reduced bases are
+    unique, so N : z = N exactly when that basis is N's own: when their
+    primitive rows are equal as sets, on one layout.
     """
-    known = set(gb.elements)
+    basis = gb._kernel(rows.layout)
+    known = _Rows(rows.n, rows.ring, rows.rank, basis.layout,
+                  list(zip(basis.rows, basis.lcs())))
     while True:
-        nxt = colon_z(current, rank)
-        if set(nxt) == known:
+        nxt = _colon(rows)
+        lay = max(nxt.layout, known.layout, key=lambda lay: lay.width)
+        if {frozenset(row.items()) for row, _d in nxt.on(lay)} == \
+                {frozenset(row.items()) for row, _d in known.on(lay)}:
             return nxt
-        current, known = nxt, set(nxt)
+        rows = known = nxt

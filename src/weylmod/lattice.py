@@ -11,34 +11,60 @@ Every verdict about the completed module is routed through the reduction
 of a saturated presentation; the generic fiber over Q(z) is offered only
 as a diagnostic, since an operator like z*d1 - 1 becomes invertible after
 completion while staying nonzero over Q(z).
+
+The relations of a presentation are held as Groebner kernel rows
+(groebner._Rows), packed straight from the rows over Q(z), and the
+lattice layer stays on them: saturation is groebner._saturate, reduction
+mod z keeps the z-free terms of each row (Layout.z_free) in lowest
+terms, the generic fiber gathers the terms of one key without z into one
+polynomial coefficient (Layout.z_split), the Kunneth torsion term is the
+preimage of the colon rows of the integral Ext^(i+1), and a lattice
+tests containment up to a power of z by shifting the keys of its rows.
+FreeVec rows are built only where a caller reads rows.  The FreeVecs so
+built are those the same steps on FreeVecs give: reduced bases are
+unique, a primitive row over its lead coefficient is the monic element,
+and rows in lowest terms are canonical.
 """
 
-from fractions import Fraction
-
-from ._linalg import add_terms, clear
+from ._linalg import ZPoly, add_terms, clear, lowest_terms
+from ._packed import layout, widening
 from .errors import IndexOutOfRange, InternalInvariant, NonIntegral, \
     NotMinimalDimension, NotSameModule, NotSaturated, UnsupportedAmbient
-from .groebner import (FreeVec, _nonzero_rows, _saturate, bernstein_order,
-                       buchberger, colon_z, preimage_rows, saturate_z,
+from .groebner import (_colon, _gb, _nonzero_rows, _preimage,
+                       _reduce, _Rows, _saturate, _units, bernstein_order,
                        submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
                       is_minimal_dimension, matrix_rows)
-from .weyl import (QQ, QZ, ZP, WeylAlgebra, convert_ring,
-                   reduce_element_mod_z)
+from .weyl import QQ, QZ, ZP
 
 
 class IntegralPresentation:
-    __slots__ = ("n", "side", "rank", "rows", "saturated")
+    """Relations over W_n(Q[z]) of a module on rank generators.
+
+    The relations are held as kernel rows (groebner._Rows): given as
+    such, cleared once from FreeVec rows, or packed from rows over Q(z)
+    by from_qz_matrix; rows, their FreeVecs, are built on first read.
+    """
+
+    __slots__ = ("n", "side", "rank", "saturated", "_kernel")
 
     def __init__(self, n, side, rank, rows, saturated=False):
+        """rows: FreeVecs over ZP of W_n^rank, or nonzero kernel rows."""
+        if not isinstance(rows, _Rows):
+            rows = _Rows.of(n, ZP, rank, _nonzero_rows(rows, rank))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rows", _nonzero_rows(rows, rank))
         object.__setattr__(self, "saturated", saturated)
+        object.__setattr__(self, "_kernel", rows)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntegralPresentation is immutable")
+
+    @property
+    def rows(self):
+        """The relations as FreeVecs."""
+        return self._kernel.vecs()
 
     @staticmethod
     def from_qz_matrix(n, entries, side=LEFT, rank=None):
@@ -51,7 +77,7 @@ class IntegralPresentation:
         coefficient.
         """
         rank, entries = matrix_rows(entries, rank)
-        rows = []
+        cleared = []
         for row in entries:
             for w in row:
                 if not all(c.is_integral() for c in w.terms.values()):
@@ -61,24 +87,41 @@ class IntegralPresentation:
             keys = [(i, a, b, e) for i, w in enumerate(row)
                     for a, b, e in w.terms]
             nums, den = clear(c for w in row for c in w.terms.values())
-            top = den[-1]
-            rows.append(FreeVec(n, ZP, rank, add_terms({}, (
-                ((i, a, b, e + k), Fraction(c, top))
+            cleared.append((keys, nums, den[-1]))
+
+        def run(lay):
+            # the row over Z[z], spread over the z field of its keys
+            enc = lay.enc
+            return _Rows(n, ZP, rank, lay, [lowest_terms(add_terms({}, (
+                (enc[i, a, b, e + k], c)
                 for (i, a, b, e), p in zip(keys, nums)
-                for k, c in enumerate(p) if c))))
-        return IntegralPresentation(n, side, rank, rows)
+                for k, c in enumerate(p) if c)), top)
+                for keys, nums, top in cleared])
+
+        return IntegralPresentation(n, side, rank,
+                                    widening(run, layout(n, False)))
 
     def module(self):
-        return PresentedModule(self.n, ZP, self.side, self.rank, self.rows)
+        return PresentedModule(self.n, ZP, self.side, self.rank, self._kernel)
 
     def generic_fiber_module(self):
-        rows = [r.map_entries(lambda w: convert_ring(w, QZ))
-                for r in self.rows]
-        return PresentedModule(self.n, QZ, self.side, self.rank, rows)
+        """The module over Q(z): in each kernel row the terms of one key
+        without z give the coefficients of one ZPoly."""
+        lay = self._kernel.layout
+        rows = []
+        for row, d in self._kernel.rows:
+            polys = {}
+            for m, c in row.items():
+                key, e = lay.z_split(m)
+                polys.setdefault(key, {})[e] = c
+            rows.append(({k: ZPoly([p.get(e, 0) for e in range(max(p) + 1)])
+                          for k, p in polys.items()}, ZPoly((d,))))
+        return PresentedModule(self.n, QZ, self.side, self.rank,
+                               _Rows(self.n, QZ, self.rank, lay, rows))
 
     def __repr__(self):
         return "IntegralPresentation(W_%d(Q[z]), %s, %d gens, %d rows%s)" % (
-            self.n, self.side, self.rank, len(self.rows),
+            self.n, self.side, self.rank, len(self._kernel.rows),
             ", saturated" if self.saturated else "")
 
 
@@ -86,7 +129,9 @@ def make_lattice(P):
     """Saturate the relations so the cokernel is z-torsion-free."""
     if P.saturated:
         return P
-    rows = saturate_z(P.rows, P.rank)
+    rows = P._kernel
+    if rows.rows:
+        rows = _saturate(rows, _gb(rows, bernstein_order(P.n)))
     return IntegralPresentation(P.n, P.side, P.rank, rows, saturated=True)
 
 
@@ -103,14 +148,19 @@ class ReductionReport:
         self.generic_fiber_is_zero = generic_fiber_is_zero
 
 
-def reduce_rows_mod_z(rows):
-    out = [r.map_entries(reduce_element_mod_z) for r in rows]
-    return [r for r in out if r.terms]
+def _reduced_module(side, rows):
+    """The reduction mod z of kernel relation rows over Q[z].
 
-
-def _reduced_module(P):
-    """The reduction mod z of a presentation over Q[z], a module over QQ."""
-    return PresentedModule(P.n, QQ, P.side, P.rank, reduce_rows_mod_z(P.rows))
+    A module over QQ on the given side: each row keeps its terms without
+    z, in lowest terms, and a row that z divides is dropped.
+    """
+    n, rank, lay = rows.n, rows.rank, rows.layout
+    reduced = []
+    for row, d in rows.rows:
+        row = lay.z_free(row)
+        if row:
+            reduced.append(lowest_terms(row, d))
+    return PresentedModule(n, QQ, side, rank, _Rows(n, QQ, rank, lay, reduced))
 
 
 def reduce_mod_z(P, with_generic_diagnostic=False):
@@ -121,7 +171,7 @@ def reduce_mod_z(P, with_generic_diagnostic=False):
     """
     if not P.saturated:
         raise NotSaturated("reduce after make_lattice, not before")
-    reduced = _reduced_module(P)
+    reduced = _reduced_module(P.side, P._kernel)
     zero = reduced.is_zero()
     cycle = None
     verdict = None
@@ -164,13 +214,14 @@ def good_lattice(P):
     E1 = ext(n, M)
     if E1.is_zero():
         raise InternalInvariant("integral dual of a holonomic avatar vanished")
-    rows1 = _saturate(E1.rows, E1.rank, E1.gb())
-    V = PresentedModule(n, ZP, E1.side, E1.rank, rows1)
+    V = PresentedModule(n, ZP, E1.side, E1.rank,
+                        _saturate(E1._relations(), E1.gb()))
     E2 = ext(n, V)
     if E2.is_zero():
         raise InternalInvariant("integral double dual vanished")
-    rows2 = _saturate(E2.rows, E2.rank, E2.gb())
-    out = IntegralPresentation(n, P.side, E2.rank, rows2, saturated=True)
+    out = IntegralPresentation(n, P.side, E2.rank,
+                               _saturate(E2._relations(), E2.gb()),
+                               saturated=True)
     if not minimal_dimension_via_reduction(out):
         raise InternalInvariant("good lattice reduction lost minimal "
                                 "dimension")
@@ -193,23 +244,36 @@ class Lattice:
         self.gens = list(gens) if gens is not None else None
 
     def generator_rows(self):
-        if self.gens is not None:
-            return self.gens
+        return self._generators().vecs()
+
+    def _generators(self):
+        """The generators as kernel rows: the units e_j, or gens cleared."""
         A = self.avatar
-        return [FreeVec.unit(A.n, ZP, A.rank, j) for j in range(A.rank)]
+        if self.gens is not None:
+            return _Rows.of(A.n, ZP, A.rank, self.gens)
+        lay = A._kernel.layout
+        return _Rows(A.n, ZP, A.rank, lay, _units(lay, A.rank))
 
     def presentation(self):
         """Relations {u : u . gens in the avatar's relation span}.
 
         For the standard generators these are the avatar's rows negated,
         in order and without repeats: what preimage_rows(units, A.rows)
-        returns, without its syzygy computation.
+        returns, without its syzygy computation.  Kernel rows are in
+        lowest terms, so a repeat is an equal pair.
         """
         A = self.avatar
+        rows = A._kernel
         if self.gens is None:
-            rank, rels = A.rank, dict.fromkeys(-r for r in A.rows)
+            rank, negated = A.rank, {}
+            for row, d in rows.rows:
+                negated.setdefault((frozenset(row.items()), d),
+                                   ({k: -c for k, c in row.items()}, d))
+            rels = _Rows(A.n, ZP, rank, rows.layout, list(negated.values()))
         else:
-            rank, rels = len(self.gens), preimage_rows(self.gens, A.rows)
+            rank, rels = len(self.gens), []
+            if self.gens:
+                rels = _preimage(self._generators().stacked(rows), rank)
         return IntegralPresentation(A.n, A.side, rank, rels, saturated=True)
 
 
@@ -230,20 +294,30 @@ class CompareReport:
         self.multiplicity_second = cycle_second.total() if cycle_second else 0
 
 
-def _containment_power(gens_small, span_rows, n, zpower):
-    """Least a <= zpower with z^a g inside the ZP row span, per generator."""
-    gb = buchberger(span_rows, bernstein_order(n))
-    z = WeylAlgebra(n, ZP).z()
-    worst = 0
-    for g in gens_small:
-        for a in range(zpower + 1):
-            if gb.contains(g):
-                break
-            g = g.mul_left(z)
-        else:
-            return None
-        worst = max(worst, a)
-    return worst
+def _containment_power(gens, span, zpower):
+    """Least a <= zpower with z^a g inside the span, worst over gens.
+
+    gens and span are kernel rows over ZP; None when some generator needs
+    a higher power.  Multiplying by z shifts the keys of a row.
+    """
+    gb = _gb(span, bernstein_order(span.n))
+
+    def run(lay):
+        basis = gb._kernel(lay)
+        lay = basis.layout
+        keys = gb.order.packed(lay)
+        worst = 0
+        for row, _d in gens.on(lay):
+            for a in range(zpower + 1):
+                if not _reduce(row, basis, keys)[0]:
+                    break
+                row = lay.z_shifted(row, 1)
+            else:
+                return None
+            worst = max(worst, a)
+        return worst
+
+    return widening(run, gens.layout)
 
 
 def compare_lattices(first, second, zpower=8):
@@ -264,11 +338,9 @@ def compare_lattices(first, second, zpower=8):
         raise NotSameModule("avatars live in different ambients")
     if A is not B and not submodule_equal(A.rows, B.rows):
         raise NotSameModule("avatar relation modules differ")
-    span_a = first.generator_rows() + A.rows
-    span_b = second.generator_rows() + B.rows
-    a_in_b = _containment_power(first.generator_rows(), span_b, A.n, zpower)
-    b_in_a = _containment_power(second.generator_rows(), span_a, A.n,
-                                zpower)
+    gens_a, gens_b = first._generators(), second._generators()
+    a_in_b = _containment_power(gens_a, gens_b.stacked(B._kernel), zpower)
+    b_in_a = _containment_power(gens_b, gens_a.stacked(A._kernel), zpower)
     if a_in_b is None or b_in_a is None:
         raise NotSameModule(
             "mutual containment fails within z power %d" % zpower)
@@ -319,14 +391,19 @@ def kunneth_check(P, i):
     (c) the Tor term, realized as the z-torsion of the integral Ext^(i+1)
     presented over Q.  The sequence forces cycle(b) = cycle(a) + cycle(c).
     """
+    if not 0 <= i <= P.n:
+        raise IndexOutOfRange("kunneth index %d outside 0..%d" % (i, P.n))
     if not P.saturated:
         raise NotSaturated("kunneth terms are defined for saturated input")
     M = P.module()
-    term_a = _reduced_module(ext(i, M))
-    term_b = ext(i, _reduced_module(P))
+    E = ext(i, M)
+    term_a = _reduced_module(E.side, E._relations())
+    term_b = ext(i, _reduced_module(P.side, P._kernel))
     Enext = ext(i + 1, M)
-    torsion_gens = colon_z(Enext.rows, Enext.rank)
-    term_c = _reduced_module(IntegralPresentation(
-        P.n, Enext.side, len(torsion_gens),
-        preimage_rows(torsion_gens, Enext.rows)))
+    relations = Enext._relations()
+    torsion = _colon(relations)
+    m = len(torsion.rows)
+    preimage = _preimage(torsion.stacked(relations), m) if m else \
+        _Rows(P.n, ZP, 0, relations.layout, [])
+    term_c = _reduced_module(Enext.side, preimage)
     return KunnethReport(i, term_a, term_b, term_c)

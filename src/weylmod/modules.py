@@ -57,30 +57,38 @@ class PresentedModule:
     """Relations rows of a module over W_n, with what is known of it.
 
     The relations enter the Groebner kernel once, as _Rows (_kernel):
-    cleared from rows on first use, or, for an Ext module, handed over as
-    the kernel rows they were computed as, which over H1 carry the degree
-    of each generator.  Its basis and its resolution both start from
-    them; the basis, the resolution and each Ext^i are computed once and
-    kept.
+    cleared from FreeVec rows on first use, or handed over as the kernel
+    rows they were computed as (an Ext module, a lattice and its
+    reduction mod z), which over H1 carry the degree of each generator;
+    their FreeVecs are then built only when rows is first read.  Its
+    basis and its resolution both start from the kernel rows; the basis,
+    the resolution and each Ext^i are computed once and kept.
     """
 
-    __slots__ = ("n", "ring", "side", "rank", "rows", "_gb", "_res", "_ext",
+    __slots__ = ("n", "ring", "side", "rank", "_rows", "_gb", "_res", "_ext",
                  "_kernel")
 
     def __init__(self, n, ring, side, rank, rows):
-        rows = _nonzero_rows(rows, rank)
+        """rows: FreeVecs of W_n^rank, or nonzero kernel rows as _Rows."""
+        kernel, rows = (rows, None) if isinstance(rows, _Rows) else \
+            (None, _nonzero_rows(rows, rank))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_gb", None)
         object.__setattr__(self, "_res", None)
         object.__setattr__(self, "_ext", {})
-        object.__setattr__(self, "_kernel", None)
+        object.__setattr__(self, "_kernel", kernel)
 
     def __setattr__(self, name, value):
         raise AttributeError("PresentedModule is immutable")
+
+    @property
+    def rows(self):
+        """The relations as FreeVecs."""
+        return self._kernel.vecs() if self._rows is None else self._rows
 
     @staticmethod
     def from_matrix(n, ring, entries, side=LEFT, rank=None):
@@ -95,7 +103,7 @@ class PresentedModule:
         """The relations as kernel rows, built on the first call."""
         if self._kernel is None:
             object.__setattr__(self, "_kernel", _Rows.of(
-                self.n, self.ring, self.rank, self.rows))
+                self.n, self.ring, self.rank, self._rows))
         return self._kernel
 
     def gb(self):
@@ -123,7 +131,8 @@ class PresentedModule:
 
     def __repr__(self):
         return "PresentedModule(W_%d/%s, %s, %d gens, %d relations)" % (
-            self.n, self.ring, self.side, self.rank, len(self.rows))
+            self.n, self.ring, self.side, self.rank,
+            len(self._relations().rows))
 
 
 class CharCycle:
@@ -301,9 +310,7 @@ def _ext_of_resolution(i, M):
     m = len(kernel.rows)
     relations = _preimage(kernel if image is None else kernel.stacked(image),
                           m)
-    E = PresentedModule(M.n, M.ring, M.opposite_side(), m, relations.vecs())
-    object.__setattr__(E, "_kernel", relations)
-    return E
+    return PresentedModule(M.n, M.ring, M.opposite_side(), m, relations)
 
 
 def grade(M):

@@ -37,13 +37,20 @@ The echelon form of the engine takes rows of ints or of ZPolys, so the
 membership and de Rham oracles clear each row over one denominator
 (_linalg.clear) before they add it; a nonzero multiple spans the same
 line.
+
+The lattice layer, which colons, saturates and reduces mod z on packed
+kernel rows, is checked against the same steps on FreeVecs: the colon
+by z reads the monic basis of the doubled module that buchberger hands
+out, saturation compares those bases as sets, and reduction mod z maps
+each entry through reduce_element_mod_z.
 """
 
 from fractions import Fraction
 from itertools import combinations
 
-from weylmod import (H1, INF, FreeVec, QPoly, RatFunc, WeylAlgebra,
-                     bernstein_degree, ext, leading_term)
+from weylmod import (H1, INF, ZP, FreeVec, QPoly, RatFunc, WeylAlgebra,
+                     bernstein_degree, bernstein_order, buchberger, ext,
+                     leading_term, pot_block_order, reduce_element_mod_z)
 from weylmod._linalg import Echelon, clear
 from weylmod.modules import homological_bound
 
@@ -406,3 +413,44 @@ def field_rank(matrix):
                 r[:] = [_minus(a, c, b) for a, b in zip(r, pivot)]
         rank += 1
     return rank
+
+
+def freevec_colon_z(gens, rank):
+    """(N : z) over ZP, on FreeVecs: intersect with z F, divide by z."""
+    gens = [g for g in gens if g.terms]
+    if not gens:
+        return []
+    n = gens[0].n
+    doubled = [g.embed(2 * rank, 0) + g.embed(2 * rank, rank) for g in gens]
+    z0 = (0,) * n
+    for j in range(rank):
+        doubled.append(FreeVec(n, ZP, 2 * rank,
+                               {(rank + j, z0, z0, 1): Fraction(1)}))
+    out = []
+    for g in buchberger(doubled, pot_block_order(n, rank)).elements:
+        if g.support_comps() <= set(range(rank)):
+            if any(e < 1 for _c, _a, _b, e in g.terms):
+                raise AssertionError("element of z F with a z-free term")
+            out.append(FreeVec(n, ZP, rank, {(c, a, b, e - 1): v for
+                                             (c, a, b, e), v in
+                                             g.terms.items()}))
+    return out
+
+
+def freevec_saturate_z(gens, rank):
+    """(N : z^infinity) on FreeVecs: colons until the basis repeats."""
+    current = [g for g in gens if g.terms]
+    if not current:
+        return []
+    known = set(buchberger(current, bernstein_order(current[0].n)).elements)
+    while True:
+        nxt = freevec_colon_z(current, rank)
+        if set(nxt) == known:
+            return nxt
+        current, known = nxt, set(nxt)
+
+
+def freevec_reduce_mod_z(rows):
+    """The nonzero rows of ZP FreeVecs with each entry reduced mod z."""
+    out = [r.map_entries(reduce_element_mod_z) for r in rows]
+    return [r for r in out if r.terms]

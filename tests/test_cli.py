@@ -59,13 +59,13 @@ def test_stats_flag_adds_counters():
 def test_compare_lattices_saturates_once(monkeypatch):
     from weylmod import lattice
     calls = []
-    real = lattice.saturate_z
+    real = lattice._saturate
 
-    def counted(gens, rank):
-        calls.append(rank)
-        return real(gens, rank)
+    def counted(rows, gb):
+        calls.append(rows.rank)
+        return real(rows, gb)
 
-    monkeypatch.setattr(lattice, "saturate_z", counted)
+    monkeypatch.setattr(lattice, "_saturate", counted)
     source = (GOLDEN / "compare-lattices.in").read_text()
     want = json.loads((GOLDEN / "compare-lattices.json").read_text())
     rep, code = run_stripped(source)
@@ -100,17 +100,18 @@ def test_compare_lattices_over_two_modules(monkeypatch, relation, check,
 
 
 def test_internal_invariant_exits_1(monkeypatch):
-    from weylmod import ZP, FreeVec, groebner
-    real = groebner.buchberger
+    from weylmod import groebner
+    real = groebner._gb
 
     def faulty(gens, order, track=False):
         # a colon basis element below the block boundary without a z
         gb = real(gens, order, track)
         if order.name.startswith("pot-block"):
-            gb.elements.append(FreeVec.unit(gb.n, ZP, gb.rank, 0))
+            unit = gb._basis.layout.with_comp(0, 0)
+            gb._basis.add({unit: 1}, unit)
         return gb
 
-    monkeypatch.setattr(groebner, "buchberger", faulty)
+    monkeypatch.setattr(groebner, "_gb", faulty)
     rep, code = run_stripped("ring W(1) over QZ; module M = coker "
                              "[[x1*d1 - 1/2 - z]]; check M holonomic-hat")
     assert code == 1

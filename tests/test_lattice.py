@@ -1,20 +1,24 @@
 """Integral presentations, saturation, reduction and lattice comparison."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from weylmod import (LEFT, QQ, QZ, ZP, FreeVec, IndexOutOfRange,
                      IntegralPresentation, Lattice, NonIntegral,
-                     NotSameModule, NotSaturated,
+                     NotMinimalDimension, NotSameModule, NotSaturated,
                      PresentedModule, QPoly, RankMismatch, RatFunc,
                      WeylAlgebra, bernstein_order, buchberger,
-                     char_cycle, compare_lattices, good_lattice, groebner,
+                     char_cycle, compare_lattices, convert_ring, ext,
+                     good_lattice, groebner, is_minimal_dimension,
                      kunneth_check, left_normal_form, make_lattice,
                      minimal_dimension_via_reduction, parse,
                      preimage_rows, reduce_mod_z, saturate_z, to_str)
 
-from helpers import battery_avatars, free_avatar
+from helpers import battery_avatars, free_avatar, rand_element
+from oracles import (freevec_colon_z, freevec_reduce_mod_z,
+                     freevec_saturate_z)
 
 A = WeylAlgebra(1, QZ)
 Z = WeylAlgebra(1, ZP)
@@ -158,6 +162,20 @@ def test_compare_rejects_a_negative_z_power():
         compare_lattices(L, L, zpower=-1)
 
 
+def test_containment_reruns_on_wider_fields():
+    # the standard generator never enters W d1, so z^a e_0 is tried up to
+    # a = 100, past the exponents the narrowest packed field holds; z^70
+    # e_0 spans a lattice of the same module, 70 powers of z apart
+    P = make_lattice(pres(A.d(1)))
+    L = Lattice(P, [FreeVec.from_entries([Z.d(1)], rank=1)])
+    with pytest.raises(NotSameModule, match="z power 100"):
+        compare_lattices(Lattice(P), L, zpower=100)
+    L = Lattice(P, [FreeVec.from_entries([Z.z() ** 70], rank=1)])
+    assert compare_lattices(Lattice(P), L, zpower=70).equal
+    with pytest.raises(NotSameModule, match="z power 69"):
+        compare_lattices(Lattice(P), L, zpower=69)
+
+
 def test_kunneth_zero_pattern_battery():
     for name, P, _chi in battery_avatars():
         sat = make_lattice(P)
@@ -187,10 +205,13 @@ def test_lattice_presentation_saturated():
     assert not rep.is_zero
 
 
-def _avatar(source):
+def _qz_presentation(source):
     s = parse(source)
-    return make_lattice(IntegralPresentation.from_qz_matrix(
-        s.n, s.modules["M"]))
+    return IntegralPresentation.from_qz_matrix(s.n, s.modules["M"])
+
+
+def _avatar(source):
+    return make_lattice(_qz_presentation(source))
 
 
 def _hand_built():
@@ -224,3 +245,82 @@ def test_standard_lattice_is_presented_by_its_avatar(monkeypatch, make):
     assert Q.rows == want
     assert Q.rows == list(dict.fromkeys(-r for r in P.rows))
     assert (Q.n, Q.side, Q.rank, Q.saturated) == (P.n, P.side, P.rank, True)
+
+
+Z1 = "ring W(1) over QZ; module M = coker [[x1*d1 - 1/2 - z]];"
+Z12 = ("ring W(2) over QZ; module M = coker [[d1^2 - d2], "
+       "[x1*d1 + 2*x2*d2 - 1/2 - z]];")
+
+
+@pytest.mark.parametrize("source,n", [(Z1, 1), (Z12, 2)], ids=["n1", "n2"])
+def test_kunneth_checks_its_index_first(source, n):
+    # Ext^(n+1) of the integral module exists, but the reduction has none:
+    # the index is checked before any Ext is computed
+    P = _avatar(source)
+    assert kunneth_check(P, n).i == n
+    groebner.reset_counters()
+    with pytest.raises(IndexOutOfRange,
+                       match=r"kunneth index %d outside 0\.\.%d" % (n + 1, n)):
+        kunneth_check(P, n + 1)
+    assert groebner.COUNTERS["buchberger_calls"] == 0
+
+
+def _seeded_presentation(n, rank, seed):
+    """Two random ZP rows of W_n^rank, each times z or not."""
+    rng = random.Random("lattice/%d/%d/%d" % (n, rank, seed))
+    W = WeylAlgebra(n, ZP)
+    rows = [FreeVec.from_entries([rand_element(rng, W, deg=1, terms=2)
+                                  for _ in range(rank)], rank=rank)
+            for _ in range(2)]
+    return IntegralPresentation(n, LEFT, rank, [
+        r.mul_left(W.z()) if rng.randint(0, 1) else r for r in rows])
+
+
+def _reference_good_lattice(P, rows):
+    """good_lattice on FreeVecs from the saturated rows of P."""
+    n = P.n
+    E1 = ext(n, PresentedModule(n, ZP, P.side, P.rank, rows))
+    rows1 = freevec_saturate_z(E1.rows, E1.rank)
+    E2 = ext(n, PresentedModule(n, ZP, E1.side, E1.rank, rows1))
+    return freevec_saturate_z(E2.rows, E2.rank)
+
+
+SEEDED = [(n, rank, seed) for n in (1, 2) for rank in (1, 2)
+          for seed in range(3)]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda args=args: _seeded_presentation(*args) for args in SEEDED),
+    lambda: IntegralPresentation(1, LEFT, 2, _mixed_torsion()),
+    lambda: _qz_presentation(Z1), lambda: _qz_presentation(Z12)],
+    ids=["n%d-rank%d-%d" % args for args in SEEDED] + [
+        "mixed-torsion", "Z1", "Z12"])
+def test_lattice_layer_matches_the_freevec_reference(make):
+    # the generic fiber, colon, saturation and reduction mod z run on
+    # kernel rows; the FreeVecs they hand out are those the FreeVec steps
+    # build
+    P = make()
+    n, rank = P.n, P.rank
+    generic = P.generic_fiber_module()
+    assert generic.rows == [r.map_entries(lambda w: convert_ring(w, QZ))
+                            for r in P.rows]
+    assert generic.is_zero() == PresentedModule(
+        n, QZ, P.side, rank, generic.rows).is_zero()
+    sat = make_lattice(P)
+    rows = freevec_saturate_z(P.rows, rank)
+    assert sat.rows == rows
+    reduced = freevec_reduce_mod_z(rows)
+    assert reduce_mod_z(sat).reduced_module.rows == reduced
+    M = PresentedModule(n, ZP, P.side, rank, rows)
+    for i in range(n + 1):
+        E = ext(i + 1, M)
+        torsion = freevec_colon_z(E.rows, E.rank)
+        term = kunneth_check(sat, i).tor_term
+        assert term.rank == len(torsion)
+        assert term.rows == freevec_reduce_mod_z(
+            preimage_rows(torsion, E.rows))
+    if is_minimal_dimension(PresentedModule(n, QQ, P.side, rank, reduced)):
+        assert good_lattice(P).rows == _reference_good_lattice(P, rows)
+    else:
+        with pytest.raises(NotMinimalDimension):
+            good_lattice(P)

@@ -317,6 +317,22 @@ def test_grade_resolves_no_ext():
     assert not {"ext", "InternalInvariant"} & _names("modules.py", "grade")
 
 
+@pytest.mark.parametrize("path,function", [
+    ("lattice.py", "make_lattice"), ("lattice.py", "_reduced_module"),
+    ("lattice.py", "kunneth_check"), ("lattice.py", "good_lattice"),
+    ("lattice.py", "IntegralPresentation.generic_fiber_module"),
+    ("lattice.py", "Lattice.presentation"),
+    ("lattice.py", "_containment_power"),
+    ("groebner.py", "_colon"), ("groebner.py", "_saturate")])
+def test_lattices_stay_in_the_kernel(path, function):
+    # saturation, the colon by z, reduction mod z and the Kunneth torsion
+    # term run on kernel rows, not through the FreeVec edges of the
+    # kernel; FreeVecs are built only where rows are read
+    assert not {"FreeVec", "Fraction", "map_entries", "entries", "elements",
+                "buchberger", "colon_z", "saturate_z", "preimage_rows"} & \
+        _names(path, function)
+
+
 @pytest.mark.parametrize("function", ["saturate_z", "submodule_equal"])
 def test_equality_compares_reduced_bases(function):
     # reduced bases are unique, so equal spans show as equal bases and
