@@ -320,19 +320,27 @@ class _Rows:
     without rows.  Over H1, offsets[j] is the degree of its generator j
     (None: all 0), so that a row is homogeneous when degree(term) +
     offsets[comp] is the same on all its terms.
+
+    reduced is the TermOrder under which the rows, in order and up to
+    their scalars, are the reduced Groebner basis of their span, or
+    None.  _colon marks its output under bernstein_order, and
+    lattice.Lattice.presentation its negated standard rows; untracked _gb
+    under that order then reads the basis off the rows.  Rows derived
+    from marked rows (on, stacked, a new _Rows) carry no mark.
     """
 
-    __slots__ = ("n", "ring", "rank", "layout", "rows", "offsets", "_vecs",
-                 "_degrees")
+    __slots__ = ("n", "ring", "rank", "layout", "rows", "offsets", "reduced",
+                 "_vecs", "_degrees")
 
     def __init__(self, n, ring, rank, lay, rows, offsets=None, vecs=None,
-                 degrees=None):
+                 degrees=None, reduced=None):
         self.n = n
         self.ring = ring
         self.rank = rank
         self.layout = lay
         self.rows = rows
         self.offsets = offsets
+        self.reduced = reduced
         self._vecs = vecs
         self._degrees = degrees
 
@@ -687,24 +695,44 @@ def buchberger(gens, order, track=False):
 
 
 def _gb(gens, order, track=False):
-    """buchberger on kernel rows: the one implementation behind it."""
+    """buchberger on kernel rows: the one implementation behind it.
+
+    Untracked, rows marked reduced under order (_Rows.reduced) are their
+    own basis: each is made primitive over its lead, in order, as
+    buchberger would leave it, and no Buchberger run is made or counted.
+    """
+    if gens.reduced is order and not track:
+        lay = gens.layout
+        keys = order.packed(lay)
+        basis = _Basis(lay)
+        for row, _d in gens.rows:
+            lead = max(row, key=keys.__getitem__)
+            basis.add(primitive(row, lead)[0], lead)
+        return _gb_of(gens, order, basis, {"spairs": 0,
+                                           "reductions_to_zero": 0})
     COUNTERS["buchberger_calls"] += 1
     ring = gens.ring
     basis, trans, lifts, stats = widening(
         lambda lay: _buchberger(gens.on(lay), order, track, ring, lay,
                                 gens.offsets),
         gens.layout)
-    lay = basis.layout
-    stats["basis_size"] = len(basis.rows)
     COUNTERS["spairs"] += stats["spairs"]
     COUNTERS["basis_elements"] += len(basis.rows)
-    one = _one(ring)
-    gb = GBasis(gens.n, ring, gens.rank, order, None, stats=stats,
-                leads=[(lay.dec[m], one) for m in basis.leads])
-    gb._basis = basis
+    gb = _gb_of(gens, order, basis, stats)
     if track:
+        lay = basis.layout
         gb._track = (_Rows(gens.n, ring, len(gens.rows), lay, trans),
                      _Rows(gens.n, ring, len(basis.rows), lay, lifts))
+    return gb
+
+
+def _gb_of(gens, order, basis, stats):
+    """The GBasis of gens under order whose kernel basis is basis."""
+    stats["basis_size"] = len(basis.rows)
+    dec, one = basis.layout.dec, _one(gens.ring)
+    gb = GBasis(gens.n, gens.ring, gens.rank, order, None, stats=stats,
+                leads=[(dec[m], one) for m in basis.leads])
+    gb._basis = basis
     return gb
 
 
@@ -926,11 +954,18 @@ class FreeResolution:
     matrices[k] the rows of stages[k] as FreeVecs, built once.
     """
 
-    __slots__ = ("stages", "complete")
+    __slots__ = ("stages", "complete", "_duals")
 
     def __init__(self, stages, complete):
         self.stages = stages
         self.complete = complete
+        self._duals = {}
+
+    def dual(self, k):
+        """The tau-dual of stage k (_Rows.tau_dual), built once."""
+        if k not in self._duals:
+            self._duals[k] = self.stages[k].tau_dual()
+        return self._duals[k]
 
     @property
     def ranks(self):
@@ -1018,6 +1053,9 @@ def _colon(rows):
     part below the block boundary of pot_block_order is N meet z F.  The
     reduced basis rows found there are divided by z and kept over their
     lead coefficients, as (row, lc): the monic elements, in lowest terms.
+    They are the reduced basis of N : z under bernstein_order, the lower
+    block of pot_block_order shifted down one power of z (which keeps the
+    order and divisibility), and the result is marked so (_Rows.reduced).
     """
     n, ring, rank = rows.n, rows.ring, rows.rank
     if ring != ZP:
@@ -1039,7 +1077,7 @@ def _colon(rows):
             if lay.z_free(row):
                 raise InternalInvariant("element of z F with a z-free term")
             out.append((lay.z_shifted(row, -1), row[m]))
-    return _Rows(n, ring, rank, lay, out)
+    return _Rows(n, ring, rank, lay, out, reduced=bernstein_order(n))
 
 
 def submodule_equal(gens_a, gens_b):
@@ -1068,9 +1106,7 @@ def _saturate(rows, gb):
 
     gb is the basis of rows under bernstein_order, which a module that
     already holds it lends instead of computing it again.  _colon returns
-    the reduced basis of N : z under bernstein_order: the lower block of
-    pot_block_order, which is bernstein_order there, shifted down one
-    power of z, which keeps the order and divisibility.  Reduced bases are
+    the reduced basis of N : z under bernstein_order.  Reduced bases are
     unique, so N : z = N exactly when that basis is N's own: when their
     primitive rows are equal as sets, on one layout.
     """

@@ -34,7 +34,7 @@ from .groebner import (_colon, _gb, _nonzero_rows, _preimage,
                        _reduce, _Rows, _saturate, _units, bernstein_order,
                        submodule_equal)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
-                      is_minimal_dimension, matrix_rows)
+                      grade, is_minimal_dimension, matrix_rows)
 from .weyl import QQ, QZ, ZP
 
 
@@ -260,7 +260,9 @@ class Lattice:
         For the standard generators these are the avatar's rows negated,
         in order and without repeats: what preimage_rows(units, A.rows)
         returns, without its syzygy computation.  Kernel rows are in
-        lowest terms, so a repeat is an equal pair.
+        lowest terms, so a repeat is an equal pair.  A reduced basis has
+        no repeats and its negation, made primitive, is itself, so rows
+        marked reduced (groebner._Rows.reduced) keep the mark.
         """
         A = self.avatar
         rows = A._kernel
@@ -269,7 +271,8 @@ class Lattice:
             for row, d in rows.rows:
                 negated.setdefault((frozenset(row.items()), d),
                                    ({k: -c for k, c in row.items()}, d))
-            rels = _Rows(A.n, ZP, rank, rows.layout, list(negated.values()))
+            rels = _Rows(A.n, ZP, rank, rows.layout, list(negated.values()),
+                         reduced=rows.reduced)
         else:
             rank, rels = len(self.gens), []
             if self.gens:
@@ -390,20 +393,47 @@ def kunneth_check(P, i):
     (a) the integral Ext^i reduced mod z, (b) Ext^i of the reduction,
     (c) the Tor term, realized as the z-torsion of the integral Ext^(i+1)
     presented over Q.  The sequence forces cycle(b) = cycle(a) + cycle(c).
+
+    A term an invariant decides is the zero module, with no Ext built.
+    Ext^j of a nonzero module vanishes below its grade g, which reads its
+    basis (modules.grade); a lattice from make_lattice or
+    Lattice.presentation hands that basis over (groebner._Rows.reduced).
+    So (a) is zero for i < g, (b) for i below g and the grade of M/zM,
+    and (c) for i + 1 < g.  Otherwise (c) is (N : z) / N for N the
+    relations of Ext^(i+1), and it is zero when no lead of N's reduced
+    basis under bernstein_order holds z: if z f lies in N, so does z r
+    for r the normal form of f, and a nonzero r would have its lead
+    z lead(r) divided by some z-free lead, which then divides lead(r),
+    as no remainder's lead is.  So N : z = N and no colon is computed.
     """
     if not 0 <= i <= P.n:
         raise IndexOutOfRange("kunneth index %d outside 0..%d" % (i, P.n))
     if not P.saturated:
         raise NotSaturated("kunneth terms are defined for saturated input")
     M = P.module()
-    E = ext(i, M)
-    term_a = _reduced_module(E.side, E._relations())
-    term_b = ext(i, _reduced_module(P.side, P._kernel))
-    Enext = ext(i + 1, M)
-    relations = Enext._relations()
-    torsion = _colon(relations)
-    m = len(torsion.rows)
-    preimage = _preimage(torsion.stacked(relations), m) if m else \
-        _Rows(P.n, ZP, 0, relations.layout, [])
-    term_c = _reduced_module(Enext.side, preimage)
+    g = grade(M)
+    zero = PresentedModule(P.n, QQ, M.opposite_side(), 0, _Rows(
+        P.n, QQ, 0, P._kernel.layout, [], reduced=bernstein_order(P.n)))
+    term_a = term_b = term_c = zero
+    if i >= g:
+        E = ext(i, M)
+        term_a = _reduced_module(E.side, E._relations())
+    reduction = _reduced_module(P.side, P._kernel)
+    if i >= g or i >= grade(reduction):
+        term_b = ext(i, reduction)
+    if i + 1 >= g:
+        E = ext(i + 1, M)
+        relations = E._relations()
+        if not relations.rows or _z_in_leads(E.gb(), relations.layout):
+            torsion = _colon(relations)
+            m = len(torsion.rows)
+            preimage = _preimage(torsion.stacked(relations), m) if m else \
+                _Rows(P.n, ZP, 0, relations.layout, [])
+            term_c = _reduced_module(E.side, preimage)
     return KunnethReport(i, term_a, term_b, term_c)
+
+
+def _z_in_leads(gb, lay):
+    """Whether a lead of the kernel basis of gb holds z."""
+    basis = gb._kernel(lay)
+    return any(basis.layout.z_split(m)[1] for m in basis.leads)

@@ -282,7 +282,8 @@ def ext(i, M):
     tau-transpose of stage i, the incoming image is spanned by the rows
     of the tau-transpose of stage i-1.  Each Ext^i is computed once per
     module and kept beside its basis and resolution, which is resolved
-    only through stage i.
+    only through stage i and builds each tau-transpose once
+    (FreeResolution.dual), so Ext^i and Ext^(i+1) share that of stage i.
     """
     bound = homological_bound(M.n, M.ring)
     if i < 0 or i > bound:
@@ -299,8 +300,8 @@ def _ext_of_resolution(i, M):
     s_i = ranks[i] if i < len(ranks) else 0
     if s_i == 0:
         return PresentedModule(M.n, M.ring, M.opposite_side(), 0, [])
-    image = stages[i - 1].tau_dual() if i >= 1 else None
-    out = stages[i].tau_dual() if i < len(stages) else None
+    image = res.dual(i - 1) if i >= 1 else None
+    out = res.dual(i) if i < len(stages) else None
     if out is not None and any(row for row, _d in out.rows):
         kernel = _syz(out)
     else:

@@ -43,6 +43,10 @@ kernel rows, is checked against the same steps on FreeVecs: the colon
 by z reads the monic basis of the doubled module that buchberger hands
 out, saturation compares those bases as sets, and reduction mod z maps
 each entry through reduce_element_mod_z.
+
+The Kunneth check, which skips the terms an invariant decides, is
+checked against the check that builds all three: Ext^i of the lattice
+and of its reduction, and the colon of Ext^(i+1).
 """
 
 from fractions import Fraction
@@ -52,6 +56,8 @@ from weylmod import (H1, INF, ZP, FreeVec, QPoly, RatFunc, WeylAlgebra,
                      bernstein_degree, bernstein_order, buchberger, ext,
                      leading_term, pot_block_order, reduce_element_mod_z)
 from weylmod._linalg import Echelon, clear
+from weylmod.groebner import _colon, _preimage, _Rows
+from weylmod.lattice import KunnethReport, _reduced_module
 from weylmod.modules import homological_bound
 
 
@@ -454,3 +460,24 @@ def freevec_reduce_mod_z(rows):
     """The nonzero rows of ZP FreeVecs with each entry reduced mod z."""
     out = [r.map_entries(reduce_element_mod_z) for r in rows]
     return [r for r in out if r.terms]
+
+
+def kunneth_reference(P, i):
+    """The Kunneth terms of a saturated P with every term computed.
+
+    (a) the integral Ext^i reduced mod z, (b) Ext^i of the reduction and
+    (c) the z-torsion of the integral Ext^(i+1), as the preimage of its
+    colon rows, reduced mod z.
+    """
+    M = P.module()
+    E = ext(i, M)
+    term_a = _reduced_module(E.side, E._relations())
+    term_b = ext(i, _reduced_module(P.side, P._kernel))
+    Enext = ext(i + 1, M)
+    relations = Enext._relations()
+    torsion = _colon(relations)
+    m = len(torsion.rows)
+    preimage = _preimage(torsion.stacked(relations), m) if m else \
+        _Rows(P.n, ZP, 0, relations.layout, [])
+    term_c = _reduced_module(Enext.side, preimage)
+    return KunnethReport(i, term_a, term_b, term_c)

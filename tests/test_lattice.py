@@ -12,13 +12,14 @@ from weylmod import (LEFT, QQ, QZ, ZP, FreeVec, IndexOutOfRange,
                      WeylAlgebra, bernstein_order, buchberger,
                      char_cycle, compare_lattices, convert_ring, ext,
                      good_lattice, groebner, is_minimal_dimension,
-                     kunneth_check, left_normal_form, make_lattice,
+                     kunneth_check, lattice, left_normal_form, make_lattice,
                      minimal_dimension_via_reduction, parse,
                      preimage_rows, reduce_mod_z, saturate_z, to_str)
+from weylmod.groebner import _Rows
 
 from helpers import battery_avatars, free_avatar, rand_element
 from oracles import (freevec_colon_z, freevec_reduce_mod_z,
-                     freevec_saturate_z)
+                     freevec_saturate_z, kunneth_reference)
 
 A = WeylAlgebra(1, QZ)
 Z = WeylAlgebra(1, ZP)
@@ -315,12 +316,147 @@ def test_lattice_layer_matches_the_freevec_reference(make):
     for i in range(n + 1):
         E = ext(i + 1, M)
         torsion = freevec_colon_z(E.rows, E.rank)
+        want = freevec_reduce_mod_z(preimage_rows(torsion, E.rows))
         term = kunneth_check(sat, i).tor_term
-        assert term.rank == len(torsion)
-        assert term.rows == freevec_reduce_mod_z(
-            preimage_rows(torsion, E.rows))
+        if term.rank:
+            assert term.rank == len(torsion)
+            assert term.rows == want
+        else:
+            # decided zero with no colon: the reference term is zero too
+            assert PresentedModule(n, QQ, E.side, len(torsion),
+                                   want).is_zero()
     if is_minimal_dimension(PresentedModule(n, QQ, P.side, rank, reduced)):
         assert good_lattice(P).rows == _reference_good_lattice(P, rows)
     else:
         with pytest.raises(NotMinimalDimension):
             good_lattice(P)
+
+
+Z12D = ("ring W(2) over QZ; module M = coker [[d1^2 - z*d2], "
+        "[x1*d1 + 2*x2*d2 - 1/2]];")
+
+
+def _standard(source):
+    return Lattice(_avatar(source)).presentation()
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda args=args: make_lattice(_seeded_presentation(*args))
+      for args in SEEDED),
+    lambda: make_lattice(IntegralPresentation(1, LEFT, 2, _mixed_torsion())),
+    lambda: make_lattice(pres(A.d(1))),
+    lambda: _standard(Z1), lambda: _standard(Z12), lambda: _standard(Z12D),
+    lambda: make_lattice(pres(A.one())), lambda: make_lattice(pres(A.z())),
+    lambda: _standard("ring W(1) over QZ; module M = coker [[x1, z]];")],
+    ids=["n%d-rank%d-%d" % args for args in SEEDED] + [
+        "mixed-torsion", "d1", "Z1", "Z12", "Z12d", "coker-1", "coker-z",
+        "x1-z"])
+def test_kunneth_matches_the_three_ext_reference(make):
+    # terms decided by the grade or by z-free leads are not computed; the
+    # check that computes every term gives the same flags and cycles.
+    # coker [[x1, z]] has grade 0 and a Tor term W/(x1, z) at i = 0
+    P = make()
+    for i in range(P.n + 1):
+        got, want = kunneth_check(P, i), kunneth_reference(P, i)
+        assert [t.is_zero() for t in (got.ext_integral_reduced,
+                                      got.ext_of_reduction, got.tor_term)] \
+            == [t.is_zero() for t in (want.ext_integral_reduced,
+                                      want.ext_of_reduction, want.tor_term)]
+        assert got.cycles == want.cycles
+        assert got.additivity_ok == want.additivity_ok
+        assert got.zero_pattern_ok == want.zero_pattern_ok
+
+
+def _spied_kunneth(monkeypatch, source, i):
+    """(ext calls as (index, ring), _colon call count) of one check."""
+    P = _standard(source)
+    exts, colons = [], []
+    real_ext, real_colon = lattice.ext, lattice._colon
+
+    def spy_ext(j, M):
+        exts.append((j, M.ring))
+        return real_ext(j, M)
+
+    def spy_colon(rows):
+        colons.append(1)
+        return real_colon(rows)
+
+    monkeypatch.setattr(lattice, "ext", spy_ext)
+    monkeypatch.setattr(lattice, "_colon", spy_colon)
+    kunneth_check(P, i)
+    return exts, len(colons)
+
+
+@pytest.mark.parametrize("source,exts,colons", [
+    (Z12, [(2, ZP)], 0),
+    (Z12D, [(2, ZP)], 1),
+    (Z1, [(1, ZP), (1, QQ), (2, ZP)], 1)], ids=["Z12", "Z12d", "Z1"])
+def test_kunneth_builds_only_undecided_terms(monkeypatch, source, exts,
+                                             colons):
+    # Z12 has grade 2: Ext^1 of M and of M/zM vanish, and Ext^2 has z-free
+    # leads; a lead of Ext^2 of Z12d holds z; Z1 has grade 1 = i
+    assert _spied_kunneth(monkeypatch, source, 1) == (exts, colons)
+
+
+def _seeded_rows(n, rank, seed, times_z):
+    """Kernel rows of three random ZP rows of W_n^rank, some times z."""
+    rng = random.Random("colon/%d/%d/%d" % (n, rank, seed))
+    W = WeylAlgebra(n, ZP)
+    rows = [FreeVec.from_entries([rand_element(rng, W, deg=1, terms=2)
+                                  for _ in range(rank)], rank=rank)
+            for _ in range(3)]
+    rows = [r.mul_left(W.z()) if times_z and rng.randint(0, 1) else r
+            for r in rows]
+    return _Rows.of(n, ZP, rank, [r for r in rows if r.terms])
+
+
+def test_colon_of_a_basis_with_z_free_leads_is_the_basis():
+    # the lemma behind the Tor shortcut: with every lead z-free, N : z = N
+    seen = 0
+    for n, rank, seed in [(n, rank, seed) for n in (1, 2)
+                          for rank in (1, 2) for seed in range(6)]:
+        rows = _seeded_rows(n, rank, seed, False)
+        if not rows.rows:
+            continue
+        gb = groebner._gb(rows, bernstein_order(n))
+        basis = gb._kernel(rows.layout)
+        lay = basis.layout
+        if any(lay.z_split(m)[1] for m in basis.leads):
+            continue
+        seen += 1
+        colon = groebner._colon(rows)
+        wide = max(lay, colon.layout, key=lambda lay: lay.width)
+        assert {frozenset(r.items()) for r, _d in colon.on(wide)} == \
+            {frozenset(wide.moved(r, lay).items()) for r in basis.rows}
+    assert seen >= 6
+
+
+def _unmarked(rows):
+    return _Rows(rows.n, rows.ring, rows.rank, rows.layout, list(rows.rows))
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda args=args: groebner._colon(_seeded_rows(*args, True))
+      for args in SEEDED),
+    lambda: groebner._colon(_Rows.of(1, ZP, 2, _mixed_torsion())),
+    *(lambda source=source: _standard(source)._kernel
+      for source in (Z1, Z12, Z12D))],
+    ids=["colon-n%d-rank%d-%d" % args for args in SEEDED] + [
+        "colon-mixed-torsion", "Z1", "Z12", "Z12d"])
+def test_marked_rows_are_their_own_basis(make):
+    # _colon and Lattice.presentation mark their rows as the reduced basis
+    # under bernstein_order; _gb reads it off them, with no Buchberger run,
+    # as Buchberger on an unmarked copy finds it
+    rows = make()
+    order = bernstein_order(rows.n)
+    assert rows.reduced is order
+    groebner.reset_counters()
+    got = groebner._gb(rows, order)
+    assert groebner.COUNTERS["buchberger_calls"] == 0
+    want = groebner._gb(_unmarked(rows), order)
+    assert groebner.COUNTERS["buchberger_calls"] == 1
+    assert got.leads == want.leads
+    assert got._basis.layout is want._basis.layout
+    assert got._basis.rows == want._basis.rows
+    assert got._basis.leads == want._basis.leads
+    assert got.elements == want.elements

@@ -372,6 +372,25 @@ def test_ext_resolves_each_stage_once(monkeypatch, ring, resolved):
     assert seen == resolved
 
 
+@pytest.mark.parametrize("make", [_gkz13, _z1_avatar],
+                         ids=["gkz13", "z1"])
+def test_ext_dualizes_each_stage_once(monkeypatch, make):
+    # Ext^i reads the tau-duals of stages i - 1 and i, so Ext^i and
+    # Ext^(i+1) share that of stage i
+    M = make()
+    dualized = []
+    real = groebner._Rows.tau_dual
+
+    def spy(rows):
+        dualized.append(id(rows))
+        return real(rows)
+
+    monkeypatch.setattr(groebner._Rows, "tau_dual", spy)
+    for i in range(homological_bound(M.n, M.ring) + 1):
+        ext(i, M)
+    assert dualized and len(dualized) == len(set(dualized))
+
+
 def _seeded_modules(ring, n, count):
     rng = random.Random("stages/%s/%d" % (ring, n))
     A = WeylAlgebra(n, ring)
