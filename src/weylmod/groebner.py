@@ -8,10 +8,10 @@ and an lcm one fieldwise max.  A kernel call starts on the narrowest
 layout; when an exponent would leave its field, _packed.Overflow stops
 it and it reruns on fields twice as wide (_packed.widening), so no
 exponent wraps.  Orders are realized as sort keys, larger key = more
-leading: TermOrder.key on tuple keys, and inside the kernel a key of the
-same order read off the packed int itself (Layout.graded and
-Layout.degrees), memoized per layout by TermOrder.packed, so that no
-monomial is decoded to be ranked.  The engine runs Buchberger with the
+leading, each defined once: a key read off the packed int itself
+(Layout.graded and Layout.degrees), memoized per layout by
+TermOrder.packed, so that no monomial is decoded to be ranked, and a
+tuple key ranks by its int.  The engine runs Buchberger with the
 normal selection strategy.  Under a graded order a call prunes pairs by
 the Gebauer-Moeller update (_chain), which rests on the chain criterion,
 sound in W_n (Gebauer and Moeller, J. Symb. Comp. 6, 1988; Kandri-Rody
@@ -98,7 +98,8 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import count
 
-from ._linalg import add_terms, cancel, clear, lcm_of, lowest_terms, primitive
+from ._linalg import (ZPoly, add_terms, cancel, clear, lcm_of, lowest_terms,
+                      primitive)
 from ._packed import Memo, envelope, layout, product, widening
 from .errors import (InternalInvariant, RankMismatch, UnsupportedAmbient,
                      ZeroElement)
@@ -185,20 +186,19 @@ class FreeVec(_Terms):
 class TermOrder:
     """A term order as sort keys, larger = more leading.
 
-    key sorts tuple keys; pack(lay) gives the key of the same order on the
-    packed monomials of lay, read off the int itself.  The two agree in
-    sign on every pair of monomials of one layout.  graded says that a
+    pack(lay) gives the key of the order on the packed monomials of lay,
+    read off the int itself; a monomial on tuple keys is ranked by the
+    key of its packed int (leading_term).  graded says that a
     monomial ranks above each of its proper divisors, which the pair
     criteria of buchberger ask for.  The order factories below return one
     shared instance per argument, so the memo behind packed() serves
     every call under that order.
     """
 
-    __slots__ = ("name", "key", "graded", "_pack", "_packed")
+    __slots__ = ("name", "graded", "_pack", "_packed")
 
-    def __init__(self, name, key, pack, graded=True):
+    def __init__(self, name, pack, graded=True):
         self.name = name
-        self.key = key
         self.graded = graded
         self._pack = pack
         self._packed = {}
@@ -217,12 +217,7 @@ class TermOrder:
 @cache
 def bernstein_order(n):
     """Graded reverse lex on (x, d) with z-degree tiebreak, term over position."""
-    def key(mono):
-        comp, a, b, e = mono
-        rev = tuple(-v for v in reversed(a + b))
-        return (sum(a) + sum(b), e, rev, -comp)
-
-    return TermOrder("bernstein", key, lambda lay: lay.graded)
+    return TermOrder("bernstein", lambda lay: lay.graded)
 
 
 @cache
@@ -233,16 +228,10 @@ def pot_block_order(n, boundary):
     entirely below it, which is the elimination property colon and
     intersection computations rely on.
     """
-    def key(mono):
-        comp, a, b, e = mono
-        rev = tuple(-v for v in reversed(a + b))
-        return (1 if comp >= boundary else 0,
-                sum(a) + sum(b), e, rev, -comp)
-
     def pack(lay):
         graded = lay.graded
         return lambda m: (lay.comp(m) >= boundary,) + graded(m)
-    return TermOrder("pot-block-%d" % boundary, key, pack)
+    return TermOrder("pot-block-%d" % boundary, pack)
 
 
 @cache
@@ -254,9 +243,6 @@ def vres_order(n):
     """
     if n != 1:
         raise RankMismatch("V-order restriction path is n = 1 only")
-    def key(mono):
-        comp, a, b, e = mono
-        return (b[0] - a[0], a[0] + b[0], e, -comp)
 
     def pack(lay):
         degrees, comp = lay.degrees, lay.comp
@@ -265,14 +251,18 @@ def vres_order(n):
             a, b, e = degrees(m)
             return (b - a, a + b, e, -comp(m))
         return packed
-    return TermOrder("vres", key, pack, graded=False)
+    return TermOrder("vres", pack, graded=False)
 
 
 def leading_term(v, order):
     if not v.terms:
         raise ZeroElement("the zero vector has no leading term")
-    key = max(v.terms, key=order.key)
-    return key, v.terms[key]
+
+    def run(lay):
+        keys, enc = order.packed(lay), lay.enc
+        return max(v.terms, key=lambda mono: keys[enc[mono]])
+    mono = widening(run, layout(v.n, v.ring == H1))
+    return mono, v.terms[mono]
 
 
 def _require_homogeneous(degrees):
@@ -455,9 +445,14 @@ def _spoly(lay, ri, qi, ci, rj, qj, cj):
     return lay.mul_into(p, qj, -cj, rj, envelope(rj))
 
 
-def _units(lay, count):
-    """The unit rows e_0..e_(count-1) as tracked rows (row, 1)."""
-    return [({lay.with_comp(0, i): 1}, 1) for i in range(count)]
+def _units(lay, count, ring=None):
+    """The unit rows e_0..e_(count-1) as rows (row, 1).
+
+    As tracked rows their 1 is an int over every ring; as relation rows
+    over ring QZ, a ZPoly.
+    """
+    one = ZPoly((1,)) if ring == QZ else 1
+    return [({lay.with_comp(0, i): one}, one) for i in range(count)]
 
 
 def _pair_row(lay, i, qi, ci, j, qj, cj, s, quot):
@@ -631,6 +626,12 @@ class GBasis:
             for row, m in zip(old.rows, old.leads):
                 basis.add(lay.moved(row, old.layout), lay.enc[dec[m]])
         return basis
+
+    def _rows(self):
+        """The basis as _Rows: primitive kernel rows, each over its lead."""
+        basis = widening(self._kernel, layout(self.n, self.ring == H1))
+        return _Rows(self.n, self.ring, self.rank, basis.layout,
+                     list(zip(basis.rows, basis.lcs())))
 
     def _kernel_rows(self):
         """The kernel rows on tuple keys."""
@@ -1088,8 +1089,8 @@ def submodule_equal(gens_a, gens_b):
         return not gens_a and not gens_b
     gens_a[0]._check(gens_b[0])
     order = bernstein_order(gens_a[0].n)
-    return set(buchberger(gens_a, order).elements) == \
-        set(buchberger(gens_b, order).elements)
+    return _same_basis(buchberger(gens_a, order)._rows(),
+                       buchberger(gens_b, order)._rows())
 
 
 def saturate_z(gens, rank):
@@ -1106,17 +1107,23 @@ def _saturate(rows, gb):
 
     gb is the basis of rows under bernstein_order, which a module that
     already holds it lends instead of computing it again.  _colon returns
-    the reduced basis of N : z under bernstein_order.  Reduced bases are
-    unique, so N : z = N exactly when that basis is N's own: when their
-    primitive rows are equal as sets, on one layout.
+    the reduced basis of N : z under bernstein_order, and N : z = N
+    exactly when that basis is N's own (_same_basis).
     """
-    basis = gb._kernel(rows.layout)
-    known = _Rows(rows.n, rows.ring, rows.rank, basis.layout,
-                  list(zip(basis.rows, basis.lcs())))
+    known = gb._rows()
     while True:
         nxt = _colon(rows)
-        lay = max(nxt.layout, known.layout, key=lambda lay: lay.width)
-        if {frozenset(row.items()) for row, _d in nxt.on(lay)} == \
-                {frozenset(row.items()) for row, _d in known.on(lay)}:
+        if _same_basis(nxt, known):
             return nxt
         rows = known = nxt
+
+
+def _same_basis(first, second):
+    """Whether two reduced bases under one order, as primitive _Rows, agree.
+
+    Reduced bases are unique, so two spans are equal exactly when the
+    primitive rows of their bases are equal as sets, on one layout.
+    """
+    lay = max(first.layout, second.layout, key=lambda lay: lay.width)
+    return {frozenset(row.items()) for row, _d in first.on(lay)} == \
+        {frozenset(row.items()) for row, _d in second.on(lay)}

@@ -2,10 +2,14 @@
 The generic-fiber / special-fiber dictionary.
 
 A module over the completed algebra is carried by an integral presentation:
-a relation matrix over W_n(Q[z]) (ring tag ZP).  Denominators that do not
-vanish at z = 0 are units of the local ring, so rows given over Q(z) are
-cleared by their denominator lcm; this rescales each relation by a unit and
-changes neither the saturation nor the reduction.
+a relation matrix over W_n(Q[z]) (ring tag ZP).  An IntegralPresentation
+is the PresentedModule over ZP, flagged once saturated, so its basis,
+resolution and Ext^i are kept on it like any module's; rows of a right
+module are transposed to left data as PresentedModule.from_matrix does.
+Denominators that do not vanish at z = 0 are units of the local ring, so
+rows given over Q(z) are cleared by their denominator lcm; this rescales
+each relation by a unit and changes neither the saturation nor the
+reduction.
 
 Every verdict about the completed module is routed through the reduction
 of a saturated presentation; the generic fiber over Q(z) is offered only
@@ -18,8 +22,10 @@ lattice layer stays on them: saturation is groebner._saturate, reduction
 mod z keeps the z-free terms of each row (Layout.z_free) in lowest
 terms, the generic fiber gathers the terms of one key without z into one
 polynomial coefficient (Layout.z_split), the Kunneth torsion term is the
-preimage of the colon rows of the integral Ext^(i+1), and a lattice
-tests containment up to a power of z by shifting the keys of its rows.
+preimage of the colon rows of the integral Ext^(i+1), two avatars
+present one module when their reduced bases agree (groebner._same_basis),
+and a lattice tests containment up to a power of z by shifting the keys
+of its rows.
 FreeVec rows are built only where a caller reads rows.  The FreeVecs so
 built are those the same steps on FreeVecs give: reduced bases are
 unique, a primitive row over its lead coefficient is the monic element,
@@ -30,41 +36,27 @@ from ._linalg import ZPoly, add_terms, clear, lowest_terms
 from ._packed import layout, widening
 from .errors import IndexOutOfRange, InternalInvariant, NonIntegral, \
     NotMinimalDimension, NotSameModule, NotSaturated, UnsupportedAmbient
-from .groebner import (_colon, _gb, _nonzero_rows, _preimage,
-                       _reduce, _Rows, _saturate, _units, bernstein_order,
-                       submodule_equal)
+from .groebner import (_colon, _gb, _preimage, _reduce, _Rows, _same_basis,
+                       _saturate, _units, bernstein_order)
 from .modules import (LEFT, CharCycle, PresentedModule, char_cycle, ext,
                       grade, is_minimal_dimension, matrix_rows)
 from .weyl import QQ, QZ, ZP
 
 
-class IntegralPresentation:
-    """Relations over W_n(Q[z]) of a module on rank generators.
+class IntegralPresentation(PresentedModule):
+    """A PresentedModule over W_n(Q[z]) (ring ZP), flagged when saturated.
 
-    The relations are held as kernel rows (groebner._Rows): given as
-    such, cleared once from FreeVec rows, or packed from rows over Q(z)
-    by from_qz_matrix; rows, their FreeVecs, are built on first read.
+    Its relations are held as kernel rows like any module's; from_qz_matrix
+    packs them from rows over Q(z).  Its basis, resolution and each Ext^i
+    are kept on the presentation itself, which is its own module().
     """
 
-    __slots__ = ("n", "side", "rank", "saturated", "_kernel")
+    __slots__ = ("saturated",)
 
     def __init__(self, n, side, rank, rows, saturated=False):
         """rows: FreeVecs over ZP of W_n^rank, or nonzero kernel rows."""
-        if not isinstance(rows, _Rows):
-            rows = _Rows.of(n, ZP, rank, _nonzero_rows(rows, rank))
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "rank", rank)
+        PresentedModule.__init__(self, n, ZP, side, rank, rows)
         object.__setattr__(self, "saturated", saturated)
-        object.__setattr__(self, "_kernel", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("IntegralPresentation is immutable")
-
-    @property
-    def rows(self):
-        """The relations as FreeVecs."""
-        return self._kernel.vecs()
 
     @staticmethod
     def from_qz_matrix(n, entries, side=LEFT, rank=None):
@@ -76,7 +68,7 @@ class IntegralPresentation:
         _linalg.clear puts the row over is that monic lcm times its top
         coefficient.
         """
-        rank, entries = matrix_rows(entries, rank)
+        rank, entries = matrix_rows(entries, rank, side)
         cleared = []
         for row in entries:
             for w in row:
@@ -102,7 +94,8 @@ class IntegralPresentation:
                                     widening(run, layout(n, False)))
 
     def module(self):
-        return PresentedModule(self.n, ZP, self.side, self.rank, self._kernel)
+        """The presented module: the presentation itself."""
+        return self
 
     def generic_fiber_module(self):
         """The module over Q(z): in each kernel row the terms of one key
@@ -131,7 +124,7 @@ def make_lattice(P):
         return P
     rows = P._kernel
     if rows.rows:
-        rows = _saturate(rows, _gb(rows, bernstein_order(P.n)))
+        rows = _saturate(rows, P.gb())
     return IntegralPresentation(P.n, P.side, P.rank, rows, saturated=True)
 
 
@@ -209,18 +202,17 @@ def good_lattice(P):
     if not minimal_dimension_via_reduction(base):
         raise NotMinimalDimension(
             "good lattice construction needs a minimal-dimension module")
-    M = base.module()
     n = P.n
-    E1 = ext(n, M)
+    E1 = ext(n, base)
     if E1.is_zero():
         raise InternalInvariant("integral dual of a holonomic avatar vanished")
     V = PresentedModule(n, ZP, E1.side, E1.rank,
-                        _saturate(E1._relations(), E1.gb()))
+                        _saturate(E1._kernel, E1.gb()))
     E2 = ext(n, V)
     if E2.is_zero():
         raise InternalInvariant("integral double dual vanished")
     out = IntegralPresentation(n, P.side, E2.rank,
-                               _saturate(E2._relations(), E2.gb()),
+                               _saturate(E2._kernel, E2.gb()),
                                saturated=True)
     if not minimal_dimension_via_reduction(out):
         raise InternalInvariant("good lattice reduction lost minimal "
@@ -327,8 +319,10 @@ def compare_lattices(first, second, zpower=8):
     """Reduce two lattices of one module and compare their cycles.
 
     The same-module precondition is enforced: the avatars must present the
-    same relation submodule, and each lattice's generators must land in
-    the other lattice up to a z power bounded by zpower.
+    same relation submodule, as equal reduced bases, which a saturated
+    avatar holds as its rows (groebner._Rows.reduced), and each lattice's
+    generators must land in the other lattice up to a z power bounded by
+    zpower.
     """
     if zpower < 0:
         raise IndexOutOfRange("z power %d is negative" % zpower)
@@ -339,7 +333,7 @@ def compare_lattices(first, second, zpower=8):
     A, B = first.avatar, second.avatar
     if A.n != B.n or A.rank != B.rank or A.side != B.side:
         raise NotSameModule("avatars live in different ambients")
-    if A is not B and not submodule_equal(A.rows, B.rows):
+    if A is not B and not _same_basis(A.gb()._rows(), B.gb()._rows()):
         raise NotSameModule("avatar relation modules differ")
     gens_a, gens_b = first._generators(), second._generators()
     a_in_b = _containment_power(gens_a, gens_b.stacked(B._kernel), zpower)
@@ -383,8 +377,15 @@ class KunnethReport:
         if None in cycles.values():
             self.additivity_ok = None
         else:
-            self.additivity_ok = (cycles["b"] ==
-                                  cycles["a"] + cycles["c"])
+            a, b, c = cycles["a"], cycles["b"], cycles["c"]
+            top = ("full",)
+            # the sequence forces additivity in the top dimension among the
+            # terms: (0) has dimension 2n, each (x_i) and (xi_i) 2n - 1
+            if top in (a + b + c).parts:
+                self.additivity_ok = (b.parts.get(top) ==
+                                      (a + c).parts.get(top))
+            else:
+                self.additivity_ok = b == a + c
 
 
 def kunneth_check(P, i):
@@ -410,20 +411,19 @@ def kunneth_check(P, i):
         raise IndexOutOfRange("kunneth index %d outside 0..%d" % (i, P.n))
     if not P.saturated:
         raise NotSaturated("kunneth terms are defined for saturated input")
-    M = P.module()
-    g = grade(M)
-    zero = PresentedModule(P.n, QQ, M.opposite_side(), 0, _Rows(
+    g = grade(P)
+    zero = PresentedModule(P.n, QQ, P.opposite_side(), 0, _Rows(
         P.n, QQ, 0, P._kernel.layout, [], reduced=bernstein_order(P.n)))
     term_a = term_b = term_c = zero
     if i >= g:
-        E = ext(i, M)
-        term_a = _reduced_module(E.side, E._relations())
+        E = ext(i, P)
+        term_a = _reduced_module(E.side, E._kernel)
     reduction = _reduced_module(P.side, P._kernel)
     if i >= g or i >= grade(reduction):
         term_b = ext(i, reduction)
     if i + 1 >= g:
-        E = ext(i + 1, M)
-        relations = E._relations()
+        E = ext(i + 1, P)
+        relations = E._kernel
         if not relations.rows or _z_in_leads(E.gb(), relations.layout):
             torsion = _colon(relations)
             m = len(torsion.rows)

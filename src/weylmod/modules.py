@@ -3,8 +3,10 @@ Finitely presented one-sided modules over W_n and their invariants.
 
 A PresentedModule always stores left data: a right module is carried
 through the transposition anti-automorphism (x -> x, d -> -d) at
-construction, and the side tag remembers which object is meant.  One
-Groebner engine then serves both sides.
+construction (matrix_rows), and the side tag remembers which object is
+meant.  One Groebner engine then serves both sides.  Its relations enter
+the Groebner kernel once, as kernel rows, and are held only so; a lattice
+over Q[z] (lattice.IntegralPresentation) is a PresentedModule too.
 
 Invariants follow the Bernstein filtration with all generators placed in
 degree 0: the leading-term module of a Groebner basis presents the
@@ -19,7 +21,8 @@ from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
                      UnsupportedAmbient, ZeroModule)
 from .scalars import INF
 from .groebner import (FreeResolution, FreeVec, _gb, _nonzero_rows,
-                       _preimage, _Rows, _syz, bernstein_order, preimage_rows)
+                       _preimage, _Rows, _syz, _units, bernstein_order,
+                       preimage_rows)
 from .weyl import H1, QQ, QZ, ZP, transpose
 
 LEFT = "left"
@@ -37,11 +40,12 @@ def homological_bound(n, ring):
     return n + 1 if ring == ZP else n
 
 
-def matrix_rows(entries, rank=None):
-    """The rank and the nonzero rows of a relation matrix.
+def matrix_rows(entries, rank=None, side=LEFT):
+    """The rank and the nonzero rows of a relation matrix, as left data.
 
     The rank is the one given, else the width of the first nonempty row,
-    else 1; a nonempty row of another width raises RankMismatch.
+    else 1; a nonempty row of another width raises RankMismatch.  A module
+    stores left data, so the entries of a right module are transposed.
     """
     if rank is None:
         rank = next((len(row) for row in entries if row), 1)
@@ -49,66 +53,58 @@ def matrix_rows(entries, rank=None):
         if row and len(row) != rank:
             raise RankMismatch("row of width %d in a presentation of rank %d"
                                % (len(row), rank))
-    return rank, [row for row in entries
-                  if not all(w.is_zero() for w in row)]
+    rows = [row for row in entries if not all(w.is_zero() for w in row)]
+    if side == RIGHT:
+        rows = [[transpose(w) for w in row] for row in rows]
+    return rank, rows
 
 
 class PresentedModule:
     """Relations rows of a module over W_n, with what is known of it.
 
-    The relations enter the Groebner kernel once, as _Rows (_kernel):
-    cleared from FreeVec rows on first use, or handed over as the kernel
-    rows they were computed as (an Ext module, a lattice and its
-    reduction mod z), which over H1 carry the degree of each generator;
-    their FreeVecs are then built only when rows is first read.  Its
-    basis and its resolution both start from the kernel rows; the basis,
-    the resolution and each Ext^i are computed once and kept.
+    The relations enter the Groebner kernel once, as _Rows (_kernel), its
+    one relation slot: cleared from FreeVec rows at construction
+    (_Rows.of), or handed over as the kernel rows they were computed as
+    (an Ext module, a lattice and its reduction mod z), which over H1
+    carry the degree of each generator.  rows reads their FreeVecs: those
+    given, else built on first read.  Its basis and its resolution both
+    start from the kernel rows; the basis, the resolution and each Ext^i
+    are computed once and kept.
     """
 
-    __slots__ = ("n", "ring", "side", "rank", "_rows", "_gb", "_res", "_ext",
-                 "_kernel")
+    __slots__ = ("n", "ring", "side", "rank", "_kernel", "_gb", "_res", "_ext")
 
     def __init__(self, n, ring, side, rank, rows):
         """rows: FreeVecs of W_n^rank, or nonzero kernel rows as _Rows."""
-        kernel, rows = (rows, None) if isinstance(rows, _Rows) else \
-            (None, _nonzero_rows(rows, rank))
+        if not isinstance(rows, _Rows):
+            rows = _Rows.of(n, ring, rank, _nonzero_rows(rows, rank))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "side", side)
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_kernel", rows)
         object.__setattr__(self, "_gb", None)
         object.__setattr__(self, "_res", None)
         object.__setattr__(self, "_ext", {})
-        object.__setattr__(self, "_kernel", kernel)
 
     def __setattr__(self, name, value):
-        raise AttributeError("PresentedModule is immutable")
+        raise AttributeError("%s is immutable" % type(self).__name__)
 
     @property
     def rows(self):
         """The relations as FreeVecs."""
-        return self._kernel.vecs() if self._rows is None else self._rows
+        return self._kernel.vecs()
 
     @staticmethod
     def from_matrix(n, ring, entries, side=LEFT, rank=None):
         """entries: list of relation rows, each a list of WeylElements."""
-        rank, entries = matrix_rows(entries, rank)
-        if side == RIGHT:
-            entries = [[transpose(w) for w in row] for row in entries]
+        rank, entries = matrix_rows(entries, rank, side)
         rows = [FreeVec.from_entries(row, rank=rank) for row in entries]
         return PresentedModule(n, ring, side, rank, rows)
 
-    def _relations(self):
-        """The relations as kernel rows, built on the first call."""
-        if self._kernel is None:
-            object.__setattr__(self, "_kernel", _Rows.of(
-                self.n, self.ring, self.rank, self._rows))
-        return self._kernel
-
     def gb(self):
         if self._gb is None:
-            object.__setattr__(self, "_gb", _gb(self._relations(),
+            object.__setattr__(self, "_gb", _gb(self._kernel,
                                                 bernstein_order(self.n)))
         return self._gb
 
@@ -123,7 +119,7 @@ class PresentedModule:
         """
         if self._res is None:
             object.__setattr__(self, "_res", FreeResolution(
-                [self._relations()], False))
+                [self._kernel], False))
         return self._res.extend(stage)
 
     def opposite_side(self):
@@ -131,8 +127,7 @@ class PresentedModule:
 
     def __repr__(self):
         return "PresentedModule(W_%d/%s, %s, %d gens, %d relations)" % (
-            self.n, self.ring, self.side, self.rank,
-            len(self._relations().rows))
+            self.n, self.ring, self.side, self.rank, len(self._kernel.rows))
 
 
 class CharCycle:
@@ -305,9 +300,9 @@ def _ext_of_resolution(i, M):
     if out is not None and any(row for row, _d in out.rows):
         kernel = _syz(out)
     else:
-        kernel = _Rows.of(M.n, M.ring, s_i,
-                          [FreeVec.unit(M.n, M.ring, s_i, j)
-                           for j in range(s_i)], image and image.offsets)
+        lay = M._kernel.layout
+        kernel = _Rows(M.n, M.ring, s_i, lay, _units(lay, s_i, M.ring),
+                       image and image.offsets)
     m = len(kernel.rows)
     relations = _preimage(kernel if image is None else kernel.stacked(image),
                           m)

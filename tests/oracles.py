@@ -52,9 +52,10 @@ and of its reduction, and the colon of Ext^(i+1).
 from fractions import Fraction
 from itertools import combinations
 
-from weylmod import (H1, INF, ZP, FreeVec, QPoly, RatFunc, WeylAlgebra,
-                     bernstein_degree, bernstein_order, buchberger, ext,
-                     leading_term, pot_block_order, reduce_element_mod_z)
+from weylmod import (H1, INF, ZP, FreeVec, PresentedModule, QPoly, RatFunc,
+                     WeylAlgebra, bernstein_degree, bernstein_order,
+                     buchberger, ext, leading_term, pot_block_order,
+                     reduce_element_mod_z)
 from weylmod._linalg import Echelon, clear
 from weylmod.groebner import _colon, _preimage, _Rows
 from weylmod.lattice import KunnethReport, _reduced_module
@@ -467,14 +468,15 @@ def kunneth_reference(P, i):
 
     (a) the integral Ext^i reduced mod z, (b) Ext^i of the reduction and
     (c) the z-torsion of the integral Ext^(i+1), as the preimage of its
-    colon rows, reduced mod z.
+    colon rows, reduced mod z.  The Ext modules are those of a new module
+    on the rows of P, so none is shared with the Ext that P keeps.
     """
-    M = P.module()
+    M = PresentedModule(P.n, ZP, P.side, P.rank, P._kernel)
     E = ext(i, M)
-    term_a = _reduced_module(E.side, E._relations())
+    term_a = _reduced_module(E.side, E._kernel)
     term_b = ext(i, _reduced_module(P.side, P._kernel))
     Enext = ext(i + 1, M)
-    relations = Enext._relations()
+    relations = Enext._kernel
     torsion = _colon(relations)
     m = len(torsion.rows)
     preimage = _preimage(torsion.stacked(relations), m) if m else \

@@ -85,11 +85,11 @@ TWO_MODULES = ("ring W(1) over QZ; module M = coker [[x1*d1 - 1/2]]; "
 def test_compare_lattices_over_two_modules(monkeypatch, relation, check,
                                            code):
     # the avatars are different modules, so their relation modules are
-    # compared by Groebner bases
+    # compared by their reduced bases
     from weylmod import lattice
     calls = []
-    real = lattice.submodule_equal
-    monkeypatch.setattr(lattice, "submodule_equal",
+    real = lattice._same_basis
+    monkeypatch.setattr(lattice, "_same_basis",
                         lambda a, b: calls.append(1) or real(a, b))
     rep, got = run_stripped(TWO_MODULES % (relation, check))
     assert (got, calls) == (code, [1])
@@ -97,6 +97,18 @@ def test_compare_lattices_over_two_modules(monkeypatch, relation, check,
         assert rep["error"]["code"] == "NotSameModule"
     else:
         assert rep["result"]["equal"] is True
+
+
+def test_kunneth_additivity_counts_the_top_dimension():
+    # at i = 0 the terms are 0 -> W -> W -> W/x1 W -> 0: the Tor term's
+    # (x1) has dimension 2n - 1, below the (0) of the other two, so it
+    # does not enter the sum of cycles
+    rep, code = run_stripped("ring W(1) over QZ; module M = coker [[x1, z]]; "
+                             "check M kunneth 0")
+    assert code == 0
+    assert rep["result"]["cycles"] == {"a": {"(0)": 1}, "b": {"(0)": 1},
+                                       "c": {"(x1)": 1}}
+    assert rep["result"]["additivity_ok"] is True
 
 
 def test_internal_invariant_exits_1(monkeypatch):

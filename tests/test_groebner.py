@@ -248,7 +248,7 @@ def test_normal_form_matches_field_division(ring, n):
     # object become a GBasis whose rows are made on the fly
     rng = random.Random("nf/%s/%d" % (ring, n))
     order = vres_order(1) if ring == H1 else bernstein_order(n)
-    other = groebner.TermOrder("copy", order.key, order._pack)
+    other = groebner.TermOrder("copy", order._pack)
     for _ in range(3):
         gens = random_gens(rng, ring, 1, order, n)
         gb = buchberger(gens, order)
@@ -535,7 +535,7 @@ CRITERIA_CASES = {
 
 def _unpruned(order):
     """The same order, not marked graded: buchberger then keeps every pair."""
-    return TermOrder(order.name, order.key, order._pack, graded=False)
+    return TermOrder(order.name, order._pack, graded=False)
 
 
 @pytest.mark.parametrize("case", sorted(CRITERIA_CASES))

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from weylmod import (LEFT, QQ, QZ, ZP, FreeVec, IndexOutOfRange,
-                     IntegralPresentation, Lattice, NonIntegral,
+from weylmod import (LEFT, QQ, QZ, RIGHT, ZP, FreeVec, IndexOutOfRange,
+                     IntegralPresentation, KunnethReport, Lattice, NonIntegral,
                      NotMinimalDimension, NotSameModule, NotSaturated,
                      PresentedModule, QPoly, RankMismatch, RatFunc,
                      WeylAlgebra, bernstein_order, buchberger,
@@ -36,6 +36,23 @@ def test_from_qz_matrix_clears_unit_denominators():
     for r in P.rows:
         for w in r.entries():
             assert w.ring == ZP
+
+
+def test_right_rows_over_q_z_are_transposed():
+    # a module stores left data: the right module W/(x1 d1)W is carried as
+    # W/W tau(x1 d1), whether its rows are given over Q(z) or over Q[z]
+    P = IntegralPresentation.from_qz_matrix(1, [[A.x(1) * A.d(1)]],
+                                            side=RIGHT)
+    M = PresentedModule.from_matrix(1, ZP, [[Z.x(1) * Z.d(1)]], side=RIGHT)
+    assert P.rows == M.rows
+    assert ext(1, P).rows == ext(1, M).rows == [
+        FreeVec.from_entries([-Z.x(1) * Z.d(1)])]
+    W = WeylAlgebra(1, QQ)
+    reduced = PresentedModule.from_matrix(1, QQ, [[W.x(1) * W.d(1)]],
+                                          side=RIGHT)
+    got = reduce_mod_z(make_lattice(P)).reduced_module
+    assert got.side == RIGHT
+    assert got.gb().elements == reduced.gb().elements
 
 
 def test_from_qz_matrix_rejects_poles_at_zero():
@@ -155,6 +172,26 @@ def test_compare_rejects_different_modules():
     Q = make_lattice(pres(A.x(1)))
     with pytest.raises(NotSameModule):
         compare_lattices(Lattice(P), Lattice(Q))
+
+
+def test_avatar_equality_runs_no_buchberger(monkeypatch):
+    # two avatars of one module, saturated apart, hold their reduced bases
+    # as their rows, so the same-module check reads the bases off them
+    first, second = (make_lattice(pres(A.x(1) * A.d(1) - A.z() - 1))
+                     for _ in range(2))
+    assert first is not second
+
+    class Stop(Exception):
+        pass
+
+    def stop(*args):
+        raise Stop
+
+    monkeypatch.setattr(lattice, "_containment_power", stop)
+    groebner.reset_counters()
+    with pytest.raises(Stop):
+        compare_lattices(Lattice(first), Lattice(second))
+    assert groebner.COUNTERS["buchberger_calls"] == 0
 
 
 def test_compare_rejects_a_negative_z_power():
@@ -365,6 +402,18 @@ def test_kunneth_matches_the_three_ext_reference(make):
         assert got.cycles == want.cycles
         assert got.additivity_ok == want.additivity_ok
         assert got.zero_pattern_ok == want.zero_pattern_ok
+
+
+def test_additivity_still_fails_within_one_dimension():
+    # every cycle lies in dimension 2n - 1, and (x1) + 0 is not 2 (x1)
+    W = WeylAlgebra(1, QQ)
+
+    def coker(w):
+        return PresentedModule.from_matrix(1, QQ, [[w]])
+
+    rep = KunnethReport(0, coker(W.x(1)), coker(W.x(1) ** 2), coker(W.one()))
+    assert rep.cycles["c"].is_zero()
+    assert rep.additivity_ok is False
 
 
 def _spied_kunneth(monkeypatch, source, i):

@@ -67,19 +67,35 @@ def _sign(u, v):
     return (u > v) - (u < v)
 
 
+def _bernstein_key(mono):
+    comp, a, b, e = mono
+    return (sum(a) + sum(b), e, tuple(-v for v in reversed(a + b)), -comp)
+
+
+def _pot_block_key(boundary):
+    return lambda mono: (mono[0] >= boundary,) + _bernstein_key(mono)
+
+
+def _vres_key(mono):
+    comp, (a,), (b,), e = mono
+    return (b - a, a + b, e, -comp)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("width", [MIN_WIDTH, 2 * MIN_WIDTH])
 def test_packed_keys_order_monomials_as_tuple_keys(n, width):
     # each order's key on packed ints, read off the fields, ranks every
-    # pair of monomials of one layout as its key on tuple keys does.
+    # pair of monomials of one layout as the tuple key defining the
+    # order (the references above) does.
     # Exponents below 3 make ties in |a| + |b| and e common, so reverse
     # lex decides often and on every field
     rng = random.Random("keys/%d/%d" % (n, width))
     lay = layout(n, False, width)
     top = 1 << (width - 1)
-    orders = [bernstein_order(n)] + [pot_block_order(n, b) for b in (1, 2, 3)]
+    orders = [(bernstein_order(n), _bernstein_key)] + [
+        (pot_block_order(n, b), _pot_block_key(b)) for b in (1, 2, 3)]
     if n == 1:
-        orders.append(vres_order(1))
+        orders.append((vres_order(1), _vres_key))
     monos = []
     for _ in range(120):
         bound = rng.choice([3, 3, top])
@@ -87,12 +103,12 @@ def test_packed_keys_order_monomials_as_tuple_keys(n, width):
                       tuple(rng.randrange(bound) for _ in range(n)),
                       tuple(rng.randrange(bound) for _ in range(n)),
                       rng.randrange(bound)))
-    for order in orders:
+    for order, key in orders:
         keys = order.packed(lay)
         packed = [(mono, keys[lay.enc[mono]]) for mono in monos]
         for m1, k1 in packed:
             for m2, k2 in packed:
-                assert _sign(k1, k2) == _sign(order.key(m1), order.key(m2))
+                assert _sign(k1, k2) == _sign(key(m1), key(m2))
     if n == 1:
         # the de Rham window cuts at weight k0 through the floor (k0,)
         keys = vres_order(1).packed(lay)

@@ -188,6 +188,22 @@ def test_a_module_resolves_its_own_rows(function):
         "modules.py", "PresentedModule." + function)
 
 
+def test_one_presented_module_type():
+    # a module's relations live in one slot, its kernel rows, and an
+    # integral presentation is a module over Q[z], with no copy of its
+    # slots, its immutability or its rows
+    from weylmod import IntegralPresentation, PresentedModule
+    assert "_rows" not in PresentedModule.__slots__
+    assert "_kernel" in PresentedModule.__slots__
+    assert not [path.name + ":" + name
+                for path in sorted(PACKAGE.glob("*.py"))
+                for name, _node in _functions(ast.parse(path.read_text()))
+                if name.split(".")[-1] == "_relations"]
+    assert issubclass(IntegralPresentation, PresentedModule)
+    assert IntegralPresentation.__slots__ == ("saturated",)
+    assert not {"__setattr__", "rows"} & set(vars(IntegralPresentation))
+
+
 @pytest.mark.parametrize("function", ["_buchberger", "_interreduce",
                                       "syz_of_list"])
 def test_tracking_is_fraction_free(function):
