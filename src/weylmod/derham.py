@@ -134,10 +134,12 @@ def _v_lifts(rows):
                 (comp, a, b, deg - a[0] - b[0]): c
                 for (comp, a, b, _e), c in row.terms.items()}))
     basis = buchberger(hom, vres_order(1))
+    rows = basis._rows()
     return [((comp, a[0], b[0]), b[0] - a[0],
-             {(j, p, q, 0): c for (j, p, q, _e), c in g.items()})
-            for g, ((comp, a, b, _e), _c) in zip(basis._kernel_rows(),
-                                                 basis.leads)]
+             {(j, p, q, 0): c
+              for (j, p, q, _e), c in rows.layout.unpack(g).items()})
+            for (g, _d), ((comp, a, b, _e), _c) in zip(rows.rows,
+                                                       basis.leads)]
 
 
 def _eliminate(rows, col):
@@ -380,10 +382,9 @@ def h_dr_n1(module):
     # weights below k0, and whole lifts are subtracted, so lower tails
     # are cut only once nothing above is left
     def window(lay):
-        basis = _Basis(lay)
-        for (comp, a, b), _w, terms in lifts:
-            basis.add(lay.pack(terms), lay.enc[(comp, (a,), (b,), 0)])
         keys = vres_order(1).packed(lay)
+        basis = _Basis.of(lay, [lay.pack(terms) for _s, _w, terms in lifts],
+                          keys)
         return [{cod_index[m]: c for m, c in lay.unpack(_reduce(
             lay.pack(start), basis, keys, floor=(k0,))[0]).items()}
             for start in starts]
@@ -511,8 +512,10 @@ def stabilization_oracle(module, window=5, max_degree=40, pad=None):
     rank = module.rank
     # gens[k] = g_k, starts[k] = deg(g_k); last[k]: the rows x^i d^j g_k
     # (i = 0, 1, ...) of the degree built last
-    gens = [{(a[0] + b[0], comp, a[0]): c for (comp, a, b, _e), c in g.items()}
-            for g in module.gb()._kernel_rows()]
+    rows = module.gb()._rows()
+    gens = [{(a[0] + b[0], comp, a[0]): c
+             for (comp, a, b, _e), c in rows.layout.unpack(g).items()}
+            for g, _d in rows.rows]
     starts = [max(key[0] for key in g) for g in gens]
     last = [[g] for g in gens]
 

@@ -57,8 +57,9 @@ positive denominator (_linalg.lowest_terms) on one layout, in a named
 ambient (n, ring, rank).  A module's relations, its resolution's stages,
 their tau-duals, the kernel of the dual map, the preimage rows of Ext
 and the relations of a lattice, saturated or reduced mod z, are _Rows;
-_Rows.on is the one move of rows to a wider layout, as GBasis._kernel is
-of a basis.  _gb, _syz, FreeResolution.extend, _preimage, _colon and
+_Rows.on is the one move of rows to a wider layout, of a basis's rows
+too (GBasis._kernel), and _Basis.of the one reader of rows that already
+are a basis.  _gb, _syz, FreeResolution.extend, _preimage, _colon and
 _saturate take and give _Rows; buchberger, syz_of_list, free_resolution,
 preimage_rows, colon_z and saturate_z are those same functions with
 FreeVecs at their edges, cleared on the way in and made Fraction (or
@@ -84,13 +85,14 @@ window cuts weights below k0.  Interreduction is one pass: tail
 reduction never changes a lead monomial, so an element reduced against
 the other leads stays reduced while the rest are.
 
-Termination note: the V-order used for restriction is not a well-order on
-all monomials, only on the h-homogeneous elements the caller feeds it; the
-engine checks homogeneity of each basis element as its lead is cached, and
-of the input to left_normal_form, and raises InternalInvariant otherwise.
-In a resolution or its dual, generator j of a free module counts the
-degree of the row it stands for (_Rows.offsets), so each stage is
-homogeneous in that grading.
+Termination note: a graded order ranks each monomial above its proper
+divisors, so by Dickson's lemma it is a well-order, and Buchberger and
+division terminate under it on any input, over H1 too.  The V-order used
+for restriction is not graded and is a well-order only on the
+h-homogeneous elements the caller feeds it; under an order that is not
+graded the engine checks homogeneity over H1 of each basis element as its
+lead is cached, and of the input to left_normal_form, and raises
+InternalInvariant otherwise.
 """
 
 from fractions import Fraction
@@ -190,9 +192,10 @@ class TermOrder:
     read off the int itself; a monomial on tuple keys is ranked by the
     key of its packed int (leading_term).  graded says that a
     monomial ranks above each of its proper divisors, which the pair
-    criteria of buchberger ask for.  The order factories below return one
-    shared instance per argument, so the memo behind packed() serves
-    every call under that order.
+    criteria of buchberger ask for, and which makes the order a
+    well-order, so that over H1 it needs no h-homogeneous input.  The
+    order factories below return one shared instance per argument, so
+    the memo behind packed() serves every call under that order.
     """
 
     __slots__ = ("name", "graded", "_pack", "_packed")
@@ -307,9 +310,7 @@ class _Rows:
     move to a wider layout only through on(), and become FreeVecs once,
     in vecs(), when a public caller reads them.  The ambient is named:
     rank is that of the free module W_n^rank the rows lie in, with or
-    without rows.  Over H1, offsets[j] is the degree of its generator j
-    (None: all 0), so that a row is homogeneous when degree(term) +
-    offsets[comp] is the same on all its terms.
+    without rows.
 
     reduced is the TermOrder under which the rows, in order and up to
     their scalars, are the reduced Groebner basis of their span, or
@@ -319,23 +320,19 @@ class _Rows:
     from marked rows (on, stacked, a new _Rows) carry no mark.
     """
 
-    __slots__ = ("n", "ring", "rank", "layout", "rows", "offsets", "reduced",
-                 "_vecs", "_degrees")
+    __slots__ = ("n", "ring", "rank", "layout", "rows", "reduced", "_vecs")
 
-    def __init__(self, n, ring, rank, lay, rows, offsets=None, vecs=None,
-                 degrees=None, reduced=None):
+    def __init__(self, n, ring, rank, lay, rows, vecs=None, reduced=None):
         self.n = n
         self.ring = ring
         self.rank = rank
         self.layout = lay
         self.rows = rows
-        self.offsets = offsets
         self.reduced = reduced
         self._vecs = vecs
-        self._degrees = degrees
 
     @staticmethod
-    def of(n, ring, rank, vecs, offsets=None):
+    def of(n, ring, rank, vecs):
         """FreeVecs of W_n^rank as kernel rows, on the narrowest layout.
 
         The one way rows enter the kernel.
@@ -345,7 +342,7 @@ class _Rows:
             ambient._check(g)
         return widening(lambda lay: _Rows(
             n, ring, rank, lay, [_clear(g.terms, lay) for g in vecs],
-            offsets, vecs), layout(n, ring == H1))
+            vecs), layout(n, ring == H1))
 
     def on(self, lay):
         """The rows on layout lay, moved there from a narrower one."""
@@ -360,15 +357,9 @@ class _Rows:
         The dual of (u -> u . A) on column vectors becomes, in transposed
         coordinates, the left-module map v -> v . C with
         C[j][i] = tau(A[i][j]).  The rows of C come from one packed pass
-        over the rows of A, scaled to one denominator.  Over H1 generator
-        i of their free module has minus the degree of row i of A, and
-        row j of C minus that of generator j of A's: a zero row of C has
-        it too.
+        over the rows of A, scaled to one denominator.
         """
-        ring, rank, offsets, degrees = self.ring, self.rank, None, None
-        if ring == H1:
-            offsets = [-d for d in self.degrees()]
-            degrees = [-d for d in self.offsets or [0] * rank]
+        ring, rank = self.ring, self.rank
 
         def run(lay):
             rows = self.on(lay)
@@ -379,8 +370,7 @@ class _Rows:
             outs = _reordered(lay, _transposed, terms,
                               [{} for _ in range(rank)])
             return _Rows(self.n, ring, len(rows), lay,
-                         [lowest_terms(out, den) for out in outs],
-                         offsets, degrees=degrees)
+                         [lowest_terms(out, den) for out in outs])
 
         return widening(run, self.layout)
 
@@ -388,19 +378,7 @@ class _Rows:
         """These rows, then the nonzero rows of other, on the wider layout."""
         lay = max(self.layout, other.layout, key=lambda lay: lay.width)
         return _Rows(self.n, self.ring, self.rank, lay, self.on(lay) + [
-            (row, d) for row, d in other.on(lay) if row], self.offsets)
-
-    def degrees(self):
-        """The degree of each row over H1, offsets counted.
-
-        Read off a term of each row, unless given: a zero row has the
-        degree it was given, else 0.
-        """
-        if self._degrees is not None:
-            return self._degrees
-        lay, offsets = self.layout, self.offsets or [0] * self.rank
-        return [lay.degree(m) + offsets[lay.comp(m)] if row else 0
-                for row, _d in self.rows for m in [next(iter(row), 0)]]
+            (row, d) for row, d in other.on(lay) if row])
 
     def vecs(self):
         """The rows as FreeVecs, built on the first call."""
@@ -426,6 +404,17 @@ class _Basis:
         self.leads = []
         self.envs = []
         self.index = {}
+
+    @staticmethod
+    def of(lay, rows, keys):
+        """The basis of rows on lay that are a Groebner basis under the
+        order of keys, in order: each made primitive over its lead, the
+        term of largest key, as buchberger leaves it.  No run is made."""
+        basis = _Basis(lay)
+        for row in rows:
+            lead = max(row, key=keys.__getitem__)
+            basis.add(primitive(row, lead)[0], lead)
+        return basis
 
     def add(self, row, lead):
         self.index.setdefault(self.layout.comp(lead), []).append(
@@ -549,7 +538,7 @@ def left_normal_form(v, basis, order):
     if not (isinstance(basis, GBasis) and basis.order is order):
         elements = basis.elements if isinstance(basis, GBasis) else basis
         basis = GBasis(v.n, v.ring, v.rank, order, [g for g in elements if g])
-    if v.ring == H1:
+    if v.ring == H1 and not order.graded:
         for row in [v.terms] + [g.terms for g in basis.elements]:
             _require_homogeneous(sum(a) + sum(b) + e for _c, a, b, e in row)
 
@@ -614,29 +603,20 @@ class GBasis:
         wider layout is asked for, the same rows are moved there.
         """
         basis = self._basis
-        if basis is None:
-            cleared = _Rows.of(self.n, self.ring, self.rank, self.elements)
-            enc = cleared.layout.enc
-            basis = self._basis = _Basis(cleared.layout)
-            for (row, _d), (m, _c) in zip(cleared.rows, self.leads):
-                basis.add(primitive(row, enc[m])[0], enc[m])
-        if basis.layout.width < lay.width:
-            old, dec = basis, basis.layout.dec
-            basis = self._basis = _Basis(lay)
-            for row, m in zip(old.rows, old.leads):
-                basis.add(lay.moved(row, old.layout), lay.enc[dec[m]])
-        return basis
+        if basis is not None and basis.layout.width >= lay.width:
+            return basis
+        rows = self._rows() if basis is not None else _Rows.of(
+            self.n, self.ring, self.rank, self.elements)
+        lay = max(lay, rows.layout, key=lambda lay: lay.width)
+        self._basis = _Basis.of(lay, [row for row, _d in rows.on(lay)],
+                                self.order.packed(lay))
+        return self._basis
 
     def _rows(self):
         """The basis as _Rows: primitive kernel rows, each over its lead."""
         basis = widening(self._kernel, layout(self.n, self.ring == H1))
         return _Rows(self.n, self.ring, self.rank, basis.layout,
                      list(zip(basis.rows, basis.lcs())))
-
-    def _kernel_rows(self):
-        """The kernel rows on tuple keys."""
-        basis = widening(self._kernel, layout(self.n, self.ring == H1))
-        return [basis.layout.unpack(row) for row in basis.rows]
 
     def _public(self):
         """(transform, lifts) as Fraction (RatFunc) rows, built on first read.
@@ -704,18 +684,14 @@ def _gb(gens, order, track=False):
     """
     if gens.reduced is order and not track:
         lay = gens.layout
-        keys = order.packed(lay)
-        basis = _Basis(lay)
-        for row, _d in gens.rows:
-            lead = max(row, key=keys.__getitem__)
-            basis.add(primitive(row, lead)[0], lead)
+        basis = _Basis.of(lay, [row for row, _d in gens.rows],
+                          order.packed(lay))
         return _gb_of(gens, order, basis, {"spairs": 0,
                                            "reductions_to_zero": 0})
     COUNTERS["buchberger_calls"] += 1
     ring = gens.ring
     basis, trans, lifts, stats = widening(
-        lambda lay: _buchberger(gens.on(lay), order, track, ring, lay,
-                                gens.offsets),
+        lambda lay: _buchberger(gens.on(lay), order, track, ring, lay),
         gens.layout)
     COUNTERS["spairs"] += stats["spairs"]
     COUNTERS["basis_elements"] += len(basis.rows)
@@ -737,19 +713,15 @@ def _gb_of(gens, order, basis, stats):
     return gb
 
 
-def _buchberger(cleared, order, track, ring, lay, offsets=None):
+def _buchberger(cleared, order, track, ring, lay):
     """The kernel of buchberger on one layout, on the kernel rows cleared.
 
     Returns the interreduced basis and, with track, its transform and the
     lifts of the generators as tracked rows (see GBasis._public).  Over
-    H1 each basis row must be homogeneous, component j counted offsets[j]
-    higher.
+    H1 under an order that is not graded each basis row must be
+    homogeneous (see the termination note).
     """
-    homog = ring == H1
-    degree = lay.degree
-    if offsets:
-        def degree(t):
-            return lay.degree(t) + offsets[lay.comp(t)]
+    homog = ring == H1 and not order.graded
     keys = order.packed(lay)
     basis = _Basis(lay)
     trans = [] if track else None
@@ -759,7 +731,7 @@ def _buchberger(cleared, order, track, ring, lay, offsets=None):
     def push(row, sigma, tracked):
         # with track, sigma . tracked is row
         if homog:
-            _require_homogeneous(map(degree, row))
+            _require_homogeneous(map(lay.degree, row))
         mono = max(row, key=keys.__getitem__)
         new = len(basis.rows)
         fresh = {k: data for k, m in enumerate(basis.leads)
@@ -918,13 +890,11 @@ def _syz(gens):
     (Id - lifts . transform); both families vanish on gens and together
     they generate everything that does.  They are composed from the
     kernel rows of the tracked basis, on a layout wide enough for the
-    products.  Over H1 generator j of the syzygy module has the degree of
-    row j.
+    products.
     """
     n, ring, count = gens.n, gens.ring, len(gens.rows)
-    offsets = gens.degrees() if ring == H1 else None
     if not count:
-        return _Rows(n, ring, 0, gens.layout, [], offsets)
+        return _Rows(n, ring, 0, gens.layout, [])
     gb = _gb(gens, bernstein_order(n), track=True)
 
     def compose(lay):
@@ -940,8 +910,7 @@ def _syz(gens):
             sigma[lay.with_comp(0, len(trans) + j)] = d
             rows.append(_combine(sigma, tracked, lay, d))
         return _Rows(n, ring, count, lay,
-                     [lowest_terms(row, d) for row, d in rows if row],
-                     offsets)
+                     [lowest_terms(row, d) for row, d in rows if row])
 
     return widening(compose, gb._basis.layout)
 
@@ -1025,8 +994,7 @@ def _preimage(stacked, m):
         if u:
             u, den = lowest_terms(u, den)
             out.setdefault((frozenset(u.items()), den), (u, den))
-    return _Rows(syz.n, ring, m, syz.layout, list(out.values()),
-                 syz.offsets and syz.offsets[:m])
+    return _Rows(syz.n, ring, m, syz.layout, list(out.values()))
 
 
 def _nonzero_rows(rows, rank):

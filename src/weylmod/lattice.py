@@ -119,13 +119,31 @@ class IntegralPresentation(PresentedModule):
 
 
 def make_lattice(P):
-    """Saturate the relations so the cokernel is z-torsion-free."""
+    """Saturate the relations so the cokernel is z-torsion-free.
+
+    P is any module over ZP: an IntegralPresentation, or an Ext module of
+    one.
+    """
+    _require_integral(P)
     if P.saturated:
         return P
     rows = P._kernel
     if rows.rows:
         rows = _saturate(rows, P.gb())
     return IntegralPresentation(P.n, P.side, P.rank, rows, saturated=True)
+
+
+def _require_integral(P, unsaturated=None):
+    """UnsupportedAmbient unless P is a module over ZP.
+
+    Given the message unsaturated, P must also be saturated, else
+    NotSaturated says so: a module over another ring is never saturated,
+    and make_lattice would refuse it.
+    """
+    if P.ring != ZP:
+        raise UnsupportedAmbient("lattices are presentations over Q[z]")
+    if unsaturated and not P.saturated:
+        raise NotSaturated(unsaturated)
 
 
 class ReductionReport:
@@ -162,8 +180,7 @@ def reduce_mod_z(P, with_generic_diagnostic=False):
     A zero reduction forces the completed module itself to be zero, so the
     flag is authoritative even when the generic fiber over Q(z) is not.
     """
-    if not P.saturated:
-        raise NotSaturated("reduce after make_lattice, not before")
+    _require_integral(P, "reduce after make_lattice, not before")
     reduced = _reduced_module(P.side, P._kernel)
     zero = reduced.is_zero()
     cycle = None
@@ -206,14 +223,10 @@ def good_lattice(P):
     E1 = ext(n, base)
     if E1.is_zero():
         raise InternalInvariant("integral dual of a holonomic avatar vanished")
-    V = PresentedModule(n, ZP, E1.side, E1.rank,
-                        _saturate(E1._kernel, E1.gb()))
-    E2 = ext(n, V)
+    E2 = ext(n, make_lattice(E1))
     if E2.is_zero():
         raise InternalInvariant("integral double dual vanished")
-    out = IntegralPresentation(n, P.side, E2.rank,
-                               _saturate(E2._kernel, E2.gb()),
-                               saturated=True)
+    out = make_lattice(E2)
     if not minimal_dimension_via_reduction(out):
         raise InternalInvariant("good lattice reduction lost minimal "
                                 "dimension")
@@ -409,8 +422,7 @@ def kunneth_check(P, i):
     """
     if not 0 <= i <= P.n:
         raise IndexOutOfRange("kunneth index %d outside 0..%d" % (i, P.n))
-    if not P.saturated:
-        raise NotSaturated("kunneth terms are defined for saturated input")
+    _require_integral(P, "kunneth terms are defined for saturated input")
     g = grade(P)
     zero = PresentedModule(P.n, QQ, P.opposite_side(), 0, _Rows(
         P.n, QQ, 0, P._kernel.layout, [], reduced=bernstein_order(P.n)))

@@ -21,8 +21,7 @@ from .errors import (IndexOutOfRange, NotMinimalDimension, RankMismatch,
                      UnsupportedAmbient, ZeroModule)
 from .scalars import INF
 from .groebner import (FreeResolution, FreeVec, _gb, _nonzero_rows,
-                       _preimage, _Rows, _syz, _units, bernstein_order,
-                       preimage_rows)
+                       _preimage, _Rows, _syz, _units, bernstein_order)
 from .weyl import H1, QQ, QZ, ZP, transpose
 
 LEFT = "left"
@@ -65,14 +64,15 @@ class PresentedModule:
     The relations enter the Groebner kernel once, as _Rows (_kernel), its
     one relation slot: cleared from FreeVec rows at construction
     (_Rows.of), or handed over as the kernel rows they were computed as
-    (an Ext module, a lattice and its reduction mod z), which over H1
-    carry the degree of each generator.  rows reads their FreeVecs: those
-    given, else built on first read.  Its basis and its resolution both
-    start from the kernel rows; the basis, the resolution and each Ext^i
-    are computed once and kept.
+    (an Ext module, a lattice and its reduction mod z).  rows reads their
+    FreeVecs: those given, else built on first read.  Its basis and its
+    resolution both start from the kernel rows; the basis, the resolution
+    and each Ext^i are computed once and kept.  Only an
+    IntegralPresentation from lattice.make_lattice is saturated.
     """
 
     __slots__ = ("n", "ring", "side", "rank", "_kernel", "_gb", "_res", "_ext")
+    saturated = False
 
     def __init__(self, n, ring, side, rank, rows):
         """rows: FreeVecs of W_n^rank, or nonzero kernel rows as _Rows."""
@@ -301,8 +301,7 @@ def _ext_of_resolution(i, M):
         kernel = _syz(out)
     else:
         lay = M._kernel.layout
-        kernel = _Rows(M.n, M.ring, s_i, lay, _units(lay, s_i, M.ring),
-                       image and image.offsets)
+        kernel = _Rows(M.n, M.ring, s_i, lay, _units(lay, s_i, M.ring))
     m = len(kernel.rows)
     relations = _preimage(kernel if image is None else kernel.stacked(image),
                           m)
@@ -346,11 +345,13 @@ def dual_star(M):
 def submodule_presentation(M, extra_rows):
     """The submodule of M generated by the images of extra_rows."""
     extra = [r for r in extra_rows if r.terms]
-    relations = preimage_rows(extra, M.rows)
+    relations = _preimage(_Rows.of(M.n, M.ring, M.rank, extra).stacked(
+        M._kernel), len(extra)) if extra else []
     return PresentedModule(M.n, M.ring, M.side, len(extra), relations)
 
 
 def quotient_presentation(M, extra_rows):
     """M modulo the submodule generated by the images of extra_rows."""
-    rows = M.rows + [r for r in extra_rows if r.terms]
-    return PresentedModule(M.n, M.ring, M.side, M.rank, rows)
+    extra = [r for r in extra_rows if r.terms]
+    return PresentedModule(M.n, M.ring, M.side, M.rank, M._kernel.stacked(
+        _Rows.of(M.n, M.ring, M.rank, extra)))

@@ -2,8 +2,8 @@
 
 from fractions import Fraction
 
-from weylmod import (H1, QQ, QZ, ZP, IntegralPresentation, QPoly, RatFunc,
-                     WeylAlgebra)
+from weylmod import (H1, QQ, QZ, ZP, FreeVec, IntegralPresentation, QPoly,
+                     RatFunc, WeylAlgebra)
 
 
 def rand_fraction(rng, lo=-9, hi=9, den=6):
@@ -58,6 +58,22 @@ def rand_element(rng, W, deg=4, terms=4):
     if u.is_zero():
         u = W.scalar(rand_scalar(rng, W.ring))
     return u
+
+
+def inhomogeneous_h1(rng, rank):
+    """Two random rows of W_1(H1)^rank.
+
+    Each term carries a random power of h, so most rows are not
+    h-homogeneous.
+    """
+    H = WeylAlgebra(1, H1)
+    return [FreeVec.from_entries([rand_element(rng, H, deg=2, terms=2)
+                                  for _ in range(rank)], rank=rank)
+            for _ in range(2)]
+
+
+def is_h_homogeneous(v):
+    return len({sum(a) + sum(b) + e for _c, a, b, e in v.terms}) == 1
 
 
 # the n=1 avatar battery: name, single relation, chi of the reduction

@@ -21,7 +21,8 @@ from weylmod._packed import Memo, layout, widening
 from weylmod.cli import run
 from weylmod.groebner import TermOrder, colon_z, saturate_z, submodule_equal
 
-from helpers import rand_element, rand_scalar
+from helpers import (inhomogeneous_h1, is_h_homogeneous, rand_element,
+                     rand_scalar)
 from oracles import (all_monomials, basis_certificate, brute_member,
                      field_normal_form, leibniz_combination)
 
@@ -747,6 +748,27 @@ def test_h1_input_must_be_homogeneous():
         buchberger([h], vres_order(1))
     with pytest.raises(InternalInvariant):
         left_normal_form(h, [], vres_order(1))
+
+
+INHOMOGENEOUS = {"bernstein": (bernstein_order(1), (1, 2)),
+                 "pot-block": (pot_block_order(1, 1), (2,))}
+
+
+@pytest.mark.parametrize("name", sorted(INHOMOGENEOUS))
+def test_h1_graded_orders_take_inhomogeneous_input(name):
+    # a graded order is a well-order, so over H1 it needs no homogeneity:
+    # only the V-order checks it (test_h1_input_must_be_homogeneous)
+    order, ranks = INHOMOGENEOUS[name]
+    rng = random.Random("h1-inhomogeneous/" + name)
+    mixed = 0
+    for k in range(20):
+        gens = inhomogeneous_h1(rng, ranks[k % len(ranks)])
+        mixed += not all(map(is_h_homogeneous, gens))
+        gb = buchberger(gens, order, track=True)
+        assert basis_certificate(gb, gens, order) == []
+        for s in syz_of_list(gens):
+            assert not leibniz_combination(s, gens, homog=True)
+    assert mixed >= 15
 
 
 def test_syzygies_reject_a_non_basis():

@@ -9,7 +9,8 @@ from weylmod import (LEFT, QQ, QZ, RIGHT, ZP, FreeVec, IndexOutOfRange,
                      IntegralPresentation, KunnethReport, Lattice, NonIntegral,
                      NotMinimalDimension, NotSameModule, NotSaturated,
                      PresentedModule, QPoly, RankMismatch, RatFunc,
-                     WeylAlgebra, bernstein_order, buchberger,
+                     UnsupportedAmbient, WeylAlgebra, WeylmodError,
+                     bernstein_order, buchberger,
                      char_cycle, compare_lattices, convert_ring, ext,
                      good_lattice, groebner, is_minimal_dimension,
                      kunneth_check, lattice, left_normal_form, make_lattice,
@@ -133,6 +134,42 @@ def test_reduce_requires_saturation():
     P = pres(A.z() * A.d(1))
     with pytest.raises(NotSaturated):
         reduce_mod_z(P)
+
+
+LATTICE_ENTRY_POINTS = {
+    "make_lattice": make_lattice,
+    "reduce_mod_z": reduce_mod_z,
+    "good_lattice": good_lattice,
+    "kunneth_check": lambda M: kunneth_check(M, 0),
+    "Lattice": Lattice,
+    "compare_lattices": lambda M: compare_lattices(M, M),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_ENTRY_POINTS))
+def test_lattice_entry_points_take_any_module(name):
+    # an Ext module over Q[z] is a PresentedModule, never saturated: each
+    # entry point saturates it or says why it cannot; a module over QQ
+    # has no lattice
+    call = LATTICE_ENTRY_POINTS[name]
+    E = ext(1, make_lattice(pres(A.x(1) * A.d(1) - A.z())))
+    assert type(E) is PresentedModule and E.ring == ZP
+    try:
+        call(E)
+    except WeylmodError:
+        pass
+    M = PresentedModule.from_matrix(1, QQ, [[WeylAlgebra(1, QQ).d(1)]])
+    with pytest.raises(UnsupportedAmbient):
+        call(M)
+
+
+def test_ext_module_becomes_a_lattice():
+    E = ext(1, make_lattice(pres(A.x(1) * A.d(1) - A.z())))
+    L = make_lattice(E)
+    assert L.saturated and L.side == E.side and L.rank == E.rank
+    with pytest.raises(NotSaturated):
+        reduce_mod_z(E)
+    assert not reduce_mod_z(L).is_zero
 
 
 def test_zero_detection_with_generic_diagnostic():

@@ -17,7 +17,7 @@ from weylmod import modules
 from weylmod.modules import homological_bound
 from weylmod.parser import parse
 
-from helpers import rand_element
+from helpers import inhomogeneous_h1, is_h_homogeneous, rand_element
 from oracles import ext_grade, leibniz_combination, leibniz_transpose
 
 W = WeylAlgebra(1, QQ)
@@ -148,6 +148,26 @@ def test_cycle_additive_in_exact_sequences():
         if not Q.is_zero():
             parts = parts + char_cycle(Q)
         assert parts == char_cycle(M)
+
+
+def test_sub_and_quotient_clear_only_the_new_rows(monkeypatch):
+    # the relations of M enter the kernel once, when M is built; the
+    # submodule and the quotient clear only the rows they are given
+    M = module(W.d(1) ** 2)
+    of, counts = groebner._Rows.of, []
+
+    def spy(n, ring, rank, vecs):
+        counts.append(len(vecs))
+        return of(n, ring, rank, vecs)
+    monkeypatch.setattr(groebner._Rows, "of", staticmethod(spy))
+    S = submodule_presentation(M, [FreeVec.from_entries([W.d(1)])])
+    assert counts == [1]
+    assert [[to_str(w) for w in r.entries()] for r in S.rows] == [["-d1"]]
+    counts.clear()
+    Q = quotient_presentation(M, [FreeVec.from_entries([W.x(1)])])
+    assert counts == [1]
+    assert [[to_str(w) for w in r.entries()] for r in Q.rows] == \
+        [["d1^2"], ["x1"]]
 
 
 def test_presentation_independence():
@@ -480,9 +500,9 @@ def test_h1_ext_of_rows_of_different_degrees():
 
 
 def test_h1_ext_of_an_ext_module():
-    # Ext^1(M) keeps the kernel rows it was computed as, with the degree
-    # of each generator; its resolution starts from them, so its stages
-    # stay homogeneous although its rows have different degrees
+    # Ext^1(M) keeps the kernel rows it was computed as, of different
+    # degrees, and its resolution starts from them; bernstein_order is
+    # graded, so no stage needs to be homogeneous
     E = ext(1, _h1_rows_of_two_degrees())
     assert [ext(j, E).is_zero() for j in range(4)] == \
         [True, False, True, True]
@@ -523,3 +543,16 @@ def test_h1_grade_is_the_ext_grade():
         grades.add(grade(M))
         assert grade(M) == ext_grade(M)
     assert grades >= {0, 1, 2, 3} and mixed >= 5
+
+
+def test_h1_grade_of_inhomogeneous_rows():
+    # bernstein_order is graded, so the basis and the resolution of rows
+    # whose terms have h-degrees of their own need no homogeneity
+    rng = random.Random("h1-inhomogeneous/bernstein")
+    mixed = 0
+    for k in range(20):
+        rows = inhomogeneous_h1(rng, 1 + k % 2)
+        mixed += not all(map(is_h_homogeneous, rows))
+        M = PresentedModule(1, H1, LEFT, rows[0].rank, rows)
+        assert grade(M) == ext_grade(M)
+    assert mixed >= 15

@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import inspect
 import pathlib
 import sys
 
@@ -162,9 +163,8 @@ def test_one_division_loop():
 
 def test_rows_enter_and_widen_one_way():
     # FreeVecs become kernel rows through _Rows.of alone, and kernel rows
-    # move to a wider layout through _Rows.on, apart from the basis a
-    # GBasis moves in _kernel; tracked rows are _Rows, with no mover of
-    # their own
+    # move to a wider layout through _Rows.on alone, the basis of a
+    # GBasis too; tracked rows are _Rows, with no mover of their own
     found = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for name, node in _functions(ast.parse(path.read_text())):
@@ -174,15 +174,27 @@ def test_rows_enter_and_widen_one_way():
     assert found.pop("_clear") == {"groebner.py:_clear",
                                    "groebner.py:_Rows.of"}
     assert found.pop("moved") == {"_packed.py:Layout.moved",
-                                  "groebner.py:_Rows.on",
-                                  "groebner.py:GBasis._kernel"}
+                                  "groebner.py:_Rows.on"}
     assert not found
+
+
+def test_rows_carry_no_generator_degrees():
+    # a graded order is a well-order, so only an order that is not graded
+    # (the V-order) asks for h-homogeneous input over H1, and kernel rows
+    # carry no degree of their generators to pass that check
+    from weylmod.groebner import _buchberger, _Rows
+    assert not {"offsets", "_degrees"} & set(_Rows.__slots__)
+    assert not hasattr(_Rows, "degrees")
+    for function in (_Rows.of, _buchberger):
+        assert "offsets" not in inspect.signature(function).parameters
+    for function in ("_buchberger", "left_normal_form"):
+        assert {"_require_homogeneous", "graded"} <= _names("groebner.py",
+                                                           function)
 
 
 @pytest.mark.parametrize("function", ["gb", "resolution"])
 def test_a_module_resolves_its_own_rows(function):
-    # a module's basis and resolution start from its kernel rows, which
-    # keep the degree of each generator of an Ext module over H1; the
+    # a module's basis and resolution start from its kernel rows; the
     # public wrappers would clear its FreeVecs again
     assert not {"buchberger", "free_resolution"} & _names(
         "modules.py", "PresentedModule." + function)
@@ -279,7 +291,7 @@ def test_one_sparse_term_value_type():
 def test_oracle_reads_the_kernel_rows():
     # the oracle's integer rows are the Groebner kernel's, not cleared again
     names = _names("derham.py", "stabilization_oracle")
-    assert "_kernel_rows" in names
+    assert "_rows" in names
     assert not {"denominator", "lcm"} & names
 
 
